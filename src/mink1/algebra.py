@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import generator_class, so12_check
-
-RANK_RTOL = 1e-9
+from .minkowski import generator_class, numeric_rank, so12_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +85,8 @@ class SubalgebraSpec:
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         if basis:
-            M = self.coords_matrix
-            s = np.linalg.svd(M, compute_uv=False)
-            if s[-1] <= RANK_RTOL * s[0]:
+            s = np.linalg.svd(self.coords_matrix, compute_uv=False)
+            if numeric_rank(s) < len(basis):
                 raise ValueError("basis is not linearly independent")
 
     @property
@@ -143,15 +140,10 @@ def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec, tol: float = 1e-9) ->
     return True
 
 
-def _mat_rank_basis(rows: np.ndarray, rtol: float = RANK_RTOL):
+def _mat_rank_basis(rows: np.ndarray):
     """Numeric rank and an orthonormal row-space basis of `rows`."""
-    if rows.shape[0] == 0:
-        return 0, rows
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, rows[:0]
-    rank = int(np.sum(s > rtol * s[0]))
-    _, _, vh = np.linalg.svd(rows)
+    _, s, vh = np.linalg.svd(rows)
+    rank = numeric_rank(s)
     return rank, vh[:rank]
 
 
@@ -172,7 +164,7 @@ def kernel_of_l(spec: SubalgebraSpec):
         return 0, []
     L = np.stack([el.X.ravel() for el in spec.basis])  # (k, 9)
     u, s, _ = np.linalg.svd(L, full_matrices=True)
-    rank = 0 if s[0] <= RANK_RTOL else int(np.sum(s > RANK_RTOL * s[0]))
+    rank = numeric_rank(s)
     null_coeffs = u[:, rank:].T
     if null_coeffs.shape[0] == 0:
         return 0, []

@@ -14,6 +14,7 @@ rational inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,6 +141,80 @@ def _generic3(rng):
     return rng.uniform(-3.0, 3.0, 3)
 
 
+def _origin(rng):
+    return np.zeros(3)
+
+
+def _cone_sampler(side, avoid_plane=False):
+    """Samples one component (future or past) of the light cone; with
+    `avoid_plane` a point near x1 = x2 is swapped for (t, -t, 0)."""
+    def sample(rng):
+        t = side * rng.uniform(0.5, 2.5)
+        th = rng.uniform(0.0, 2 * np.pi)
+        p = np.array([t, t * np.cos(th), t * np.sin(th)])
+        if avoid_plane and abs(p[0] - p[1]) < 0.05:
+            p = np.array([t, -t, 0.0])
+        return p
+
+    return sample
+
+
+# ---------------------------------------------------------------------------
+# shared strata
+
+
+def _plane_strata(s, b, plane_row, off_row, sample_off=None):
+    """The plane x1 - s*x2 + b = 0 and its complement, as two strata.
+
+    A row is (name, dim, causal, orbit class, stabilizer dim, stabilizer
+    class).  The plane stratum samples exactly on the plane; unless
+    `sample_off` is given, the complement samples generic points at
+    least 0.05 off it.
+    """
+    def on_plane(p):
+        return _near(p[0] - s * p[1] + b)
+
+    def sample_plane(rng):
+        a, c = rng.uniform(-3.0, 3.0, 2)
+        return np.array([a, s * a + b, c])
+
+    def sample_generic_off(rng):
+        while True:
+            p = _generic3(rng)
+            if abs(p[0] - s * p[1] + b) > 0.05:
+                return p
+
+    return (
+        Stratum(plane_row[0], on_plane, *plane_row[1:], (sample_plane,)),
+        Stratum(off_row[0], lambda p: not on_plane(p), *off_row[1:],
+                (sample_off or sample_generic_off,)),
+    )
+
+
+# rows shared by the boost families whose translations fill a null plane
+_EXCEPTIONAL_PLANE = ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT)
+_OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
+
+
+def _at_origin(p):
+    return bool(np.max(np.abs(p)) <= STRATUM_TOL)
+
+
+def _cone_regions(keep):
+    """Predicates <p,p> < 0, = 0 and > 0 (to STRATUM_TOL relative to
+    max(1, |p|^2)), each restricted to the points `keep` accepts."""
+    def region(sign):
+        def pred(p):
+            if not keep(p):
+                return False
+            q, cut = inner(p, p), STRATUM_TOL * _q_scale(p)
+            return (q > cut) - (q < -cut) == sign
+
+        return pred
+
+    return region(-1), region(0), region(1)
+
+
 # ---------------------------------------------------------------------------
 # family builders
 
@@ -216,20 +291,13 @@ def _build_P_c() -> CatalogEntry:
 
 
 def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
-    s = float(np.sign(sign))
-    if s == 0.0:
-        raise CatalogError("P-d sign must be +1 or -1")
+    s = float(sign)
+    if s not in (1.0, -1.0):
+        raise CatalogError(f"P-d sign must be +1 or -1, got {sign!r}")
     beta = float(beta)
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
     nu = NULL_PLUS if s > 0 else NULL_MINUS
-
-    def on_plane(p):
-        return _near(p[0] - s * p[1])
-
-    def sample_plane(rng):
-        a, c = rng.uniform(-3.0, 3.0, 2)
-        return np.array([a, s * a, c])
 
     def sample_cyl(rng):
         while True:
@@ -238,14 +306,13 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
                 return p
 
     def invariant(q, _s=s, _b=beta):
-        return float((q[0] - _s * q[1]) * np.exp(_s * q[2] / _b))
+        # inf (nan on the plane) once s*x3/beta passes ~709
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((q[0] - _s * q[1]) * np.exp(_s * q[2] / _b))
 
-    strata = (
-        Stratum("degenerate-plane", on_plane, 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL,
-                (sample_plane,)),
-        Stratum("generalized-cylinder", lambda p: not on_plane(p), 2, LORENTZIAN,
-                PRINCIPAL, 0, TRIVIAL, (sample_cyl,)),
-    )
+    strata = _plane_strata(
+        s, 0.0, ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL),
+        ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), sample_cyl)
     return CatalogEntry(
         id="P-d", params={"sign": s, "beta": beta},
         basis=_spec(_el(BOOST, beta * E3), _el(0 * BOOST, nu)),
@@ -331,30 +398,10 @@ def _build_N_ii() -> CatalogEntry:
     )
 
 
-def _null_plane_entry(id_, sign):
+def _null_plane_entry(id_, s):
     """Shared construction for the boost-with-null-plane families."""
-    s = sign
     nu = NULL_PLUS if s > 0 else NULL_MINUS
-
-    def on_plane(p):
-        return _near(p[0] - s * p[1])
-
-    def sample_plane(rng):
-        a, c = rng.uniform(-3.0, 3.0, 2)
-        return np.array([a, s * a, c])
-
-    def sample_open(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - s * p[1]) > 0.05:
-                return p
-
-    strata = (
-        Stratum("degenerate-plane", on_plane, 2, DEGENERATE, EXCEPTIONAL, 1,
-                NONCOMPACT, (sample_plane,)),
-        Stratum("open-half-space", lambda p: not on_plane(p), 3, LORENTZIAN,
-                OPEN_ORBIT, 0, TRIVIAL, (sample_open,)),
-    )
+    strata = _plane_strata(s, 0.0, _EXCEPTIONAL_PLANE, _OPEN_HALF_SPACE)
     # the origin lies on the degenerate stratum and the boost fixes it exactly
     wp = np.zeros(3)
     wg = _el(BOOST, 0 * E1)
@@ -370,38 +417,11 @@ def _null_plane_entry(id_, sign):
     )
 
 
-def _build_N_iii() -> CatalogEntry:
-    return _null_plane_entry("N-iii", +1.0)
-
-
-def _build_N_iv() -> CatalogEntry:
-    return _null_plane_entry("N-iv", -1.0)
-
-
-def _null_line_entry(id_, sign):
+def _null_line_entry(id_, s):
     """Shared construction for the boost-with-null-line families."""
-    s = sign
     nu = NULL_PLUS if s > 0 else NULL_MINUS
-
-    def on_plane(p):
-        return _near(p[0] - s * p[1])
-
-    def sample_line(rng):
-        a, c = rng.uniform(-3.0, 3.0, 2)
-        return np.array([a, s * a, c])
-
-    def sample_half(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - s * p[1]) > 0.05:
-                return p
-
-    strata = (
-        Stratum("null-line", on_plane, 1, NULL, SINGULAR, 1, NONCOMPACT,
-                (sample_line,)),
-        Stratum("lorentzian-half-plane", lambda p: not on_plane(p), 2, LORENTZIAN,
-                PRINCIPAL, 0, TRIVIAL, (sample_half,)),
-    )
+    strata = _plane_strata(s, 0.0, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
+                           ("lorentzian-half-plane", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL))
     return CatalogEntry(
         id=id_, params={},
         basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, nu)),
@@ -414,36 +434,11 @@ def _null_line_entry(id_, sign):
     )
 
 
-def _build_N_v() -> CatalogEntry:
-    return _null_line_entry("N-v", +1.0)
-
-
-def _build_N_vi() -> CatalogEntry:
-    return _null_line_entry("N-vi", -1.0)
-
-
 def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
     beta = float(beta)
-
-    def on_sing(p, _b=beta):
-        return _near(p[1] - p[0] - _b)
-
-    def sample_sing(rng, _b=beta):
-        a, c = rng.uniform(-3.0, 3.0, 2)
-        return np.array([a, a + _b, c])
-
-    def sample_plane(rng, _b=beta):
-        while True:
-            p = _generic3(rng)
-            if abs(p[1] - p[0] - _b) > 0.05:
-                return p
-
-    strata = (
-        Stratum("null-line", on_sing, 1, NULL, SINGULAR, 1, NONCOMPACT,
-                (sample_sing,)),
-        Stratum("degenerate-plane", lambda p: not on_sing(p), 2, DEGENERATE,
-                PRINCIPAL, 0, TRIVIAL, (sample_plane,)),
-    )
+    # the singular line x2 = x1 + beta
+    strata = _plane_strata(1.0, beta, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
+                           ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL))
     if beta != 0.0:
         wp = np.array([0.0, beta, 0.0])
         wg = _el(NULL_ROTATION, beta * E3)
@@ -480,26 +475,11 @@ def _build_N_viii() -> CatalogEntry:
 
 
 def _build_N_ix() -> CatalogEntry:
-    def at_origin(p):
-        return bool(np.max(np.abs(p)) <= STRATUM_TOL)
-
     def on_null_line(p):
-        return (not at_origin(p)) and _near(p[0] - p[1])
+        return (not _at_origin(p)) and _near(p[0] - p[1])
 
-    def _q(p):
-        return inner(p, p)
-
-    def off(p):
-        return (not at_origin(p)) and not _near(p[0] - p[1])
-
-    def riem(p):
-        return off(p) and _q(p) < -STRATUM_TOL * _q_scale(p)
-
-    def deg(p):
-        return off(p) and abs(_q(p)) <= STRATUM_TOL * _q_scale(p)
-
-    def lor(p):
-        return off(p) and _q(p) > STRATUM_TOL * _q_scale(p)
+    riem, deg, lor = _cone_regions(
+        lambda p: (not _at_origin(p)) and not _near(p[0] - p[1]))
 
     def sample_line_z0(rng):
         a = _u(rng)
@@ -512,35 +492,24 @@ def _build_N_ix() -> CatalogEntry:
     def sample_riem(rng):
         while True:
             p = _generic3(rng)
-            if _q(p) < -0.05 and abs(p[0] - p[1]) > 0.05:
+            if inner(p, p) < -0.05 and abs(p[0] - p[1]) > 0.05:
                 return p
-
-    def _deg(side):
-        def sample(rng):
-            t = side * rng.uniform(0.5, 2.5)
-            th = rng.uniform(0.0, 2 * np.pi)
-            p = np.array([t, t * np.cos(th), t * np.sin(th)])
-            if abs(p[0] - p[1]) < 0.05:
-                p = np.array([t, -t, 0.0])
-            return p
-
-        return sample
 
     def sample_lor(rng):
         while True:
             p = _generic3(rng)
-            if _q(p) > 0.05 and abs(p[0] - p[1]) > 0.05:
+            if inner(p, p) > 0.05 and abs(p[0] - p[1]) > 0.05:
                 return p
 
     strata = (
-        Stratum("origin", at_origin, 0, ZERO_VECTOR, SINGULAR, 2, NONCOMPACT,
-                (lambda rng: np.zeros(3),)),
+        Stratum("origin", _at_origin, 0, ZERO_VECTOR, SINGULAR, 2, NONCOMPACT,
+                (_origin,)),
         Stratum("null-line", on_null_line, 1, NULL, SINGULAR, 1, NONCOMPACT,
                 (sample_line_z0, sample_line_z)),
         Stratum("timelike-region", riem, 2, RIEMANNIAN, PRINCIPAL, 0, TRIVIAL,
                 (sample_riem,)),
         Stratum("light-cone-sector", deg, 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL,
-                (_deg(1.0), _deg(-1.0))),
+                (_cone_sampler(1.0, True), _cone_sampler(-1.0, True))),
         Stratum("spacelike-region", lor, 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL,
                 (sample_lor,)),
     )
@@ -562,41 +531,14 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
         raise CatalogError(
             "N-x requires alpha != 0 (a trivial kernel direction is the N-ix family)")
 
-    def on_plane(p):
-        return _near(p[0] - p[1])
-
-    def sample_open(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - p[1]) > 0.05:
-                return p
-
     if beta != 0.0:
-        def sample_plane(rng):
-            a, c = rng.uniform(-3.0, 3.0, 2)
-            return np.array([a, a, c])
-
-        strata = (
-            Stratum("degenerate-plane", on_plane, 2, DEGENERATE, EXCEPTIONAL, 1,
-                    NONCOMPACT, (sample_plane,)),
-            Stratum("open-half-space", lambda p: not on_plane(p), 3, LORENTZIAN,
-                    OPEN_ORBIT, 0, TRIVIAL, (sample_open,)),
-        )
-        orbit_space = THREE_POINTS
+        plane_row, orbit_space = _EXCEPTIONAL_PLANE, THREE_POINTS
         wg = _el(NULL_ROTATION, 0 * E1)
     else:
-        def sample_line(rng):
-            a, c = rng.uniform(-3.0, 3.0, 2)
-            return np.array([a, a, c])
-
-        strata = (
-            Stratum("null-line", on_plane, 1, NULL, SINGULAR, 2, NONCOMPACT,
-                    (sample_line,)),
-            Stratum("open-half-space", lambda p: not on_plane(p), 3, LORENTZIAN,
-                    OPEN_ORBIT, 0, TRIVIAL, (sample_open,)),
-        )
+        plane_row = ("null-line", 1, NULL, SINGULAR, 2, NONCOMPACT)
         orbit_space = OTHER_NON_HAUSDORFF
         wg = _el(BOOST, 0 * E1)
+    strata = _plane_strata(1.0, 0.0, plane_row, _OPEN_HALF_SPACE)
     return CatalogEntry(
         id="N-x", params={"alpha": alpha, "beta": beta},
         basis=_spec(_el(BOOST, beta * E3), _el(NULL_ROTATION, 0 * E1),
@@ -611,25 +553,9 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
 
 
 def _build_N_xi() -> CatalogEntry:
-    def on_plane(p):
-        return _near(p[0] - p[1])
-
-    def sample_plane(rng):
-        a, c = rng.uniform(-3.0, 3.0, 2)
-        return np.array([a, a, c])
-
-    def sample_open(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - p[1]) > 0.05:
-                return p
-
-    strata = (
-        Stratum("degenerate-plane", on_plane, 2, DEGENERATE, EXCEPTIONAL, 2,
-                NONCOMPACT, (sample_plane,)),
-        Stratum("open-half-space", lambda p: not on_plane(p), 3, LORENTZIAN,
-                OPEN_ORBIT, 1, NONCOMPACT, (sample_open,)),
-    )
+    strata = _plane_strata(1.0, 0.0,
+                           ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 2, NONCOMPACT),
+                           ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 1, NONCOMPACT))
     return CatalogEntry(
         id="N-xi", params={},
         basis=_spec(_el(BOOST, 0 * E1), _el(NULL_ROTATION, 0 * E1),
@@ -643,47 +569,26 @@ def _build_N_xi() -> CatalogEntry:
 
 
 def _build_N_xii() -> CatalogEntry:
-    def _q(p):
-        return inner(p, p)
-
-    def at_origin(p):
-        return bool(np.max(np.abs(p)) <= STRATUM_TOL)
-
-    def on_cone(p):
-        return (not at_origin(p)) and abs(_q(p)) <= STRATUM_TOL * _q_scale(p)
-
-    def timelike_region(p):
-        return (not at_origin(p)) and _q(p) < -STRATUM_TOL * _q_scale(p)
-
-    def spacelike_region(p):
-        return (not at_origin(p)) and _q(p) > STRATUM_TOL * _q_scale(p)
-
-    def _cone(side):
-        # one sampler per cone component (future and past)
-        def sample(rng):
-            t = side * rng.uniform(0.5, 2.5)
-            th = rng.uniform(0.0, 2 * np.pi)
-            return np.array([t, t * np.cos(th), t * np.sin(th)])
-
-        return sample
+    timelike_region, on_cone, spacelike_region = _cone_regions(
+        lambda p: not _at_origin(p))
 
     def sample_timelike(rng):
         while True:
             p = _generic3(rng)
-            if _q(p) < -0.05:
+            if inner(p, p) < -0.05:
                 return p
 
     def sample_spacelike(rng):
         while True:
             p = _generic3(rng)
-            if _q(p) > 0.05:
+            if inner(p, p) > 0.05:
                 return p
 
     strata = (
-        Stratum("origin", at_origin, 0, ZERO_VECTOR, SINGULAR, 3, NONCOMPACT,
-                (lambda rng: np.zeros(3),)),
+        Stratum("origin", _at_origin, 0, ZERO_VECTOR, SINGULAR, 3, NONCOMPACT,
+                (_origin,)),
         Stratum("light-cone", on_cone, 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT,
-                (_cone(1.0), _cone(-1.0))),
+                (_cone_sampler(1.0), _cone_sampler(-1.0))),
         Stratum("pseudo-hyperbolic-sheet", timelike_region, 2, RIEMANNIAN, PRINCIPAL,
                 1, COMPACT, (sample_timelike,)),
         Stratum("pseudo-sphere", spacelike_region, 2, LORENTZIAN, PRINCIPAL, 1,
@@ -708,10 +613,10 @@ _BUILDERS = {
     "P-d": _build_P_d,
     "N-i": _build_N_i,
     "N-ii": _build_N_ii,
-    "N-iii": _build_N_iii,
-    "N-iv": _build_N_iv,
-    "N-v": _build_N_v,
-    "N-vi": _build_N_vi,
+    "N-iii": partial(_null_plane_entry, "N-iii", +1.0),
+    "N-iv": partial(_null_plane_entry, "N-iv", -1.0),
+    "N-v": partial(_null_line_entry, "N-v", +1.0),
+    "N-vi": partial(_null_line_entry, "N-vi", -1.0),
     "N-vii": _build_N_vii,
     "N-viii": _build_N_viii,
     "N-ix": _build_N_ix,
@@ -729,10 +634,6 @@ def build(id_: str, **params) -> CatalogEntry:
         return _BUILDERS[id_](**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for {id_}: {exc}") from exc
-
-
-def default_params(id_: str) -> dict:
-    return dict(build(id_).params)
 
 
 def list_catalog():

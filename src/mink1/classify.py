@@ -362,7 +362,7 @@ def normalize_translations(spec_std: SubalgebraSpec) -> Motion:
     parameters, like the boost-screw translation along e3) are left
     untouched.  Falls back to the identity when nothing is removable.
     """
-    dim_l, lb = linear_part(spec_std)
+    dim_l, _ = linear_part(spec_std)
     if dim_l == 1:
         X0 = first_linear_generator(spec_std).X
         targets = [_REFS[generator_class(X0)]]

@@ -2,14 +2,16 @@
 
 Subcommands: catalog | orbit | classify | properness | verify.
 Exit codes: 0 success / all checks pass, 1 a check or verdict failed,
-2 unknown id or parse error, 3 orbit expectation mismatch.  The
-environment variable MINK_SEED overrides the default seed (42);
-an explicit --seed flag wins over both.
+2 unknown id or parse error (a non-finite --point included), 3 orbit
+expectation mismatch.  The environment variable MINK_SEED overrides the
+default seed (42); an explicit --seed flag wins over both.  JSON has no
+inf or nan, so an orbit invariant that overflows is reported as null.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -54,6 +56,10 @@ def _report(command, seed, payload, checks):
             {"id": c[0], "label": c[1], "pass": c[2], "residual": c[3]} for c in checks
         ],
     }
+
+
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
 
 
 def _parse_params(text):
@@ -118,10 +124,10 @@ def cmd_orbit(args) -> int:
         return 2
     try:
         point = np.array([float(c) for c in args.point.split(",")])
-        if point.shape != (3,):
+        if point.shape != (3,) or not np.all(np.isfinite(point)):
             raise ValueError
     except ValueError:
-        print(f"error: --point must be three comma-separated reals", file=sys.stderr)
+        print("error: --point must be three comma-separated finite reals", file=sys.stderr)
         return 2
     rep = orbit_report(entry, point)
     payload = {
@@ -137,7 +143,7 @@ def cmd_orbit(args) -> int:
         "matched_expectation": rep.matched_expectation,
         "invariant": None
         if rep.invariant_value is None
-        else {"name": entry.invariant_name, "value": rep.invariant_value},
+        else {"name": entry.invariant_name, "value": _finite_or_none(rep.invariant_value)},
         "evidence": rep.evidence,
     }
     grid = []
@@ -160,8 +166,9 @@ def cmd_orbit(args) -> int:
         samples = sample_orbit(entry, point, grid)
         if entry.invariant is not None:
             ref = entry.invariant(point)
-            dev = max(abs(entry.invariant(q) - ref) for q in samples)
-            payload["invariant_drift"] = dev
+            # np.max propagates nan, so one non-finite sample voids the drift
+            dev = float(np.max([abs(entry.invariant(q) - ref) for q in samples]))
+            payload["invariant_drift"] = _finite_or_none(dev)
         if args.csv:
             names = [f"t{i+1}" for i in range(entry.basis.dim)]
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -176,7 +183,9 @@ def cmd_orbit(args) -> int:
         print(f"  orbit dim {rep.orbit_dim}, causal {rep.causal}, class {rep.orbit_class}")
         print(f"  stabilizer dim {rep.stabilizer_dim} ({rep.stabilizer_class})")
         if rep.invariant_value is not None:
-            print(f"  invariant {entry.invariant_name} = {fmt17(rep.invariant_value)}")
+            inv = _finite_or_none(rep.invariant_value)
+            shown = "not representable" if inv is None else fmt17(inv)
+            print(f"  invariant {entry.invariant_name} = {shown}")
         print(f"  matched expectation: {rep.matched_expectation}")
         if args.csv:
             print(f"  samples written to {args.csv}")

@@ -57,6 +57,18 @@ MOTION_TOL = 1e-9
 STRUCT_TOL = 1e-9
 
 
+def numeric_rank(s, rtol: float = STRUCT_TOL) -> int:
+    """Numerical rank from singular values sorted in decreasing order.
+
+    Counts the values above ``rtol * s[0]`` (Golub & Van Loan, numerical
+    rank by a relative singular-value cutoff); an empty or all-zero
+    input has rank 0.
+    """
+    if len(s) == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
 def inner(u, v) -> float:
     """Scalar product of signature (1,2): -u1*v1 + u2*v2 + u3*v3."""
     u = np.asarray(u, dtype=float)
@@ -280,11 +292,10 @@ def causal_of_span(vectors, tol: float = STRUCT_TOL) -> str:
     kernel -> degenerate, otherwise riemannian).
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    s = np.linalg.svd(V, compute_uv=False)
-    if s.size == 0 or s[0] <= tol:
+    _, s, vh = np.linalg.svd(V)
+    rank = numeric_rank(s, tol)
+    if rank == 0:
         return ZERO_VECTOR
-    rank = int(np.sum(s > tol * s[0]))
-    _, _, vh = np.linalg.svd(V)
     Q = vh[:rank]
     if rank == 1:
         return causal_character(Q[0], tol)

@@ -18,15 +18,13 @@ from .algebra import AlgebraElement, SubalgebraSpec
 from .catalog import CatalogEntry, Stratum, expected_orbit
 from .minkowski import (
     ETA,
-    ZERO_VECTOR,
     apply,
     causal_of_span,
     compose,
     exp_element,
     inner,
+    numeric_rank,
 )
-
-RANK_RTOL = 1e-9
 
 
 def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -38,23 +36,13 @@ def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:
-    T = tangent_basis(spec, p)
-    if T.shape[0] == 0:
-        return 0
-    s = np.linalg.svd(T, compute_uv=False)
-    if s[0] <= RANK_RTOL:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return numeric_rank(np.linalg.svd(tangent_basis(spec, p), compute_uv=False))
 
 
 def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
     """Nullspace of the evaluation map, as a subalgebra of `spec`."""
-    T = tangent_basis(spec, p)
-    if T.shape[0] == 0:
-        return SubalgebraSpec(())
-    u, s, _ = np.linalg.svd(T, full_matrices=True)
-    rank = 0 if s[0] <= RANK_RTOL else int(np.sum(s > RANK_RTOL * s[0]))
-    coeffs = u[:, rank:].T
+    u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
+    coeffs = u[:, numeric_rank(s):].T
     els = []
     for c in coeffs:
         acc = spec.basis[0] * c[0]
@@ -66,10 +54,7 @@ def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
 
 def orbit_causal(spec: SubalgebraSpec, p, tol: float = 1e-9) -> str:
     """Causal character of the tangent space T_p G(p)."""
-    T = tangent_basis(spec, p)
-    if orbit_dimension(spec, p) == 0:
-        return ZERO_VECTOR
-    return causal_of_span(T, tol)
+    return causal_of_span(tangent_basis(spec, p), tol)
 
 
 def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -82,8 +67,7 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     T = tangent_basis(spec, p)
     rows = T @ ETA
     _, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    if rank != 2:
+    if numeric_rank(s) != 2:
         raise ValueError("orbit is not 2-dimensional at this point")
     n = vh[2]
     for c in n:
@@ -236,7 +220,8 @@ def orbit_class(entry: CatalogEntry, p, radius: float = 1e-3):
     p = np.asarray(p, dtype=float)
     stratum = expected_orbit(entry, p)
     spec = entry.basis
-    center = (orbit_dimension(spec, p), spec.dim - orbit_dimension(spec, p))
+    od = orbit_dimension(spec, p)
+    center = (od, spec.dim - od)
     neighbors = []
     for d in _STENCIL:
         q = p + radius * d

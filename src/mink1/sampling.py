@@ -36,10 +36,6 @@ def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
     return AlgebraElement(X, rng.uniform(-scale, scale, 3))
 
 
-def random_point(rng, scale: float = 3.0) -> np.ndarray:
-    return rng.uniform(-scale, scale, 3)
-
-
 def random_causal_point(rng, character: str, scale: float = 3.0, margin: float = 0.05,
                         avoid_boost_stratum: bool = False) -> np.ndarray:
     """A random point whose position vector has the requested character.

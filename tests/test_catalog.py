@@ -75,6 +75,10 @@ def test_parameter_domains():
         build("unknown-id")
     with pytest.raises(CatalogError):
         build("P-b", beta=1.0)  # P-b takes no parameters
+    for sign in (2.0, 0.5, 0.0, -3.0):
+        with pytest.raises(CatalogError):
+            build("P-d", sign=sign)
+    assert build("P-d", sign=-1.0).params["sign"] == -1.0
 
 
 def test_every_basis_is_subalgebra_with_expected_dims():
@@ -123,6 +127,22 @@ def test_strata_cover_and_are_disjoint():
             for p in pts:
                 hits = [s.name for s in entry.strata if s.predicate(p)]
                 assert len(hits) == 1, (id_, entry.params, p, hits)
+
+
+def test_samplers_land_in_their_stratum():
+    rng = rng_from_seed(17)
+    entries = [e for id_ in CATALOG_IDS for e in entry_variants(id_)]
+    entries += [build("N-vii", beta=b) for b in (-2.0, 0.0, 1.0)]
+    count = 0
+    for entry in entries:
+        for stratum in entry.strata:
+            for sampler in stratum.samplers:
+                for _ in range(20):
+                    p = sampler(rng)
+                    hits = [s.name for s in entry.strata if s.predicate(p)]
+                    assert hits == [stratum.name], (entry.id, entry.params, p, hits)
+                    count += 1
+    assert count > 1000
 
 
 def test_expected_orbit_examples():

@@ -59,6 +59,33 @@ def test_orbit_unknown_id_exits_2(capsys):
 def test_orbit_bad_point_exits_2(capsys):
     code, _, err = run(capsys, "orbit", "--id", "N-i", "--point", "1,hello,2")
     assert code == 2
+    for point in ("nan,1,0", "inf,1,0", "1,-inf,0"):
+        code, _, err = run(capsys, "orbit", "--id", "N-i", "--point", point)
+        assert code == 2, point
+        assert "finite" in err
+
+
+def test_pd_sign_outside_pm1_exits_2(capsys):
+    for sign in ("2", "0.5"):
+        code, _, err = run(capsys, "orbit", "--id", "P-d", "--params", f"sign={sign}",
+                           "--point", "1,0,0")
+        assert code == 2
+        assert "sign must be +1 or -1" in err
+
+
+def test_orbit_overflowing_invariant_is_not_representable(capsys):
+    code, out, _ = run(capsys, "orbit", "--id", "P-d", "--point", "1,0,800")
+    assert code == 0
+    assert "= not representable" in out
+    code, out, _ = run(capsys, "orbit", "--id", "P-d", "--point", "1,0,800", "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["invariant"]["value"] is None
+    code, out, _ = run(capsys, "orbit", "--id", "P-d", "--point", "1,0,708",
+                       "--grid", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["invariant"]["value"] > 1e300
+    assert payload["invariant_drift"] is None
 
 
 def test_orbit_csv_export(tmp_path, capsys):

@@ -24,6 +24,7 @@ from mink1.minkowski import (
     inner,
     invert,
     motion_distance,
+    numeric_rank,
     so12_check,
 )
 from mink1.algebra import AlgebraElement
@@ -63,6 +64,23 @@ def test_causal_character_basics():
 @given(vec3)
 def test_causal_character_scale_invariant(v):
     assert causal_character(v) == causal_character(2.5 * v)
+
+
+def test_numeric_rank():
+    assert numeric_rank(np.zeros(0)) == 0
+    assert numeric_rank(np.linalg.svd(np.zeros((3, 3)), compute_uv=False)) == 0
+    rng = rng_from_seed(3)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    for sv in ([3.0, 0.0, 0.0], [3.0, 0.7, 0.0], [3.0, 0.7, 0.2]):
+        M = U @ np.diag(sv) @ V.T
+        for k in range(-12, 13):
+            s = np.linalg.svd(M * 10.0 ** k, compute_uv=False)
+            assert numeric_rank(s) == np.count_nonzero(sv), (sv, k)
+    # a value exactly at the cutoff rtol * s[0] does not count
+    assert numeric_rank(np.array([4.0, 4.0 * 1e-9])) == 1
+    assert numeric_rank(np.array([4.0, np.nextafter(4.0 * 1e-9, 1.0)])) == 2
+    assert numeric_rank(np.array([1.0, 0.1]), rtol=0.1) == 1
 
 
 def test_so12_membership():
