@@ -13,6 +13,7 @@ rational inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -290,11 +291,19 @@ def _build_P_c() -> CatalogEntry:
     )
 
 
+def _finite_param(id_: str, name: str, value) -> float:
+    """A real family parameter as a float; a non-finite one is rejected."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise CatalogError(f"{id_} parameter {name} must be finite, got {value!r}")
+    return x
+
+
 def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     s = float(sign)
     if s not in (1.0, -1.0):
         raise CatalogError(f"P-d sign must be +1 or -1, got {sign!r}")
-    beta = float(beta)
+    beta = _finite_param("P-d", "beta", beta)
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
     nu = NULL_PLUS if s > 0 else NULL_MINUS
@@ -435,7 +444,7 @@ def _null_line_entry(id_, s):
 
 
 def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
-    beta = float(beta)
+    beta = _finite_param("N-vii", "beta", beta)
     # the singular line x2 = x1 + beta
     strata = _plane_strata(1.0, beta, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
                            ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL))
@@ -525,8 +534,8 @@ def _build_N_ix() -> CatalogEntry:
 
 
 def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
-    alpha = float(alpha)
-    beta = float(beta)
+    alpha = _finite_param("N-x", "alpha", alpha)
+    beta = _finite_param("N-x", "beta", beta)
     if alpha == 0.0:
         raise CatalogError(
             "N-x requires alpha != 0 (a trivial kernel direction is the N-ix family)")

@@ -2,10 +2,12 @@
 
 Subcommands: catalog | orbit | classify | properness | verify.
 Exit codes: 0 success / all checks pass, 1 a check or verdict failed,
-2 unknown id or parse error (a non-finite --point included), 3 orbit
-expectation mismatch.  The environment variable MINK_SEED overrides the
-default seed (42); an explicit --seed flag wins over both.  JSON has no
-inf or nan, so an orbit invariant that overflows is reported as null.
+2 unknown id or parse error (a non-finite --point or --params value, a
+negative or non-finite --grid, or --grid bounds whose samples overflow,
+included), 3 orbit expectation mismatch.  The environment variable
+MINK_SEED overrides the default seed (42); an explicit --seed flag wins
+over both.  JSON has no inf or nan, so an orbit invariant that
+overflows is reported as null.
 """
 
 from __future__ import annotations
@@ -157,13 +159,22 @@ def cmd_orbit(args) -> int:
                     lo, hi = float(parts[1]), float(parts[2])
                 elif len(parts) != 1:
                     raise ValueError
+                if n < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError
             except ValueError:
-                print("error: --grid must be N or N:lo:hi", file=sys.stderr)
+                print("error: --grid must be N or N:lo:hi with N >= 0 and finite lo, hi",
+                      file=sys.stderr)
                 return 2
         axes = [np.linspace(lo, hi, n)] * entry.basis.dim
         grid = [tuple(t) for t in
                 np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)]
-        samples = sample_orbit(entry, point, grid)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = sample_orbit(entry, point, grid)
+        except (ValueError, OverflowError):
+            print("error: --grid bounds too large: the orbit samples overflow",
+                  file=sys.stderr)
+            return 2
         if entry.invariant is not None:
             ref = entry.invariant(point)
             # np.max propagates nan, so one non-finite sample voids the drift

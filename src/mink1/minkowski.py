@@ -57,16 +57,20 @@ MOTION_TOL = 1e-9
 STRUCT_TOL = 1e-9
 
 
-def numeric_rank(s, rtol: float = STRUCT_TOL) -> int:
+def numeric_rank(s, rtol: float = STRUCT_TOL):
     """Numerical rank from singular values sorted in decreasing order.
 
     Counts the values above ``rtol * s[0]`` (Golub & Van Loan, numerical
     rank by a relative singular-value cutoff); an empty or all-zero
-    input has rank 0.
+    input has rank 0.  A 1-D input gives an int; a stack of rows
+    ``s[..., k]``, as a batched SVD returns them, gives an integer array
+    of the rank of each row.
     """
-    if len(s) == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    s = np.asarray(s)
+    above = s > rtol * s[..., :1]
+    if s.ndim == 1:
+        return int(np.count_nonzero(above))
+    return above.sum(axis=-1)
 
 
 def inner(u, v) -> float:
@@ -293,6 +297,11 @@ def causal_of_span(vectors, tol: float = STRUCT_TOL) -> str:
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vh = np.linalg.svd(V)
+    return causal_of_svd(s, vh, tol)
+
+
+def causal_of_svd(s, vh, tol: float = STRUCT_TOL) -> str:
+    """`causal_of_span` of the rows of a matrix, from its SVD ``(s, vh)``."""
     rank = numeric_rank(s, tol)
     if rank == 0:
         return ZERO_VECTOR

@@ -20,6 +20,7 @@ from .minkowski import (
     ETA,
     apply,
     causal_of_span,
+    causal_of_svd,
     compose,
     exp_element,
     inner,
@@ -28,28 +29,41 @@ from .minkowski import (
 
 
 def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
-    """Fundamental vectors X p + v of the basis elements, as rows."""
+    """Fundamental vectors X p + v of the basis elements, as rows.
+
+    For a stack of points ``p[..., 3]`` the result is one such block per
+    point, shape ``(..., dim, 3)``.  Each X p is a stacked matrix-vector
+    product, so a block equals, bit for bit, the one of its point alone.
+    """
     p = np.asarray(p, dtype=float)
-    if spec.dim == 0:
-        return np.zeros((0, 3))
-    return np.stack([el.X @ p + el.v for el in spec.basis])
+    X = np.array([el.X for el in spec.basis]).reshape(-1, 3, 3)
+    v = np.array([el.v for el in spec.basis]).reshape(-1, 3)
+    return (X @ p[..., None, :, None])[..., 0] + v
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:
     return numeric_rank(np.linalg.svd(tangent_basis(spec, p), compute_uv=False))
 
 
-def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
-    """Nullspace of the evaluation map, as a subalgebra of `spec`."""
-    u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
-    coeffs = u[:, numeric_rank(s):].T
+def _stabilizer_basis(spec: SubalgebraSpec, u, rank: int) -> tuple:
+    """Basis of the nullspace of the evaluation map, as elements of `spec`.
+
+    `u` and `rank` come from the full SVD of `tangent_basis`; the columns
+    of `u` past `rank` are the coefficients of the elements.
+    """
     els = []
-    for c in coeffs:
+    for c in u[:, rank:].T:
         acc = spec.basis[0] * c[0]
         for ci, el in zip(c[1:], spec.basis[1:]):
             acc = acc + el * ci
         els.append(acc)
-    return SubalgebraSpec(tuple(els))
+    return tuple(els)
+
+
+def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
+    """Nullspace of the evaluation map, as a subalgebra of `spec`."""
+    u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
+    return SubalgebraSpec(_stabilizer_basis(spec, u, numeric_rank(s)))
 
 
 def orbit_causal(spec: SubalgebraSpec, p, tol: float = 1e-9) -> str:
@@ -205,9 +219,31 @@ _STENCIL = np.array(
     dtype=float,
 )
 _STENCIL = _STENCIL / np.linalg.norm(_STENCIL, axis=1)[:, None]
+STENCIL_RADIUS = 1e-3
 
 
-def orbit_class(entry: CatalogEntry, p, radius: float = 1e-3):
+def _evidence(spec: SubalgebraSpec, p: np.ndarray, radius: float) -> dict:
+    """Orbit dimensions at p and its 26 stencil neighbours, compared.
+
+    All 27 tangent maps are built as one stack and factored by one
+    batched SVD; row 0 is p itself.  Each row's rank is `orbit_dimension`
+    of that point.
+    """
+    pts = np.vstack([p, p + radius * _STENCIL])
+    dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
+    od = int(dims[0])
+    total = len(_STENCIL)
+    same = int(np.count_nonzero(dims[1:] == od))
+    return {
+        "center_dims": (od, spec.dim - od),
+        "neighbors_same": same,
+        "neighbors_total": total,
+        "principal_evidence": same == total,
+        "exceptional_evidence": od == 2 and same < total,
+    }
+
+
+def orbit_class(entry: CatalogEntry, p, radius: float = STENCIL_RADIUS):
     """Orbit class verdict (from the catalog) plus numeric evidence.
 
     The catalog table is authoritative: openness of an orbit type is not
@@ -218,24 +254,7 @@ def orbit_class(entry: CatalogEntry, p, radius: float = 1e-3):
     one.
     """
     p = np.asarray(p, dtype=float)
-    stratum = expected_orbit(entry, p)
-    spec = entry.basis
-    od = orbit_dimension(spec, p)
-    center = (od, spec.dim - od)
-    neighbors = []
-    for d in _STENCIL:
-        q = p + radius * d
-        od = orbit_dimension(spec, q)
-        neighbors.append((od, spec.dim - od))
-    same = sum(1 for nb in neighbors if nb == center)
-    evidence = {
-        "center_dims": center,
-        "neighbors_same": same,
-        "neighbors_total": len(neighbors),
-        "principal_evidence": same == len(neighbors),
-        "exceptional_evidence": center[0] == 2 and same < len(neighbors),
-    }
-    return stratum.orbit_class, evidence
+    return expected_orbit(entry, p).orbit_class, _evidence(entry.basis, p, radius)
 
 
 @dataclass(frozen=True)
@@ -253,15 +272,21 @@ class OrbitReport:
 
 
 def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitReport:
-    """Full per-point analysis compared against the catalog expectation."""
-    from .properness import stabilizer_compactness
+    """Full per-point analysis compared against the catalog expectation.
+
+    One full SVD of the tangent map at p gives the orbit dimension, the
+    causal character and the stabilizer; the evidence stencil is one
+    more, batched, SVD.
+    """
+    from .properness import stabilizer_class
 
     p = np.asarray(p, dtype=float)
     spec = entry.basis
-    odim = orbit_dimension(spec, p)
-    causal = orbit_causal(spec, p)
+    u, s, vh = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
+    odim = numeric_rank(s)
+    causal = causal_of_svd(s, vh)
     sdim = spec.dim - odim
-    sclass = stabilizer_compactness(spec, p)
+    sclass = stabilizer_class(_stabilizer_basis(spec, u, odim))
     expected = expected_orbit(entry, p)
     matched = (
         odim == expected.dim
@@ -269,9 +294,7 @@ def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitRep
         and sdim == expected.stabilizer_dim
         and sclass == expected.stabilizer_class
     )
-    evidence = None
-    if with_evidence:
-        _, evidence = orbit_class(entry, p)
+    evidence = _evidence(spec, p, STENCIL_RADIUS) if with_evidence else None
     inv = entry.invariant(p) if entry.invariant is not None else None
     return OrbitReport(
         point=p,

@@ -98,10 +98,15 @@ def stabilizer_compactness(spec: SubalgebraSpec, p) -> str:
     precompact iff its linear part is elliptic, so the verdict reduces
     to the generator classes of the stabilizer algebra.
     """
-    stab = stabilizer_algebra(spec, p)
-    if stab.dim == 0:
+    return stabilizer_class(stabilizer_algebra(spec, p).basis)
+
+
+def stabilizer_class(generators) -> str:
+    """trivial / compact / noncompact for the connected group generated
+    by the given stabilizer algebra elements."""
+    if not generators:
         return TRIVIAL
-    kinds = {generator_class(el.X) for el in stab.basis}
+    kinds = {generator_class(el.X) for el in generators}
     if kinds & {HYPERBOLIC, PARABOLIC}:
         return NONCOMPACT
     return COMPACT

@@ -79,6 +79,10 @@ def test_parameter_domains():
         with pytest.raises(CatalogError):
             build("P-d", sign=sign)
     assert build("P-d", sign=-1.0).params["sign"] == -1.0
+    for id_, name in (("P-d", "beta"), ("N-vii", "beta"), ("N-x", "alpha"), ("N-x", "beta")):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(CatalogError, match=f"{id_} parameter {name} must be finite"):
+                build(id_, **{name: bad})
 
 
 def test_every_basis_is_subalgebra_with_expected_dims():

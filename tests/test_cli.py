@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,34 @@ def test_orbit_bad_point_exits_2(capsys):
         code, _, err = run(capsys, "orbit", "--id", "N-i", "--point", point)
         assert code == 2, point
         assert "finite" in err
+
+
+def test_orbit_bad_grid_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in ("3:nan:1", "3:0:inf", "3:-inf:0", "-3", "-1:0:1"):
+            code, _, err = run(capsys, "orbit", "--id", "N-i", "--point", "1,2,0",
+                               f"--grid={grid}")
+            assert code == 2, grid
+            assert "N >= 0 and finite lo, hi" in err
+        # finite bounds whose group elements overflow
+        for id_ in ("N-i", "P-c"):
+            code, _, err = run(capsys, "orbit", "--id", id_, "--point", "1,2,0",
+                               "--grid", "3:0:1e300")
+            assert code == 2, id_
+            assert "overflow" in err
+
+
+def test_nonfinite_params_exit_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for id_, params in (("P-d", "beta=nan"), ("P-d", "beta=inf"),
+                            ("N-vii", "beta=-inf"), ("N-x", "alpha=inf"),
+                            ("N-x", "beta=nan")):
+            code, _, err = run(capsys, "orbit", "--id", id_, "--params", params,
+                               "--point", "1,2,0")
+            assert code == 2, (id_, params)
+            assert f"{id_} parameter {params.split('=')[0]} must be finite" in err
 
 
 def test_pd_sign_outside_pm1_exits_2(capsys):

@@ -79,6 +79,30 @@ def test_numeric_rank():
             assert numeric_rank(s) == np.count_nonzero(sv), (sv, k)
     # a value exactly at the cutoff rtol * s[0] does not count
     assert numeric_rank(np.array([4.0, 4.0 * 1e-9])) == 1
+    assert type(numeric_rank([3.0, 0.7])) is int
+
+
+def test_numeric_rank_of_stacked_rows():
+    rows = np.array([[0.0, 0.0, 0.0],       # all zero
+                     [3.0, 0.7, 0.0],       # rank deficient
+                     [3.0, 0.7, 0.2],
+                     [4.0, 4.0 * 1e-9, 0.0]])  # at the cutoff
+    ranks = numeric_rank(rows)
+    assert ranks.tolist() == [0, 2, 3, 1]
+    assert ranks.tolist() == [numeric_rank(r) for r in rows]
+    rng = rng_from_seed(5)
+    M = rng.normal(size=(6, 7, 3, 3))
+    M[:, :3, 2] = M[:, :3, 0]  # rank 2
+    M[:, 3, 1:] = 0.0          # rank 1
+    M[:, 4] = 0.0              # rank 0
+    M *= 10.0 ** rng.integers(-9, 10, size=(6, 1, 1, 1))
+    s = np.linalg.svd(M, compute_uv=False)
+    ranks = numeric_rank(s)
+    assert ranks.shape == (6, 7)
+    for idx in np.ndindex(6, 7):
+        assert ranks[idx] == numeric_rank(s[idx]), idx
+    assert ranks[:, :3].max() == 2 and ranks[:, 3].max() == 1 and ranks[:, 4].max() == 0
+    assert numeric_rank(np.zeros((4, 0))).tolist() == [0, 0, 0, 0]
     assert numeric_rank(np.array([4.0, np.nextafter(4.0 * 1e-9, 1.0)])) == 2
     assert numeric_rank(np.array([1.0, 0.1]), rtol=0.1) == 1
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mink1.algebra import AlgebraElement
-from mink1.catalog import build
+from mink1.algebra import AlgebraElement, SubalgebraSpec
+from mink1.catalog import CATALOG_IDS, build
 from mink1.minkowski import (
     BOOST,
     E1,
@@ -12,6 +12,8 @@ from mink1.minkowski import (
     inner,
 )
 from mink1.orbits import (
+    _STENCIL,
+    STENCIL_RADIUS,
     eq1_norm,
     finite_tangent,
     orbit_causal,
@@ -24,7 +26,9 @@ from mink1.orbits import (
     stabilizer_algebra,
     tangent_basis,
 )
-from mink1.sampling import random_causal_point, rng_from_seed
+from mink1.properness import stabilizer_compactness
+from mink1.sampling import random_algebra_element, random_causal_point, rng_from_seed
+from mink1.verify import entry_variants
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -199,6 +203,68 @@ def test_orbit_report_round_trip():
     rep0 = orbit_report(entry, [0.0, 0.0, 5.0])
     assert rep0.orbit_dim == 1 and rep0.causal == "spacelike"
     assert rep0.stabilizer_class == "noncompact"
+
+
+def _generic_and_stratum_points(entry, rng):
+    """Seeded generic points plus three points from every stratum sampler:
+    the measure-zero strata are where rank decisions come closest to
+    flipping."""
+    pts = [rng.uniform(-3.0, 3.0, 3) for _ in range(4)]
+    for stratum in entry.strata:
+        for sampler in stratum.samplers:
+            pts += [np.asarray(sampler(rng), float) for _ in range(3)]
+    return pts
+
+
+def test_orbit_class_evidence_matches_pointwise_loop():
+    rng = rng_from_seed(23)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            spec = entry.basis
+            for p in _generic_and_stratum_points(entry, rng):
+                od = orbit_dimension(spec, p)
+                dims = [orbit_dimension(spec, q) for q in p + STENCIL_RADIUS * _STENCIL]
+                same = sum(d == od for d in dims)
+                _, ev = orbit_class(entry, p)
+                assert ev == {
+                    "center_dims": (od, spec.dim - od),
+                    "neighbors_same": same,
+                    "neighbors_total": 26,
+                    "principal_evidence": same == 26,
+                    "exceptional_evidence": od == 2 and same < 26,
+                }, (entry.id, entry.params, p)
+                # plain Python types, as the JSON writer needs them
+                assert type(ev["neighbors_same"]) is int
+                assert all(type(d) is int for d in ev["center_dims"])
+
+
+def test_orbit_report_matches_one_point_functions():
+    rng = rng_from_seed(29)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            spec = entry.basis
+            for p in _generic_and_stratum_points(entry, rng):
+                rep = orbit_report(entry, p)
+                got = (rep.orbit_dim, rep.causal, rep.stabilizer_dim, rep.stabilizer_class)
+                want = (orbit_dimension(spec, p), orbit_causal(spec, p),
+                        stabilizer_algebra(spec, p).dim, stabilizer_compactness(spec, p))
+                assert got == want, (entry.id, entry.params, p)
+                assert rep.evidence == orbit_class(entry, p)[1]
+
+
+def test_tangent_basis_of_a_point_stack():
+    rng = rng_from_seed(31)
+    for _ in range(50):
+        spec = SubalgebraSpec(tuple(random_algebra_element(rng) for _ in range(3)))
+        pts = rng.normal(size=(4, 5, 3)) * 10.0 ** rng.integers(-6, 7)
+        T = tangent_basis(spec, pts)
+        assert T.shape == (4, 5, 3, 3)
+        # bit for bit the per-element products X p + v of each point
+        for idx in np.ndindex(4, 5):
+            want = np.stack([el.X @ pts[idx] + el.v for el in spec.basis])
+            assert np.array_equal(T[idx], want)
+            assert np.array_equal(tangent_basis(spec, pts[idx]), want)
+    assert tangent_basis(SubalgebraSpec(()), [1.0, 2.0, 3.0]).shape == (0, 3)
 
 
 def test_eq1_norm_examples():
