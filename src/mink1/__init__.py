@@ -24,7 +24,6 @@ from .classify import (
     Classification,
     Rejection,
     classify,
-    normalize_translations,
     signature,
     standardize_linear,
 )

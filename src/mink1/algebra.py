@@ -11,6 +11,7 @@ a decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,8 +74,11 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class SubalgebraSpec:
     """A subspace of the isometry algebra given by a basis.
 
-    Construction verifies linear independence; closure under the
-    bracket is a separate, tolerance-based decision (`is_subalgebra`).
+    Construction verifies linear independence, on coordinate rows scaled
+    to unit max-abs so that a generator's size (a family parameter of
+    1e300 beside unit entries, say) cannot decide it; a zero row is
+    dependent.  Closure under the bracket is a separate, tolerance-based
+    decision (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -85,19 +89,25 @@ class SubalgebraSpec:
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         if basis:
-            s = np.linalg.svd(self.coords_matrix, compute_uv=False)
-            if numeric_rank(s) < len(basis):
+            rows = self.coords_matrix
+            peak = abs(rows).max(axis=1, keepdims=True)
+            if not peak.all() or numeric_rank(
+                    np.linalg.svd(rows / peak, compute_uv=False)) < len(basis):
                 raise ValueError("basis is not linearly independent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def coords_matrix(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, 12))
-        return np.stack([el.coords for el in self.basis])
+        """The basis `coords` as rows, built once (read-only)."""
+        rows = np.empty((len(self.basis), 12))
+        for row, el in zip(rows, self.basis):
+            row[:9] = el.X.ravel()
+            row[9:] = el.v
+        rows.setflags(write=False)
+        return rows
 
 
 def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
@@ -140,38 +150,37 @@ def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec, tol: float = 1e-9) ->
     return True
 
 
-def _mat_rank_basis(rows: np.ndarray):
-    """Numeric rank and an orthonormal row-space basis of `rows`."""
-    _, s, vh = np.linalg.svd(rows)
-    rank = numeric_rank(s)
-    return rank, vh[:rank]
+def _linear_split(spec: SubalgebraSpec):
+    """Both halves of the span from one SVD of the stacked linear parts.
+
+    Returns ``(dim_l, lb, dim_ker, kb)``: lb is an orthonormal basis of
+    { X : (X, v) in span(basis) } (the right singular vectors) and kb one
+    of { v : (0, v) in span(basis) }, found by rank-reducing the
+    translation combinations whose coefficients (the left null space)
+    kill every linear part.
+    """
+    if spec.dim == 0:
+        return 0, [], 0, []
+    u, s, vh = np.linalg.svd(np.stack([el.X.ravel() for el in spec.basis]))
+    dim_l = numeric_rank(s)
+    lb = list(vh[:dim_l].reshape(-1, 3, 3))
+    if dim_l == spec.dim:
+        return dim_l, lb, 0, []
+    _, s, vh = np.linalg.svd(u[:, dim_l:].T @ np.stack([el.v for el in spec.basis]))
+    dim_ker = numeric_rank(s)
+    return dim_l, lb, dim_ker, list(vh[:dim_ker])
 
 
 def linear_part(spec: SubalgebraSpec):
     """Dimension and a basis of { X : (X, v) in span(basis) }."""
-    rows = np.stack([el.X.ravel() for el in spec.basis]) if spec.dim else np.zeros((0, 9))
-    rank, rb = _mat_rank_basis(rows)
-    return rank, [rb[i].reshape(3, 3) for i in range(rank)]
+    dim_l, lb, _, _ = _linear_split(spec)
+    return dim_l, lb
 
 
 def kernel_of_l(spec: SubalgebraSpec):
-    """Dimension and a basis of { v : (0, v) in span(basis) }.
-
-    Coefficient vectors killing all the linear parts are found first;
-    the corresponding translation combinations are then rank-reduced.
-    """
-    if spec.dim == 0:
-        return 0, []
-    L = np.stack([el.X.ravel() for el in spec.basis])  # (k, 9)
-    u, s, _ = np.linalg.svd(L, full_matrices=True)
-    rank = numeric_rank(s)
-    null_coeffs = u[:, rank:].T
-    if null_coeffs.shape[0] == 0:
-        return 0, []
-    V = np.stack([el.v for el in spec.basis])  # (k, 3)
-    W = null_coeffs @ V
-    rank, rb = _mat_rank_basis(W)
-    return rank, [rb[i] for i in range(rank)]
+    """Dimension and a basis of { v : (0, v) in span(basis) }."""
+    _, _, dim_ker, kb = _linear_split(spec)
+    return dim_ker, kb
 
 
 def adjoint(m, el: AlgebraElement) -> AlgebraElement:

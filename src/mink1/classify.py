@@ -1,11 +1,19 @@
 """Classification of subalgebras into the sixteen-family catalog.
 
-The pipeline is: conjugation invariants (dimensions, linear-part type,
-kernel causal type, eigenvalue sign data) -> a linear conjugation that
-standardizes the linear part onto the reference generators -> a
-translation conjugation that removes every removable translation
-component -> an exact match on the signature tuple, certified by the
-span residual between the conjugated basis and the catalog basis.
+One pass: the conjugation invariants (dimensions, linear-part type,
+kernel causal type, eigenvalue sign data) come from one SVD of the
+stacked linear parts, which also yields the bases the later steps reuse
+-> a linear conjugation standardizes the linear part onto the reference
+generators -> a translation conjugation removes every removable
+translation component -> an exact match on the signature tuple,
+certified by the span residual between the conjugated basis and the
+catalog basis.
+
+Every outcome is a Classification or a Rejection.  A basis whose
+numbers defeat a step (a bracket or conjugate outside the absolute
+membership tolerances, a failed standardization, a conjugator that is
+not an isometry, typically for bases rescaled far from unit size) is
+rejected as unmatched with that step's message; classify does not raise.
 
 Two normalization conventions are part of the contract:
 
@@ -21,7 +29,7 @@ Two normalization conventions are part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,12 +37,12 @@ import numpy as np
 from . import catalog
 from .algebra import (
     SubalgebraSpec,
+    _linear_split,
     adjoint_spec,
     closure_residual,
     element_from_coords,
     first_linear_generator,
     kernel_of_l,
-    linear_part,
     span_residual,
 )
 from .minkowski import (
@@ -86,15 +94,7 @@ class InvariantSignature:
     params: Optional[dict] = None  # filled once normalization has run
 
     def as_dict(self):
-        return {
-            "dim_g": self.dim_g,
-            "dim_l": self.dim_l,
-            "linear_type": self.linear_type,
-            "dim_ker_l": self.dim_ker_l,
-            "ker_causal": self.ker_causal,
-            "eigen_sign": self.eigen_sign,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,66 +113,77 @@ class Rejection:
     signature: Optional[InvariantSignature] = None
 
 
+# generator class -> (reference generator, entry of the standardized
+# matrix that holds its coefficient)
+_REFERENCE = {
+    ELLIPTIC: (ROTATION, (1, 2)),
+    HYPERBOLIC: (BOOST, (0, 1)),
+    PARABOLIC: (NULL_ROTATION, (0, 2)),
+}
+# linear type -> the classes whose reference generators span its standard
+# position (a single generator is its own class)
+_SPANNED = {ZERO: (), TWO_DIM_SOLVABLE: (HYPERBOLIC, PARABOLIC),
+            FULL: (HYPERBOLIC, ELLIPTIC, PARABOLIC)}
+
+
 # ---------------------------------------------------------------------------
 # frames: columns form an eta-orthonormal basis, so the matrix lies in the
 # identity component and conjugation by it moves distinguished lines onto
 # the reference positions
 
 
-def _spacelike_completion(u1, u2):
-    """Unit spacelike vector eta-orthogonal to both arguments."""
-    rows = np.stack([ETA @ u1, ETA @ u2])
-    _, _, vh = np.linalg.svd(rows)
-    w = vh[2]
+def _kernel_vector(M):
+    """The last right-singular vector of M, its (near-)kernel direction."""
+    return np.linalg.svd(M)[2][-1]
+
+
+def _null_combination(rows):
+    """The null direction of a degenerate plane spanned by `rows`: the
+    combination along the Gram eigenvector of least |eigenvalue|."""
+    rows = np.stack(rows)
+    w, vecs = np.linalg.eigh(rows @ ETA @ rows.T)
+    return vecs[:, int(np.argmin(np.abs(w)))] @ rows
+
+
+def _frame(u1, u2):
+    """Frame with columns u1 (unit timelike), u2 (unit spacelike, eta-
+    orthogonal to u1) and the unit spacelike vector eta-orthogonal to both,
+    signed for determinant +1."""
+    w = _kernel_vector(np.stack([ETA @ u1, ETA @ u2]))
     n = inner(w, w)
     if n <= 0:
         raise ValueError("completion direction is not spacelike")
-    return w / np.sqrt(n)
-
-
-def _fix_det(cols):
-    C = np.column_stack(cols)
+    C = np.column_stack([u1, u2, w / np.sqrt(n)])
     if np.linalg.det(C) < 0:
         C[:, 2] = -C[:, 2]
     return C
 
 
-def _frame_from_timelike(u1):
-    """Frame with first column the given future unit timelike vector."""
-    seeds = sorted((np.eye(3)[i] for i in range(3)), key=lambda e: abs(inner(e, u1)))
-    u2 = seeds[0] + inner(seeds[0], u1) * u1
-    u2 = u2 / np.sqrt(inner(u2, u2))
-    u3 = _spacelike_completion(u1, u2)
-    return _fix_det([u1, u2, u3])
+def _frame_from_timelike(v, s=None):
+    """Frame whose first column is the future unit vector along the
+    timelike v and whose second lies in span{v, s}; s defaults to the
+    coordinate axis least aligned with v."""
+    q = inner(v, v)
+    if q >= 0:
+        raise ValueError("axis is not timelike")
+    u1 = v / np.sqrt(-q)
+    if u1[0] < 0:
+        u1 = -u1
+    if s is None:
+        s = min(np.eye(3), key=lambda e: abs(inner(e, u1)))
+    u2 = s + inner(s, u1) * u1
+    return _frame(u1, u2 / np.sqrt(inner(u2, u2)))
 
 
-def _frame_from_null_pair(n_plus, n_minus):
-    """Frame sending e1+e2 -> n_plus and e1-e2 -> n_minus.
-
-    The inputs must be future null vectors with <n+, n-> = -2.
-    """
-    u1 = 0.5 * (n_plus + n_minus)
-    u2 = 0.5 * (n_plus - n_minus)
-    u3 = _spacelike_completion(u1, u2)
-    return _fix_det([u1, u2, u3])
-
-
-def _null_counterpart(n):
-    """A canonical future null partner of a future null vector, with
-    <n, m> = -2."""
-    m = np.array([n[0], -n[1], -n[2]])
-    return m * (-2.0 / inner(n, m))
-
-
-def _null_vector_of(X):
-    """Kernel direction of a singular generator, future oriented."""
-    _, _, vh = np.linalg.svd(X)
-    n = vh[2]
+def _frame_from_null(n):
+    """Frame sending e1+e2 onto the future null vector n / n1 and e1-e2
+    onto its partner m = (n1, -n2, -n3), scaled to <n, m> = -2."""
     if abs(n[0]) < 1e-12:
-        raise ValueError("kernel direction is not null")
-    if n[0] < 0:
-        n = -n
-    return n
+        raise ValueError("direction is not null")
+    n = n / n[0]
+    m = np.array([n[0], -n[1], -n[2]])
+    m = m * (-2.0 / inner(n, m))
+    return _frame(0.5 * (n + m), 0.5 * (n - m))
 
 
 def standardize_linear(X, tol: float = 1e-8):
@@ -190,17 +201,7 @@ def standardize_linear(X, tol: float = 1e-8):
     if kind == ZERO:
         raise ValueError("cannot standardize the zero matrix")
     if kind == ELLIPTIC:
-        _, _, vh = np.linalg.svd(X)
-        v = vh[2]
-        q = inner(v, v)
-        if q >= 0:
-            raise ValueError("elliptic axis is not timelike")
-        u1 = v / np.sqrt(-q)
-        if u1[0] < 0:
-            u1 = -u1
-        C = _frame_from_timelike(u1)
-        ref = ROTATION
-        pos = (1, 2)
+        C = _frame_from_timelike(_kernel_vector(X))
     elif kind == HYPERBOLIC:
         w, vecs = np.linalg.eig(X)
         w = np.real(w)
@@ -220,15 +221,10 @@ def standardize_linear(X, tol: float = 1e-8):
         c = -inner(n_plus, n_minus)
         n_plus = n_plus * np.sqrt(2.0 / c)
         n_minus = n_minus * np.sqrt(2.0 / c)
-        C = _frame_from_null_pair(n_plus, n_minus)
-        ref = BOOST
-        pos = (0, 1)
+        C = _frame(0.5 * (n_plus + n_minus), 0.5 * (n_plus - n_minus))
     else:
-        n = _null_vector_of(X)
-        n = n / n[0]
-        C = _frame_from_null_pair(n, _null_counterpart(n))
-        ref = NULL_ROTATION
-        pos = (0, 2)
+        C = _frame_from_null(_kernel_vector(X))
+    ref, pos = _REFERENCE[kind]
     Ci = ETA @ C.T @ ETA
     Y = Ci @ X @ C
     lam = Y[pos]
@@ -263,82 +259,55 @@ def _frame_for_plane(kb, kind):
     """Conjugation whose inverse carries a translation 2-plane onto its
     reference position (spacelike -> span{e2,e3}, timelike ->
     span{e1,e2}, degenerate -> span{e1+e2, e3})."""
-    rows = np.stack(kb)
-    if kind == RIEMANNIAN:
-        # plane normal is timelike
-        r = np.stack([ETA @ rows[0], ETA @ rows[1]])
-        _, _, vh = np.linalg.svd(r)
-        n = vh[2]
-        n = n / np.sqrt(-inner(n, n))
-        if n[0] < 0:
-            n = -n
-        return _frame_from_timelike(n)
-    if kind == LORENTZIAN:
-        G = rows @ ETA @ rows.T
-        w, vecs = np.linalg.eigh(G)
-        t = vecs[:, 0] @ rows  # negative-eigenvalue direction: timelike
-        u1 = t / np.sqrt(-inner(t, t))
-        if u1[0] < 0:
-            u1 = -u1
-        s = vecs[:, 1] @ rows
-        u2 = s + inner(s, u1) * u1
-        u2 = u2 / np.sqrt(inner(u2, u2))
-        u3 = _spacelike_completion(u1, u2)
-        return _fix_det([u1, u2, u3])
-    if kind == DEGENERATE:
-        G = rows @ ETA @ rows.T
-        w, vecs = np.linalg.eigh(G)
-        n = vecs[:, int(np.argmin(np.abs(w)))] @ rows
-        if n[0] < 0:
-            n = -n
-        n = n / n[0]
-        return _frame_from_null_pair(n, _null_counterpart(n))
-    raise ValueError(f"no frame construction for plane kind {kind!r}")
+    if kind == RIEMANNIAN:  # the plane normal is timelike
+        return _frame_from_timelike(_kernel_vector(np.stack([ETA @ k for k in kb])))
+    if kind == LORENTZIAN:  # the negative Gram direction is timelike
+        rows = np.stack(kb)
+        _, vecs = np.linalg.eigh(rows @ ETA @ rows.T)
+        return _frame_from_timelike(vecs[:, 0] @ rows, vecs[:, 1] @ rows)
+    return _frame_from_null(_null_combination(kb))
 
 
-def _null_line_in(kb):
-    """The null direction inside a degenerate translation subspace."""
-    rows = np.stack(kb)
-    if rows.shape[0] == 1:
-        n = rows[0]
-    else:
-        G = rows @ ETA @ rows.T
-        w, vecs = np.linalg.eigh(G)
-        n = vecs[:, int(np.argmin(np.abs(w)))] @ rows
-    return n / np.linalg.norm(n)
-
-
-def signature(spec: SubalgebraSpec) -> InvariantSignature:
-    """Conjugation invariants of a bracket-closed spec."""
+def _invariants(spec: SubalgebraSpec):
+    """One pass over a spec: its signature, with what normalization reuses
+    (the linear-part basis lb, the kernel basis kb and, for dim_l = 1, the
+    leading linear generator X0)."""
     res = closure_residual(spec)
     if res > 1e-9:
         raise NotASubalgebraError(res)
-    dim_g = spec.dim
-    dim_l, _ = linear_part(spec)
-    dim_ker, kb = kernel_of_l(spec)
+    dim_l, lb, dim_ker, kb = _linear_split(spec)
     ker_causal = causal_of_span(np.stack(kb)) if dim_ker else None
+    X0 = None
     if dim_l == 0:
         linear_type = ZERO
     elif dim_l == 1:
-        linear_type = generator_class(first_linear_generator(spec).X)
+        gen = first_linear_generator(spec)
+        # entries under its absolute cutoff read as ZERO, which then fails
+        # standardization instead of raising here
+        X0 = np.zeros((3, 3)) if gen is None else gen.X
+        linear_type = generator_class(X0)
     elif dim_l == 2:
         linear_type = TWO_DIM_SOLVABLE
     else:
         linear_type = FULL
     eigen_sign = None
-    if dim_l == 1 and linear_type == HYPERBOLIC and dim_ker >= 1:
-        null_line = None
-        if dim_ker == 1 and ker_causal == NULL:
-            null_line = kb[0] / np.linalg.norm(kb[0])
-        elif dim_ker == 2 and ker_causal == DEGENERATE:
-            null_line = _null_line_in(kb)
-        if null_line is not None:
-            X0 = first_linear_generator(spec).X
-            img = X0 @ null_line
-            mu = float(img @ null_line)  # Euclidean Rayleigh quotient, |n| = 1
-            if abs(mu) > 1e-9 * np.max(np.abs(X0)):
-                eigen_sign = float(np.sign(mu))
-    return InvariantSignature(dim_g, dim_l, linear_type, dim_ker, ker_causal, eigen_sign)
+    n = None
+    if linear_type == HYPERBOLIC and dim_ker == 1 and ker_causal == NULL:
+        n = kb[0]
+    elif linear_type == HYPERBOLIC and dim_ker == 2 and ker_causal == DEGENERATE:
+        n = _null_combination(kb)
+    if n is not None:
+        n = n / np.linalg.norm(n)
+        mu = float(X0 @ n @ n)  # Euclidean Rayleigh quotient, |n| = 1
+        if abs(mu) > 1e-9 * np.max(np.abs(X0)):
+            eigen_sign = float(np.sign(mu))
+    sig = InvariantSignature(spec.dim, dim_l, linear_type, dim_ker, ker_causal, eigen_sign)
+    return sig, lb, kb, X0
+
+
+def signature(spec: SubalgebraSpec) -> InvariantSignature:
+    """Conjugation invariants of a bracket-closed spec."""
+    return _invariants(spec)[0]
 
 
 def _lift(spec: SubalgebraSpec, target_linear):
@@ -349,30 +318,7 @@ def _lift(spec: SubalgebraSpec, target_linear):
     return element_from_coords(np.concatenate([np.asarray(target_linear, float).ravel(), combo[9:]]))
 
 
-_STANDARD_TARGETS = {0: (), 1: None, 2: (BOOST, NULL_ROTATION),
-                     3: (BOOST, ROTATION, NULL_ROTATION)}
-
-
-def normalize_translations(spec_std: SubalgebraSpec) -> Motion:
-    """Pure-translation conjugation completing the square on a spec
-    whose linear part is already in reference position.
-
-    Removes every removable translation component of the generators;
-    directions the linear system cannot reach (the genuine family
-    parameters, like the boost-screw translation along e3) are left
-    untouched.  Falls back to the identity when nothing is removable.
-    """
-    dim_l, _ = linear_part(spec_std)
-    if dim_l == 1:
-        X0 = first_linear_generator(spec_std).X
-        targets = [_REFS[generator_class(X0)]]
-    else:
-        targets = list(_STANDARD_TARGETS[dim_l])
-    c, _ = _normalize_translations(spec_std, targets)
-    return Motion(np.eye(3), c)
-
-
-def _normalize_translations(spec_std: SubalgebraSpec, targets):
+def _complete_square(spec_std: SubalgebraSpec, targets):
     """Translation c removing removable generator translations.
 
     For each target linear generator T with lifted translation w the
@@ -396,9 +342,6 @@ def _normalize_translations(spec_std: SubalgebraSpec, targets):
     c, *_ = np.linalg.lstsq(A, b, rcond=1e-9)
     remainders = [Q @ (el.v - el.X @ c) for el in lifts]
     return c, remainders
-
-
-_REFS = {ELLIPTIC: ROTATION, HYPERBOLIC: BOOST, PARABOLIC: NULL_ROTATION}
 
 
 def _match_table(sig: InvariantSignature, beta: float):
@@ -451,12 +394,15 @@ def classify(spec: SubalgebraSpec):
     a conjugator under whose adjoint action the input basis spans the
     catalog basis (residual reported), or a Rejection with a reason
     code: not-a-subalgebra, not-cohomogeneity-one, or unmatched (the
-    computed signature attached).
+    computed signature attached when it was reached).  It never raises
+    on a valid spec.
     """
     try:
-        sig = signature(spec)
+        sig, lb, kb, X0 = _invariants(spec)
     except NotASubalgebraError as exc:
         return Rejection(REASON_NOT_SUBALGEBRA, str(exc))
+    except ValueError as exc:  # a bracket fell outside the membership tolerance
+        return Rejection(REASON_UNMATCHED, str(exc))
 
     if sig.dim_g < 2:
         return Rejection(
@@ -483,67 +429,46 @@ def classify(spec: SubalgebraSpec):
             sig,
         )
 
-    # linear standardization
-    if sig.dim_l == 0:
-        _, kb = kernel_of_l(spec)
-        C = _frame_for_plane(kb, sig.ker_causal)
-        targets = []
-    elif sig.dim_l == 1:
-        X0 = first_linear_generator(spec).X
-        try:
-            C, _ = standardize_linear(X0)
-        except ValueError as exc:
-            return Rejection(REASON_UNMATCHED, f"standardization failed: {exc}", sig)
-        targets = [_REFS[sig.linear_type]]
-    elif sig.dim_l == 2:
-        _, lb = linear_part(spec)
-        try:
-            C = _standardize_borel(lb)
-        except ValueError as exc:
-            return Rejection(REASON_UNMATCHED, f"standardization failed: {exc}", sig)
-        targets = [BOOST, NULL_ROTATION]
-    else:
-        C = np.eye(3)
-        targets = [BOOST, ROTATION, NULL_ROTATION]
-
-    Ci = ETA @ C.T @ ETA
-    m_lin = Motion(Ci, np.zeros(3))
-    spec_std = adjoint_spec(m_lin, spec)
-    c, remainders = _normalize_translations(spec_std, targets)
-    conj = Motion(Ci, c)
-
-    beta = 0.0
-    if sig.dim_l == 1 and sig.linear_type == HYPERBOLIC and remainders:
-        beta = float(remainders[0][2])
-    if sig.dim_l == 2 and remainders:
-        beta = float(remainders[0][2])
-    if abs(beta) <= PARAM_ZERO_TOL:
-        beta = 0.0
-
-    hit = _match_table(sig, beta)
-    if hit is None:
-        return Rejection(REASON_UNMATCHED, "signature matches no catalog family", sig)
-    id_, params = hit
+    # standardize -> conjugate -> normalize -> match: a numerical failure
+    # at any step (catalog.CatalogError included) rejects the basis
     try:
+        if sig.dim_l == 0:
+            C = _frame_for_plane(kb, sig.ker_causal)
+        elif sig.dim_l == 1:
+            C, _ = standardize_linear(X0)
+        elif sig.dim_l == 2:
+            C = _standardize_borel(lb)
+        else:
+            C = np.eye(3)
+        Ci = ETA @ C.T @ ETA
+        spec_std = adjoint_spec(Motion(Ci, np.zeros(3)), spec)
+        targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
+        c, remainders = _complete_square(spec_std, targets)
+        conj = Motion(Ci, c)
+        beta = 0.0
+        if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE):
+            beta = float(remainders[0][2])
+        if abs(beta) <= PARAM_ZERO_TOL:
+            beta = 0.0
+        hit = _match_table(sig, beta)
+        if hit is None:
+            return Rejection(REASON_UNMATCHED, "signature matches no catalog family", sig)
+        id_, params = hit
         target = catalog.build(id_, **params)
-    except catalog.CatalogError as exc:
+        moved = adjoint_spec(conj, spec)
+    except ValueError as exc:
         return Rejection(REASON_UNMATCHED, str(exc), sig)
 
-    moved = adjoint_spec(conj, spec)
     residual = 0.0
-    for el in target.basis.basis:
-        scale = max(1.0, float(np.linalg.norm(el.coords)))
-        residual = max(residual, span_residual(moved, el) / scale)
-    for el in moved.basis:
-        scale = max(1.0, float(np.linalg.norm(el.coords)))
-        residual = max(residual, span_residual(target.basis, el) / scale)
+    for basis, span in ((moved.basis, target.basis), (target.basis.basis, moved)):
+        for el in basis:
+            scale = max(1.0, float(np.linalg.norm(el.coords)))
+            residual = max(residual, span_residual(span, el) / scale)
     if residual > SPAN_MATCH_TOL:
         return Rejection(
             REASON_UNMATCHED,
             f"normalized basis does not span the {id_} basis (residual {residual:.3e})",
             sig,
         )
-    from dataclasses import replace
-
     return Classification(id=id_, params=params, conjugator=conj, residual=residual,
                           signature=replace(sig, params=dict(params)))

@@ -83,6 +83,12 @@ def test_parameter_domains():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(CatalogError, match=f"{id_} parameter {name} must be finite"):
                 build(id_, **{name: bad})
+    # any nonzero finite size is in the domain: independence is decided on
+    # row-scaled coordinates, so a huge parameter beside unit entries holds
+    for id_, name in (("P-d", "beta"), ("N-vii", "beta"), ("N-x", "alpha")):
+        for big in (1e12, -1e12, 1e300):
+            entry = build(id_, **{name: big})
+            assert entry.params[name] == big
 
 
 def test_every_basis_is_subalgebra_with_expected_dims():

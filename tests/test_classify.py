@@ -10,7 +10,6 @@ from mink1.classify import (
     REASON_UNMATCHED,
     Rejection,
     classify,
-    normalize_translations,
     signature,
     standardize_linear,
 )
@@ -124,27 +123,30 @@ def test_standardize_hyperbolic_positive_factor():
             assert lam > 0
 
 
-def test_normalize_translations_removes_rotation_offsets():
+def test_classify_removes_rotation_offsets():
     # a rotation generator decorated with removable e2/e3 components:
     # completing the square recenters the axis
     spec = SubalgebraSpec((el(ROTATION, 0.4 * E1 + 0.7 * E2 - 1.3 * E3),
                            el(Z33, E1)))
-    m = normalize_translations(spec)
-    assert np.allclose(m.A, np.eye(3))
-    moved = adjoint_spec(m, spec)
+    res = classify(spec)
+    assert isinstance(res, Classification) and res.id == "P-b"
+    assert np.allclose(res.conjugator.A, np.eye(3))
+    moved = adjoint_spec(res.conjugator, spec)
     gen = next(e for e in moved.basis if np.max(np.abs(e.X)) > 1e-9)
     # what remains lies along the kernel direction e1
     assert abs(gen.v[1]) < 1e-12 and abs(gen.v[2]) < 1e-12
 
 
-def test_normalize_translations_keeps_genuine_parameters():
+def test_classify_keeps_genuine_parameters():
     # a catalog-form spec is a fixed point and the screw parameter survives
     entry = build("P-d", beta=1.5)
-    m = normalize_translations(entry.basis)
-    assert np.max(np.abs(m.a)) < 1e-12
-    moved = adjoint_spec(m, entry.basis)
+    res = classify(entry.basis)
+    assert isinstance(res, Classification) and res.id == "P-d"
+    assert np.max(np.abs(res.conjugator.a)) < 1e-12
+    moved = adjoint_spec(res.conjugator, entry.basis)
     gen = next(e for e in moved.basis if np.max(np.abs(e.X)) > 1e-9)
     assert gen.v[2] == pytest.approx(1.5)
+    assert res.params["beta"] == pytest.approx(1.5)
 
 
 def test_classify_catalog_bases_directly():
@@ -314,6 +316,15 @@ def test_classify_never_crashes_on_random_spans():
             continue
         res = classify(spec)
         assert isinstance(res, (Classification, Rejection))
+    # conjugated catalog bases far from unit size: the fixed tolerances may
+    # reject them, but classify answers instead of raising
+    for id_ in CATALOG_IDS:
+        spec = adjoint_spec(random_motion(rng), build(id_).basis)
+        for k in (-10, -6, -3, 3, 6):
+            scaled = SubalgebraSpec(tuple(AlgebraElement(10.0 ** k * e.X, 10.0 ** k * e.v)
+                                          for e in spec.basis))
+            res = classify(scaled)
+            assert isinstance(res, (Classification, Rejection)), (id_, k)
 
 
 def test_classify_unmatched_open_orbit_extension():
