@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minkowski import generator_class, numeric_rank, so12_check
+from .minkowski import ETA, STRUCT_TOL, generator_class, numeric_rank, sign_of, so12_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +119,9 @@ def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
     return float(np.linalg.norm(el.coords - M @ c))
 
 
-def span_contains(spec: SubalgebraSpec, el: AlgebraElement, tol: float = 1e-9) -> bool:
+def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
     scale = max(1.0, float(np.linalg.norm(el.coords)))
-    return span_residual(spec, el) <= tol * scale
+    return span_residual(spec, el) <= STRUCT_TOL * scale
 
 
 def closure_residual(spec: SubalgebraSpec) -> float:
@@ -135,17 +135,17 @@ def closure_residual(spec: SubalgebraSpec) -> float:
     return worst
 
 
-def is_subalgebra(spec: SubalgebraSpec, tol: float = 1e-9) -> bool:
-    return closure_residual(spec) <= tol
+def is_subalgebra(spec: SubalgebraSpec) -> bool:
+    return closure_residual(spec) <= STRUCT_TOL
 
 
-def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec, tol: float = 1e-9) -> bool:
+def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
     for g in ambient.basis:
         for h in sub.basis:
             br = bracket(g, h)
             scale = max(1.0, float(np.linalg.norm(br.coords)))
-            if span_residual(sub, br) / scale > tol:
+            if span_residual(sub, br) / scale > STRUCT_TOL:
                 return False
     return True
 
@@ -188,8 +188,6 @@ def adjoint(m, el: AlgebraElement) -> AlgebraElement:
 
     Ad_{(A,a)}(X, v) = (A X A^-1, A v - (A X A^-1) a).
     """
-    from .minkowski import ETA
-
     Ai = ETA @ m.A.T @ ETA
     Y = m.A @ el.X @ Ai
     return AlgebraElement(Y, m.A @ el.v - Y @ m.a)
@@ -199,14 +197,14 @@ def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     return SubalgebraSpec(tuple(adjoint(m, el) for el in spec.basis))
 
 
-def first_linear_generator(spec: SubalgebraSpec, tol: float = 1e-9):
+def first_linear_generator(spec: SubalgebraSpec):
     """The first basis element with a nonzero linear part, or None.
 
     The classifier keys its orientation conventions to this element, so
     the basis order supplied by the caller is part of the contract.
     """
     for el in spec.basis:
-        if np.max(np.abs(el.X)) > tol:
+        if sign_of(np.max(np.abs(el.X)), STRUCT_TOL):
             return el
     return None
 

@@ -6,9 +6,16 @@ strata (predicate, dimension, causal character, orbit class, stabilizer
 data), a conserved along-orbit invariant where one exists, the orbit
 space, and a nonproperness witness where applicable.
 
-Stratum predicates use an absolute tolerance on their defining
-equalities so that measure-zero strata are targetable exactly from
-rational inputs.
+Each stratum is a sign pattern on a few named invariants of the base
+point (a plane's x1 - s*x2 + b, the origin's max|p|, <p, p>, and the
+P-b and N-i axis, diagonal and branch invariants below): its predicate
+holds when `minkowski.sign_of` of each invariant it names, against that
+invariant's cut, lies in the allowed set ({0} on an equality, {-1, +1}
+off it).  Equalities use the absolute cut 1e-9, so measure-zero strata
+are targetable exactly from rational inputs; <p, p> uses
+1e-9 * max(1, |p|^2) and N-i's |x1| - |x2| uses 0.  A value exactly at
+its cut reads as on the equality.  The patterns of an entry are
+pairwise disjoint and cover R^3.
 """
 
 from __future__ import annotations
@@ -35,12 +42,12 @@ from .minkowski import (
     RIEMANNIAN,
     ROTATION,
     SPACELIKE,
+    STRUCT_TOL,
     TIMELIKE,
     ZERO_VECTOR,
     inner,
+    sign_of,
 )
-
-STRATUM_TOL = 1e-9
 
 PRINCIPAL = "principal"
 SINGULAR = "singular"
@@ -121,21 +128,69 @@ def _spec(*els) -> SubalgebraSpec:
     return SubalgebraSpec(tuple(els))
 
 
-def _near(a: float, b: float = 0.0, tol: float = STRATUM_TOL) -> bool:
-    return abs(a - b) <= tol
+# ---------------------------------------------------------------------------
+# invariants: each maps a point to (value, cut) for `sign_of`
 
 
-def _q_scale(p) -> float:
-    return max(1.0, float(np.dot(p, p)))
+def _plane(s, b):
+    """x1 - s*x2 + b, the defining equality of a plane."""
+    return lambda p: (p[0] - s * p[1] + b, STRUCT_TOL)
+
+
+def _sup_norm(p):
+    """max|p|, zero only at the origin."""
+    return max(abs(p[0]), abs(p[1]), abs(p[2])), STRUCT_TOL
+
+
+def _cone(p):
+    """<p, p>, cut relative to max(1, |p|^2)."""
+    return inner(p, p), STRUCT_TOL * max(1.0, float(np.dot(p, p)))
+
+
+def _pb_axis(p):
+    """max(|x2|, |x3|), zero on the timelike axis."""
+    return max(abs(p[1]), abs(p[2])), STRUCT_TOL
+
+
+def _ni_axis(p):
+    """max(|x1|, |x2|), zero on the spacelike axis."""
+    return max(abs(p[0]), abs(p[1])), STRUCT_TOL
+
+
+def _ni_diagonals(p):
+    """min(|x1 - x2|, |x1 + x2|), zero on the two null half-plane pairs."""
+    return min(abs(p[0] - p[1]), abs(p[0] + p[1])), STRUCT_TOL
+
+
+def _ni_branch(p):
+    """|x1| - |x2| with cut 0: which cylinder branch p is on."""
+    return abs(p[0]) - abs(p[1]), 0.0
+
+
+# sign sets of a pattern: on an equality, off it, and the sides of <p, p>
+_ON, _OFF = frozenset({0}), frozenset({-1, 1})
+_NEG, _POS = frozenset({-1}), frozenset({1})
+
+
+def _pattern(*terms):
+    """Stratum predicate: for every (invariant, signs) term, `sign_of` of
+    the invariant at p lies in signs.  No terms: every point."""
+    def predicate(p):
+        for invariant, signs in terms:
+            if sign_of(*invariant(p)) not in signs:
+                return False
+        return True
+
+    return predicate
 
 
 # ---------------------------------------------------------------------------
 # samplers: each returns one point of the stratum it belongs to
 
 
-def _u(rng, lo=0.3, hi=3.0):
-    """A random magnitude bounded away from zero, with random sign."""
-    return float(rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]))
+def _u(rng):
+    """A random magnitude in [0.3, 3), with random sign."""
+    return float(rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0]))
 
 
 def _generic3(rng):
@@ -144,6 +199,17 @@ def _generic3(rng):
 
 def _origin(rng):
     return np.zeros(3)
+
+
+def _rejecting(cond):
+    """Sampler of generic points, redrawn until `cond` accepts one."""
+    def sample(rng):
+        while True:
+            p = _generic3(rng)
+            if cond(p):
+                return p
+
+    return sample
 
 
 def _cone_sampler(side, avoid_plane=False):
@@ -172,48 +238,22 @@ def _plane_strata(s, b, plane_row, off_row, sample_off=None):
     `sample_off` is given, the complement samples generic points at
     least 0.05 off it.
     """
-    def on_plane(p):
-        return _near(p[0] - s * p[1] + b)
+    plane = _plane(s, b)
 
     def sample_plane(rng):
         a, c = rng.uniform(-3.0, 3.0, 2)
         return np.array([a, s * a + b, c])
 
-    def sample_generic_off(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - s * p[1] + b) > 0.05:
-                return p
-
     return (
-        Stratum(plane_row[0], on_plane, *plane_row[1:], (sample_plane,)),
-        Stratum(off_row[0], lambda p: not on_plane(p), *off_row[1:],
-                (sample_off or sample_generic_off,)),
+        Stratum(plane_row[0], _pattern((plane, _ON)), *plane_row[1:], (sample_plane,)),
+        Stratum(off_row[0], _pattern((plane, _OFF)), *off_row[1:],
+                (sample_off or _rejecting(lambda p: abs(plane(p)[0]) > 0.05),)),
     )
 
 
 # rows shared by the boost families whose translations fill a null plane
 _EXCEPTIONAL_PLANE = ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT)
 _OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
-
-
-def _at_origin(p):
-    return bool(np.max(np.abs(p)) <= STRATUM_TOL)
-
-
-def _cone_regions(keep):
-    """Predicates <p,p> < 0, = 0 and > 0 (to STRATUM_TOL relative to
-    max(1, |p|^2)), each restricted to the points `keep` accepts."""
-    def region(sign):
-        def pred(p):
-            if not keep(p):
-                return False
-            q, cut = inner(p, p), STRATUM_TOL * _q_scale(p)
-            return (q > cut) - (q < -cut) == sign
-
-        return pred
-
-    return region(-1), region(0), region(1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +273,7 @@ def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
         raise CatalogError(f"P-a plane must be one of {sorted(planes)}, got {plane!r}")
     els, causal, inv_name, inv = planes[plane]
     strata = (
-        Stratum("translated-plane", lambda p: True, 2, causal, PRINCIPAL, 0, TRIVIAL,
+        Stratum("translated-plane", _pattern(), 2, causal, PRINCIPAL, 0, TRIVIAL,
                 (_generic3,)),
     )
     return CatalogEntry(
@@ -247,23 +287,14 @@ def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
 
 
 def _build_P_b() -> CatalogEntry:
-    def on_axis(p):
-        return _near(p[1]) and _near(p[2])
-
     def sample_axis(rng):
         return np.array([_u(rng), 0.0, 0.0])
 
-    def sample_cyl(rng):
-        p = _generic3(rng)
-        while max(abs(p[1]), abs(p[2])) < 0.1:
-            p = _generic3(rng)
-        return p
-
     strata = (
-        Stratum("timelike-axis", on_axis, 1, TIMELIKE, SINGULAR, 1, COMPACT,
-                (sample_axis,)),
-        Stratum("cylinder", lambda p: not on_axis(p), 2, LORENTZIAN, PRINCIPAL, 0,
-                TRIVIAL, (sample_cyl,)),
+        Stratum("timelike-axis", _pattern((_pb_axis, _ON)), 1, TIMELIKE, SINGULAR, 1,
+                COMPACT, (sample_axis,)),
+        Stratum("cylinder", _pattern((_pb_axis, _OFF)), 2, LORENTZIAN, PRINCIPAL, 0,
+                TRIVIAL, (_rejecting(lambda p: _pb_axis(p)[0] >= 0.1),)),
     )
     return CatalogEntry(
         id="P-b", params={}, basis=_spec(_el(ROTATION, 0 * E1), _el(0 * BOOST, E1)),
@@ -277,7 +308,7 @@ def _build_P_b() -> CatalogEntry:
 
 def _build_P_c() -> CatalogEntry:
     strata = (
-        Stratum("spacelike-plane", lambda p: True, 2, RIEMANNIAN, PRINCIPAL, 1,
+        Stratum("spacelike-plane", _pattern(), 2, RIEMANNIAN, PRINCIPAL, 1,
                 COMPACT, (_generic3,)),
     )
     return CatalogEntry(
@@ -307,12 +338,7 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
     nu = NULL_PLUS if s > 0 else NULL_MINUS
-
-    def sample_cyl(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0] - s * p[1]) > 0.05 and abs(p[2]) < 2.0:
-                return p
+    sample_cyl = _rejecting(lambda p: abs(p[0] - s * p[1]) > 0.05 and abs(p[2]) < 2.0)
 
     def invariant(q, _s=s, _b=beta):
         # inf (nan on the plane) once s*x3/beta passes ~709
@@ -334,18 +360,6 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
 
 
 def _build_N_i() -> CatalogEntry:
-    def on_axis(p):
-        return _near(p[0]) and _near(p[1])
-
-    def on_halfplane(p):
-        return (not on_axis(p)) and (_near(p[0] - p[1]) or _near(p[0] + p[1]))
-
-    def riem(p):
-        return (not on_axis(p)) and (not on_halfplane(p)) and abs(p[0]) > abs(p[1])
-
-    def lor(p):
-        return (not on_axis(p)) and (not on_halfplane(p)) and abs(p[0]) < abs(p[1])
-
     def sample_axis(rng):
         return np.array([0.0, 0.0, rng.uniform(-3.0, 3.0)])
 
@@ -358,28 +372,18 @@ def _build_N_i() -> CatalogEntry:
         return sample
 
     half_samplers = tuple(_half(sx, sy) for sx in (1.0, -1.0) for sy in (1.0, -1.0))
-
-    def sample_riem(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[0]) > abs(p[1]) + 0.05:
-                return p
-
-    def sample_lor(rng):
-        while True:
-            p = _generic3(rng)
-            if abs(p[1]) > abs(p[0]) + 0.05:
-                return p
-
+    generic = (_ni_axis, _OFF), (_ni_diagonals, _OFF)
     strata = (
-        Stratum("spacelike-axis", on_axis, 1, SPACELIKE, SINGULAR, 1, NONCOMPACT,
-                (sample_axis,)),
-        Stratum("degenerate-half-plane", on_halfplane, 2, DEGENERATE, PRINCIPAL, 0,
-                TRIVIAL, half_samplers),
-        Stratum("cylinder-branch-spacelike", riem, 2, RIEMANNIAN, PRINCIPAL, 0,
-                TRIVIAL, (sample_riem,)),
-        Stratum("cylinder-branch-lorentzian", lor, 2, LORENTZIAN, PRINCIPAL, 0,
-                TRIVIAL, (sample_lor,)),
+        Stratum("spacelike-axis", _pattern((_ni_axis, _ON)), 1, SPACELIKE, SINGULAR, 1,
+                NONCOMPACT, (sample_axis,)),
+        Stratum("degenerate-half-plane", _pattern((_ni_axis, _OFF), (_ni_diagonals, _ON)),
+                2, DEGENERATE, PRINCIPAL, 0, TRIVIAL, half_samplers),
+        Stratum("cylinder-branch-spacelike", _pattern(*generic, (_ni_branch, _POS)), 2,
+                RIEMANNIAN, PRINCIPAL, 0, TRIVIAL,
+                (_rejecting(lambda p: abs(p[0]) > abs(p[1]) + 0.05),)),
+        Stratum("cylinder-branch-lorentzian", _pattern(*generic, (_ni_branch, _NEG)), 2,
+                LORENTZIAN, PRINCIPAL, 0, TRIVIAL,
+                (_rejecting(lambda p: abs(p[1]) > abs(p[0]) + 0.05),)),
     )
     return CatalogEntry(
         id="N-i", params={}, basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, E3)),
@@ -393,7 +397,7 @@ def _build_N_i() -> CatalogEntry:
 
 def _build_N_ii() -> CatalogEntry:
     strata = (
-        Stratum("lorentzian-plane", lambda p: True, 2, LORENTZIAN, PRINCIPAL, 1,
+        Stratum("lorentzian-plane", _pattern(), 2, LORENTZIAN, PRINCIPAL, 1,
                 NONCOMPACT, (_generic3,)),
     )
     return CatalogEntry(
@@ -468,7 +472,7 @@ def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
 
 def _build_N_viii() -> CatalogEntry:
     strata = (
-        Stratum("degenerate-plane", lambda p: True, 2, DEGENERATE, PRINCIPAL, 1,
+        Stratum("degenerate-plane", _pattern(), 2, DEGENERATE, PRINCIPAL, 1,
                 NONCOMPACT, (_generic3,)),
     )
     return CatalogEntry(
@@ -484,11 +488,8 @@ def _build_N_viii() -> CatalogEntry:
 
 
 def _build_N_ix() -> CatalogEntry:
-    def on_null_line(p):
-        return (not _at_origin(p)) and _near(p[0] - p[1])
-
-    riem, deg, lor = _cone_regions(
-        lambda p: (not _at_origin(p)) and not _near(p[0] - p[1]))
+    line = _plane(1.0, 0.0)
+    off_line = (_sup_norm, _OFF), (line, _OFF)
 
     def sample_line_z0(rng):
         a = _u(rng)
@@ -498,29 +499,19 @@ def _build_N_ix() -> CatalogEntry:
         a = rng.uniform(-3.0, 3.0)
         return np.array([a, a, _u(rng)])
 
-    def sample_riem(rng):
-        while True:
-            p = _generic3(rng)
-            if inner(p, p) < -0.05 and abs(p[0] - p[1]) > 0.05:
-                return p
-
-    def sample_lor(rng):
-        while True:
-            p = _generic3(rng)
-            if inner(p, p) > 0.05 and abs(p[0] - p[1]) > 0.05:
-                return p
-
     strata = (
-        Stratum("origin", _at_origin, 0, ZERO_VECTOR, SINGULAR, 2, NONCOMPACT,
-                (_origin,)),
-        Stratum("null-line", on_null_line, 1, NULL, SINGULAR, 1, NONCOMPACT,
-                (sample_line_z0, sample_line_z)),
-        Stratum("timelike-region", riem, 2, RIEMANNIAN, PRINCIPAL, 0, TRIVIAL,
-                (sample_riem,)),
-        Stratum("light-cone-sector", deg, 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL,
-                (_cone_sampler(1.0, True), _cone_sampler(-1.0, True))),
-        Stratum("spacelike-region", lor, 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL,
-                (sample_lor,)),
+        Stratum("origin", _pattern((_sup_norm, _ON)), 0, ZERO_VECTOR, SINGULAR, 2,
+                NONCOMPACT, (_origin,)),
+        Stratum("null-line", _pattern((_sup_norm, _OFF), (line, _ON)), 1, NULL, SINGULAR,
+                1, NONCOMPACT, (sample_line_z0, sample_line_z)),
+        Stratum("timelike-region", _pattern(*off_line, (_cone, _NEG)), 2, RIEMANNIAN,
+                PRINCIPAL, 0, TRIVIAL,
+                (_rejecting(lambda p: inner(p, p) < -0.05 and abs(p[0] - p[1]) > 0.05),)),
+        Stratum("light-cone-sector", _pattern(*off_line, (_cone, _ON)), 2, DEGENERATE,
+                PRINCIPAL, 0, TRIVIAL, (_cone_sampler(1.0, True), _cone_sampler(-1.0, True))),
+        Stratum("spacelike-region", _pattern(*off_line, (_cone, _POS)), 2, LORENTZIAN,
+                PRINCIPAL, 0, TRIVIAL,
+                (_rejecting(lambda p: inner(p, p) > 0.05 and abs(p[0] - p[1]) > 0.05),)),
     )
     return CatalogEntry(
         id="N-ix", params={},
@@ -578,30 +569,17 @@ def _build_N_xi() -> CatalogEntry:
 
 
 def _build_N_xii() -> CatalogEntry:
-    timelike_region, on_cone, spacelike_region = _cone_regions(
-        lambda p: not _at_origin(p))
-
-    def sample_timelike(rng):
-        while True:
-            p = _generic3(rng)
-            if inner(p, p) < -0.05:
-                return p
-
-    def sample_spacelike(rng):
-        while True:
-            p = _generic3(rng)
-            if inner(p, p) > 0.05:
-                return p
-
+    off_origin = (_sup_norm, _OFF)
     strata = (
-        Stratum("origin", _at_origin, 0, ZERO_VECTOR, SINGULAR, 3, NONCOMPACT,
-                (_origin,)),
-        Stratum("light-cone", on_cone, 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT,
-                (_cone_sampler(1.0), _cone_sampler(-1.0))),
-        Stratum("pseudo-hyperbolic-sheet", timelike_region, 2, RIEMANNIAN, PRINCIPAL,
-                1, COMPACT, (sample_timelike,)),
-        Stratum("pseudo-sphere", spacelike_region, 2, LORENTZIAN, PRINCIPAL, 1,
-                NONCOMPACT, (sample_spacelike,)),
+        Stratum("origin", _pattern((_sup_norm, _ON)), 0, ZERO_VECTOR, SINGULAR, 3,
+                NONCOMPACT, (_origin,)),
+        Stratum("light-cone", _pattern(off_origin, (_cone, _ON)), 2, DEGENERATE,
+                EXCEPTIONAL, 1, NONCOMPACT, (_cone_sampler(1.0), _cone_sampler(-1.0))),
+        Stratum("pseudo-hyperbolic-sheet", _pattern(off_origin, (_cone, _NEG)), 2,
+                RIEMANNIAN, PRINCIPAL, 1, COMPACT,
+                (_rejecting(lambda p: inner(p, p) < -0.05),)),
+        Stratum("pseudo-sphere", _pattern(off_origin, (_cone, _POS)), 2, LORENTZIAN,
+                PRINCIPAL, 1, NONCOMPACT, (_rejecting(lambda p: inner(p, p) > 0.05),)),
     )
     return CatalogEntry(
         id="N-xii", params={},

@@ -58,12 +58,14 @@ from .minkowski import (
     RIEMANNIAN,
     ROTATION,
     SPACELIKE,
+    STRUCT_TOL,
     TIMELIKE,
     ZERO,
     Motion,
     causal_of_span,
     generator_class,
     inner,
+    sign_of,
 )
 
 REASON_NOT_SUBALGEBRA = "not-a-subalgebra"
@@ -71,7 +73,6 @@ REASON_NOT_COHOMOGENEITY_ONE = "not-cohomogeneity-one"
 REASON_UNMATCHED = "unmatched"
 
 SPAN_MATCH_TOL = 1e-6
-PARAM_ZERO_TOL = 1e-9
 
 TWO_DIM_SOLVABLE = "two-dim-solvable"
 FULL = "full"
@@ -186,7 +187,7 @@ def _frame_from_null(n):
     return _frame(0.5 * (n + m), 0.5 * (n - m))
 
 
-def standardize_linear(X, tol: float = 1e-8):
+def standardize_linear(X):
     """A conjugation C with C^-1 X C = lam * (reference generator).
 
     The reference is ROTATION for elliptic X (via its timelike axis,
@@ -194,7 +195,8 @@ def standardize_linear(X, tol: float = 1e-8):
     e1 +- e2, the positive eigendirection landing on e1+e2, so lam > 0),
     and NULL_ROTATION for parabolic X (kernel null line onto R(e1+e2)).
     For elliptic and parabolic X the sign of lam is itself an invariant
-    of the conjugacy class and is reported as computed.
+    of the conjugacy class and is reported as computed.  The conjugate
+    must match lam * reference to 1e-8 relative to max(1, |lam|).
     """
     X = np.asarray(X, dtype=float)
     kind = generator_class(X)
@@ -229,7 +231,7 @@ def standardize_linear(X, tol: float = 1e-8):
     Y = Ci @ X @ C
     lam = Y[pos]
     res = float(np.max(np.abs(Y - lam * ref)))
-    if res > tol * max(1.0, abs(lam)):
+    if res > 1e-8 * max(1.0, abs(lam)):
         raise ValueError(f"standardization failed (residual {res:.3e})")
     return C, float(lam)
 
@@ -273,7 +275,7 @@ def _invariants(spec: SubalgebraSpec):
     (the linear-part basis lb, the kernel basis kb and, for dim_l = 1, the
     leading linear generator X0)."""
     res = closure_residual(spec)
-    if res > 1e-9:
+    if res > STRUCT_TOL:
         raise NotASubalgebraError(res)
     dim_l, lb, dim_ker, kb = _linear_split(spec)
     ker_causal = causal_of_span(np.stack(kb)) if dim_ker else None
@@ -298,9 +300,10 @@ def _invariants(spec: SubalgebraSpec):
         n = _null_combination(kb)
     if n is not None:
         n = n / np.linalg.norm(n)
-        mu = float(X0 @ n @ n)  # Euclidean Rayleigh quotient, |n| = 1
-        if abs(mu) > 1e-9 * np.max(np.abs(X0)):
-            eigen_sign = float(np.sign(mu))
+        mu = X0 @ n @ n  # Euclidean Rayleigh quotient, |n| = 1
+        sign = sign_of(mu, STRUCT_TOL * np.max(np.abs(X0)))
+        if sign:
+            eigen_sign = float(sign)
     sig = InvariantSignature(spec.dim, dim_l, linear_type, dim_ker, ker_causal, eigen_sign)
     return sig, lb, kb, X0
 
@@ -360,7 +363,7 @@ def _match_table(sig: InvariantSignature, beta: float):
         if k == 1 and kc == SPACELIKE:
             return "N-i", {}
         if k == 1 and kc == NULL and es is not None:
-            if abs(beta) > PARAM_ZERO_TOL:
+            if beta != 0.0:
                 return "P-d", {"sign": es, "beta": beta}
             return ("N-v", {}) if es > 0 else ("N-vi", {})
         if k == 2 and kc == LORENTZIAN:
@@ -448,7 +451,7 @@ def classify(spec: SubalgebraSpec):
         beta = 0.0
         if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE):
             beta = float(remainders[0][2])
-        if abs(beta) <= PARAM_ZERO_TOL:
+        if not sign_of(beta, STRUCT_TOL):
             beta = 0.0
         hit = _match_table(sig, beta)
         if hit is None:

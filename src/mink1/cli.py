@@ -83,6 +83,16 @@ def _parse_params(text):
     return params
 
 
+def _entry_from_args(args):
+    """The catalog entry that --id and --params name, or None after the
+    error is printed (exit 2)."""
+    try:
+        return catalog.build(args.id, **_parse_params(args.params))
+    except ValueError as exc:  # catalog.CatalogError included
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _entry_payload(entry):
     return {
         "id": entry.id,
@@ -98,14 +108,13 @@ def _entry_payload(entry):
 
 
 def cmd_catalog(args) -> int:
-    try:
-        if args.id:
-            entries = [catalog.build(args.id, **_parse_params(args.params))]
-        else:
-            entries = [catalog.build(i) for i in catalog.CATALOG_IDS]
-    except (catalog.CatalogError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.id:
+        entry = _entry_from_args(args)
+        if entry is None:
+            return 2
+        entries = [entry]
+    else:
+        entries = [catalog.build(i) for i in catalog.CATALOG_IDS]
     payload = {"families": [_entry_payload(e) for e in entries]}
     if args.json:
         print(to_json(_report(["catalog"], args.seed, payload, [])))
@@ -119,10 +128,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        entry = catalog.build(args.id, **_parse_params(args.params))
-    except (catalog.CatalogError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    entry = _entry_from_args(args)
+    if entry is None:
         return 2
     try:
         point = np.array([float(c) for c in args.point.split(",")])
@@ -206,10 +213,7 @@ def cmd_orbit(args) -> int:
 def cmd_classify(args) -> int:
     try:
         spec = parse_basis_file(args.basis)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BasisParseError as exc:
+    except (OSError, BasisParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     res = classify(spec)
@@ -243,10 +247,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_properness(args) -> int:
-    try:
-        entry = catalog.build(args.id, **_parse_params(args.params))
-    except (catalog.CatalogError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    entry = _entry_from_args(args)
+    if entry is None:
         return 2
     v = verdict(entry)
     payload = {"id": entry.id, "params": entry.params, "verdict": v}

@@ -73,6 +73,19 @@ def numeric_rank(s, rtol: float = STRUCT_TOL):
     return above.sum(axis=-1)
 
 
+def sign_of(x: float, cut: float) -> int:
+    """-1, 0 or +1: the sign of x, reading |x| <= cut (and NaN) as 0.
+
+    Causal characters, generator classes, catalog strata and the
+    classifier's eigenvalue sign and parameter zero test are all decided
+    by this one rule; `cut` is the decision's tolerance, absolute or
+    already scaled by the caller.  Both are taken as Python floats, so a
+    numpy scalar works too.
+    """
+    x, cut = float(x), float(cut)
+    return (x > cut) - (x < -cut)
+
+
 def inner(u, v) -> float:
     """Scalar product of signature (1,2): -u1*v1 + u2*v2 + u3*v3."""
     u = np.asarray(u, dtype=float)
@@ -80,27 +93,25 @@ def inner(u, v) -> float:
     return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
-def causal_character(v, tol: float = STRUCT_TOL) -> str:
+_VECTOR_BY_SIGN = {-1: TIMELIKE, 0: NULL, 1: SPACELIKE}
+_GENERATOR_BY_SIGN = {-1: ELLIPTIC, 0: PARABOLIC, 1: HYPERBOLIC}
+
+
+def causal_character(v) -> str:
     """Classify a vector as timelike / null / spacelike / zero-vector.
 
-    The zero vector is its own class, never "null".  Tolerances scale
-    with the squared sup-norm of ``v`` so the trichotomy is stable under
-    rescaling.
+    The zero vector (sup-norm at most STRUCT_TOL) is its own class, never
+    "null".  The cut on <v, v> scales with the squared sup-norm of ``v``
+    so the trichotomy is stable under rescaling.
     """
     v = np.asarray(v, dtype=float)
     m = float(np.max(np.abs(v)))
-    if m < tol:
+    if not sign_of(m, STRUCT_TOL):
         return ZERO_VECTOR
-    q = inner(v, v)
-    cut = tol * m * m
-    if q < -cut:
-        return TIMELIKE
-    if q > cut:
-        return SPACELIKE
-    return NULL
+    return _VECTOR_BY_SIGN[sign_of(inner(v, v), STRUCT_TOL * m * m)]
 
 
-def so12_check(X, tol: float = STRUCT_TOL) -> bool:
+def so12_check(X) -> bool:
     """True iff X is an infinitesimal isometry: X^T eta + eta X = 0.
 
     Componentwise: zero diagonal, X12 = X21, X13 = X31, X23 = -X32.
@@ -108,17 +119,11 @@ def so12_check(X, tol: float = STRUCT_TOL) -> bool:
     X = np.asarray(X, dtype=float)
     if X.shape != (3, 3) or not np.all(np.isfinite(X)):
         return False
-    return (
-        abs(X[0, 0]) <= tol
-        and abs(X[1, 1]) <= tol
-        and abs(X[2, 2]) <= tol
-        and abs(X[0, 1] - X[1, 0]) <= tol
-        and abs(X[0, 2] - X[2, 0]) <= tol
-        and abs(X[1, 2] + X[2, 1]) <= tol
-    )
+    return all(abs(d) <= STRUCT_TOL for d in (
+        X[0, 0], X[1, 1], X[2, 2], X[0, 1] - X[1, 0], X[0, 2] - X[2, 0], X[1, 2] + X[2, 1]))
 
 
-def generator_class(X, tol: float = STRUCT_TOL) -> str:
+def generator_class(X) -> str:
     """One-parameter subgroup type of X, decided by the sign of tr(X^2).
 
     tr(X^2) < 0 means a rotation conjugate (elliptic), > 0 a boost
@@ -127,14 +132,9 @@ def generator_class(X, tol: float = STRUCT_TOL) -> str:
     well-defined classification of the generated subgroup.
     """
     X = np.asarray(X, dtype=float)
-    if np.max(np.abs(X)) <= tol:
+    if not sign_of(np.max(np.abs(X)), STRUCT_TOL):
         return ZERO
-    k = float(np.trace(X @ X))
-    if k < -tol:
-        return ELLIPTIC
-    if k > tol:
-        return HYPERBOLIC
-    return PARABOLIC
+    return _GENERATOR_BY_SIGN[sign_of(np.trace(X @ X), STRUCT_TOL)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,23 +239,24 @@ def _closed_exp_pair(M: np.ndarray):
     return eye + c1 * M + c2 * M2, eye + c2 * M + c3 * M2
 
 
-def _series_exp_pair(M: np.ndarray, w: np.ndarray, terms: int = 20, theta: float = 0.5):
+def _series_exp_pair(M: np.ndarray, w: np.ndarray):
     """Scaling-and-squaring Taylor exponential of [[M, w], [0, 0]].
 
     The corner of the 4x4 exponential is V(M) w, so this returns the
     same (linear part, translation) pair as the closed form and serves
-    as its independent cross-check.
+    as its independent cross-check: H is halved until its inf-norm is at
+    most 0.5, summed to 20 Taylor terms, and squared back.
     """
     H = np.zeros((4, 4))
     H[:3, :3] = M
     H[:3, 3] = w
     s = 0
-    while np.linalg.norm(H, np.inf) > theta and s < 64:
+    while np.linalg.norm(H, np.inf) > 0.5 and s < 64:
         H = H / 2.0
         s += 1
     T = np.eye(4)
     term = np.eye(4)
-    for k in range(1, terms + 1):
+    for k in range(1, 21):
         term = term @ H / k
         T = T + term
     for _ in range(s):
@@ -287,7 +288,7 @@ def exp_element(el, t: float = 1.0, method: str = "closed") -> Motion:
     raise ValueError(f"unknown exponential method: {method!r}")
 
 
-def causal_of_span(vectors, tol: float = STRUCT_TOL) -> str:
+def causal_of_span(vectors) -> str:
     """Causal character of the subspace spanned by the given vectors.
 
     One-dimensional spans are classified as vectors; higher-dimensional
@@ -297,21 +298,20 @@ def causal_of_span(vectors, tol: float = STRUCT_TOL) -> str:
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vh = np.linalg.svd(V)
-    return causal_of_svd(s, vh, tol)
+    return causal_of_svd(s, vh)
 
 
-def causal_of_svd(s, vh, tol: float = STRUCT_TOL) -> str:
+def causal_of_svd(s, vh) -> str:
     """`causal_of_span` of the rows of a matrix, from its SVD ``(s, vh)``."""
-    rank = numeric_rank(s, tol)
+    rank = numeric_rank(s)
     if rank == 0:
         return ZERO_VECTOR
     Q = vh[:rank]
     if rank == 1:
-        return causal_character(Q[0], tol)
-    G = Q @ ETA @ Q.T
-    eig = np.linalg.eigvalsh(G)
-    if np.any(np.abs(eig) <= tol):
+        return causal_character(Q[0])
+    signs = {sign_of(e, STRUCT_TOL) for e in np.linalg.eigvalsh(Q @ ETA @ Q.T)}
+    if 0 in signs:
         return DEGENERATE
-    if np.any(eig < -tol):
+    if -1 in signs:
         return LORENTZIAN
     return RIEMANNIAN

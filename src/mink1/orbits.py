@@ -15,17 +15,29 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, SubalgebraSpec
-from .catalog import CatalogEntry, Stratum, expected_orbit
+from .catalog import COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expected_orbit
 from .minkowski import (
     ETA,
+    HYPERBOLIC,
+    PARABOLIC,
     apply,
     causal_of_span,
     causal_of_svd,
     compose,
     exp_element,
+    generator_class,
     inner,
     numeric_rank,
 )
+
+# central-difference step of `finite_tangent`
+TANGENT_STEP = 1e-5
+# Step of the flows `shape_operator` differentiates along, deliberately
+# coarse.  The operator is defective, so noise eps in its near-zero
+# entries splits the double eigenvalue by sqrt(eps); a coarse step keeps
+# the roundoff noise floor near 1e-14, while the truncation error lies
+# along the operator's image direction and cannot split the eigenvalues.
+SHAPE_STEP = 1e-2
 
 
 def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -66,9 +78,24 @@ def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
     return SubalgebraSpec(_stabilizer_basis(spec, u, numeric_rank(s)))
 
 
-def orbit_causal(spec: SubalgebraSpec, p, tol: float = 1e-9) -> str:
+def stabilizer_class(generators) -> str:
+    """trivial / compact / noncompact for the connected group generated
+    by the given stabilizer algebra elements.
+
+    A connected one-parameter isometry group with a fixed point is
+    precompact iff its linear part is elliptic.
+    """
+    if not generators:
+        return TRIVIAL
+    kinds = {generator_class(el.X) for el in generators}
+    if kinds & {HYPERBOLIC, PARABOLIC}:
+        return NONCOMPACT
+    return COMPACT
+
+
+def orbit_causal(spec: SubalgebraSpec, p) -> str:
     """Causal character of the tangent space T_p G(p)."""
-    return causal_of_span(tangent_basis(spec, p), tol)
+    return causal_of_span(tangent_basis(spec, p))
 
 
 def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -92,11 +119,11 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def finite_tangent(el: AlgebraElement, p, h: float = 1e-5) -> np.ndarray:
+def finite_tangent(el: AlgebraElement, p) -> np.ndarray:
     """Central-difference velocity of the flow of (X, v) at p."""
-    plus = apply(exp_element(el, h), p)
-    minus = apply(exp_element(el, -h), p)
-    return (plus - minus) / (2.0 * h)
+    plus = apply(exp_element(el, TANGENT_STEP), p)
+    minus = apply(exp_element(el, -TANGENT_STEP), p)
+    return (plus - minus) / (2.0 * TANGENT_STEP)
 
 
 def sample_orbit(entry: CatalogEntry, p, grid) -> np.ndarray:
@@ -145,7 +172,7 @@ def _unit_spacelike_normal(spec: SubalgebraSpec, q, ref: Optional[np.ndarray]):
     return n
 
 
-def shape_operator(entry: CatalogEntry, p, h: float = 1e-2):
+def shape_operator(entry: CatalogEntry, p):
     """Finite-difference shape operator of a boost-screw family orbit.
 
     Valid on the Lorentzian stratum (x1 != sign*x2).  The unit spacelike
@@ -155,13 +182,8 @@ def shape_operator(entry: CatalogEntry, p, h: float = 1e-2):
     direction), normalized to <v1, v2> = -1.  Returns the 2x2 matrix and
     the diagnosis "non-diagonalizable" or "diagonalizable": the former
     when the eigenvalues coincide to 1e-6 and the eigenspace of the
-    common eigenvalue is one-dimensional at rank tolerance 1e-6.
-
-    The default step is deliberately coarse.  The operator is defective,
-    so noise eps in its near-zero entries splits the double eigenvalue
-    by sqrt(eps); a coarse step keeps the roundoff noise floor near
-    1e-14, while the truncation error lies along the operator's image
-    direction and cannot split the eigenvalues.
+    common eigenvalue is one-dimensional at rank tolerance 1e-6.  The
+    flows are stepped by SHAPE_STEP.
     """
     if entry.id != "P-d":
         raise ValueError("shape_operator is defined for the P-d family")
@@ -175,11 +197,11 @@ def shape_operator(entry: CatalogEntry, p, h: float = 1e-2):
 
     derivs = []
     for el in spec.basis:
-        qp = apply(exp_element(el, h), p)
-        qm = apply(exp_element(el, -h), p)
+        qp = apply(exp_element(el, SHAPE_STEP), p)
+        qm = apply(exp_element(el, -SHAPE_STEP), p)
         np_ = _unit_spacelike_normal(spec, qp, n0)
         nm = _unit_spacelike_normal(spec, qm, n0)
-        dn = (np_ - nm) / (2.0 * h)
+        dn = (np_ - nm) / (2.0 * SHAPE_STEP)
         dn = dn - inner(dn, n0) * n0  # project out the normal component
         derivs.append(-dn)
     derivs = np.stack(derivs)  # row i = S(xi_i)
@@ -222,14 +244,15 @@ _STENCIL = _STENCIL / np.linalg.norm(_STENCIL, axis=1)[:, None]
 STENCIL_RADIUS = 1e-3
 
 
-def _evidence(spec: SubalgebraSpec, p: np.ndarray, radius: float) -> dict:
-    """Orbit dimensions at p and its 26 stencil neighbours, compared.
+def _evidence(spec: SubalgebraSpec, p: np.ndarray) -> dict:
+    """Orbit dimensions at p and its 26 stencil neighbours (at distance
+    STENCIL_RADIUS), compared.
 
     All 27 tangent maps are built as one stack and factored by one
     batched SVD; row 0 is p itself.  Each row's rank is `orbit_dimension`
     of that point.
     """
-    pts = np.vstack([p, p + radius * _STENCIL])
+    pts = np.vstack([p, p + STENCIL_RADIUS * _STENCIL])
     dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
     od = int(dims[0])
     total = len(_STENCIL)
@@ -243,18 +266,18 @@ def _evidence(spec: SubalgebraSpec, p: np.ndarray, radius: float) -> dict:
     }
 
 
-def orbit_class(entry: CatalogEntry, p, radius: float = STENCIL_RADIUS):
+def orbit_class(entry: CatalogEntry, p):
     """Orbit class verdict (from the catalog) plus numeric evidence.
 
     The catalog table is authoritative: openness of an orbit type is not
     decidable from samples.  The evidence compares (orbit dimension,
     stabilizer dimension) at p against 26 perturbed points on a sphere
-    of the given radius; constancy supports a principal verdict, and a
+    of radius STENCIL_RADIUS; constancy supports a principal verdict, and a
     codimension-one orbit on a non-open stratum supports an exceptional
     one.
     """
     p = np.asarray(p, dtype=float)
-    return expected_orbit(entry, p).orbit_class, _evidence(entry.basis, p, radius)
+    return expected_orbit(entry, p).orbit_class, _evidence(entry.basis, p)
 
 
 @dataclass(frozen=True)
@@ -278,8 +301,6 @@ def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitRep
     causal character and the stabilizer; the evidence stencil is one
     more, batched, SVD.
     """
-    from .properness import stabilizer_class
-
     p = np.asarray(p, dtype=float)
     spec = entry.basis
     u, s, vh = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
@@ -294,7 +315,7 @@ def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitRep
         and sdim == expected.stabilizer_dim
         and sclass == expected.stabilizer_class
     )
-    evidence = _evidence(spec, p, STENCIL_RADIUS) if with_evidence else None
+    evidence = _evidence(spec, p) if with_evidence else None
     inv = entry.invariant(p) if entry.invariant is not None else None
     return OrbitReport(
         point=p,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, SubalgebraSpec
-from .catalog import COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry
+from .catalog import CatalogEntry
 from .minkowski import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -24,7 +24,7 @@ from .minkowski import (
     exp_element,
     generator_class,
 )
-from .orbits import stabilizer_algebra
+from .orbits import stabilizer_algebra, stabilizer_class
 
 WITNESS_STEPS = 20
 WITNESS_NORM_FLOOR = 100.0
@@ -92,24 +92,9 @@ def make_witness(entry: CatalogEntry) -> NonpropernessWitness:
 
 
 def stabilizer_compactness(spec: SubalgebraSpec, p) -> str:
-    """trivial / compact / noncompact for the stabilizer at p.
-
-    A connected one-parameter isometry group with a fixed point is
-    precompact iff its linear part is elliptic, so the verdict reduces
-    to the generator classes of the stabilizer algebra.
-    """
+    """trivial / compact / noncompact for the stabilizer at p, from the
+    generator classes of the stabilizer algebra (`stabilizer_class`)."""
     return stabilizer_class(stabilizer_algebra(spec, p).basis)
-
-
-def stabilizer_class(generators) -> str:
-    """trivial / compact / noncompact for the connected group generated
-    by the given stabilizer algebra elements."""
-    if not generators:
-        return TRIVIAL
-    kinds = {generator_class(el.X) for el in generators}
-    if kinds & {HYPERBOLIC, PARABOLIC}:
-        return NONCOMPACT
-    return COMPACT
 
 
 def recovery_test(entry: CatalogEntry, trials: int = 100, seed: int = 42) -> dict:

@@ -19,15 +19,18 @@ def rng_from_seed(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(42 if seed is None else seed)
 
 
-def random_so12_matrix(rng, scale: float = 1.0) -> np.ndarray:
-    c = rng.uniform(-scale, scale, 3)
+def random_so12_matrix(rng) -> np.ndarray:
+    """exp of a generator with boost, rotation and null-rotation
+    coefficients uniform in [-1, 1]."""
+    c = rng.uniform(-1.0, 1.0, 3)
     X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
     A, _ = _closed_exp_pair(X)
     return A
 
 
-def random_motion(rng, lin_scale: float = 1.0, trans_scale: float = 2.0) -> Motion:
-    return Motion(random_so12_matrix(rng, lin_scale), rng.uniform(-trans_scale, trans_scale, 3))
+def random_motion(rng) -> Motion:
+    """A `random_so12_matrix` with a translation uniform in [-2, 2]^3."""
+    return Motion(random_so12_matrix(rng), rng.uniform(-2.0, 2.0, 3))
 
 
 def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
@@ -36,16 +39,17 @@ def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
     return AlgebraElement(X, rng.uniform(-scale, scale, 3))
 
 
-def random_causal_point(rng, character: str, scale: float = 3.0, margin: float = 0.05,
-                        avoid_boost_stratum: bool = False) -> np.ndarray:
-    """A random point whose position vector has the requested character.
+def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:
+    """A random point of [-3, 3]^3 whose position vector has the requested
+    character, with |<p, p>| at least 0.05.
 
     With ``avoid_boost_stratum`` the point also keeps |x1 - x2| and
-    |x1 + x2| above the margin, staying clear of the null-translation
-    strata used by the boost families.
+    |x1 + x2| above 0.05, staying clear of the null-translation strata
+    used by the boost families.
     """
+    margin = 0.05
     for _ in range(10000):
-        p = rng.uniform(-scale, scale, 3)
+        p = rng.uniform(-3.0, 3.0, 3)
         q = inner(p, p)
         if character == "spacelike" and q < margin:
             continue

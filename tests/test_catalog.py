@@ -20,6 +20,7 @@ from mink1.minkowski import (
     NULL_PLUS,
     NULL_ROTATION,
     ROTATION,
+    STRUCT_TOL,
     ZERO,
     generator_class,
 )
@@ -196,3 +197,51 @@ def test_nx_beta_switches_geometry():
     assert orbit_dimension(lines.basis, [1.0, 1.0, 0.0]) == 1
     assert plane.orbit_space == "three-points-non-Hausdorff"
     assert lines.orbit_space == "other-non-Hausdorff"
+
+
+def test_predicates_at_tolerance_edges():
+    """Points 0.5x the cut off a defining equality read as on it, 2x as off."""
+    tol = STRUCT_TOL
+    cone = np.array([5.0, 3.0, 4.0])  # <p,p> = 0 and |p|^2 = 50
+    up = E3 / 8.0  # moves <p,p> by one unit per unit step from `cone`
+    # id -> (point on an equality, unit direction, cut, stratum within
+    #        0.5 cut, stratum at 2 cut)
+    edges = {
+        "P-b": [([1.5, 0.0, 0.0], E2, tol, "timelike-axis", "cylinder"),
+                ([1.5, 0.0, 0.0], -E3, tol, "timelike-axis", "cylinder")],
+        "N-i": [([0.0, 0.0, 0.7], E1, tol, "spacelike-axis", "cylinder-branch-spacelike"),
+                ([0.0, 0.0, 0.7], -E2, tol, "spacelike-axis", "cylinder-branch-lorentzian"),
+                ([1.5, 1.5, 0.7], E1, tol, "degenerate-half-plane",
+                 "cylinder-branch-spacelike"),
+                ([1.5, -1.5, 0.7], -E2, tol, "degenerate-half-plane",
+                 "cylinder-branch-lorentzian")],
+        "N-ix": [([0.0, 0.0, 0.0], E1, tol, "origin", "light-cone-sector"),
+                 ([0.0, 0.0, 0.0], E3, tol, "origin", "null-line"),
+                 ([1.5, 1.5, 0.7], E1, tol, "null-line", "spacelike-region"),
+                 (cone, up, 50 * tol, "light-cone-sector", "spacelike-region"),
+                 (cone, -up, 50 * tol, "light-cone-sector", "timelike-region")],
+        "N-xii": [([0.0, 0.0, 0.0], -E1, tol, "origin", "light-cone"),
+                  (cone, up, 50 * tol, "light-cone", "pseudo-sphere"),
+                  (cone, -up, 50 * tol, "light-cone", "pseudo-hyperbolic-sheet")],
+    }
+    rng = rng_from_seed(23)
+    checked = set()
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            cases = edges.get(id_)
+            if cases is None and len(entry.strata) == 2:
+                # a plane x1 - s*x2 + b = 0 and its complement: e1 moves the
+                # equality's value by one unit per unit step
+                on, off = entry.strata
+                cases = [(on.samplers[0](rng), d, tol, on.name, off.name)
+                         for _ in range(5) for d in (E1, -E1)]
+            if cases is None:  # a single stratum covers R^3
+                assert len(entry.strata) == 1
+                cases = [(np.zeros(3), E1, tol, entry.strata[0].name, entry.strata[0].name)]
+            for base, d, cut, inside, outside in cases:
+                base = np.asarray(base, dtype=float)
+                assert expected_orbit(entry, base).name == inside, (id_, base)
+                assert expected_orbit(entry, base + 0.5 * cut * d).name == inside, (id_, base, d)
+                assert expected_orbit(entry, base + 2.0 * cut * d).name == outside, (id_, base, d)
+                checked.add(id_)
+    assert checked == set(CATALOG_IDS)

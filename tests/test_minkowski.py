@@ -15,6 +15,7 @@ from mink1.minkowski import (
     ROTATION,
     SPACELIKE,
     TIMELIKE,
+    STRUCT_TOL,
     ZERO_VECTOR,
     Motion,
     apply,
@@ -25,6 +26,7 @@ from mink1.minkowski import (
     invert,
     motion_distance,
     numeric_rank,
+    sign_of,
     so12_check,
 )
 from mink1.algebra import AlgebraElement
@@ -59,6 +61,22 @@ def test_causal_character_basics():
     assert causal_character(E3) == SPACELIKE
     assert causal_character(np.zeros(3)) == ZERO_VECTOR
     assert causal_character(1e-12 * E1) == ZERO_VECTOR
+    # a sup-norm exactly at STRUCT_TOL reads as zero, like every sign_of cut
+    assert causal_character(STRUCT_TOL * E1) == ZERO_VECTOR
+    assert causal_character(np.nextafter(STRUCT_TOL, 1.0) * E1) == TIMELIKE
+
+
+def test_sign_of():
+    assert sign_of(2.0, 1.0) == 1 and sign_of(-2.0, 1.0) == -1
+    # |x| = cut reads 0, and the next float past it does not
+    assert sign_of(1.0, 1.0) == 0 and sign_of(-1.0, 1.0) == 0
+    assert sign_of(np.nextafter(1.0, 2.0), 1.0) == 1
+    assert sign_of(-np.nextafter(1.0, 2.0), 1.0) == -1
+    assert sign_of(float("nan"), 1.0) == 0
+    assert sign_of(0.0, 0.0) == 0 and sign_of(5e-324, 0.0) == 1
+    # numpy scalars are taken as Python floats
+    got = sign_of(np.float64(-3.0), np.float64(1.0))
+    assert got == -1 and type(got) is int
 
 
 @given(vec3)
