@@ -2,10 +2,11 @@
 
 The bracket of the semidirect structure is
 ``[(X, u), (Y, v)] = ([X, Y], X v - Y u)``.
-Subalgebras are handled as explicit bases; all rank and containment
-decisions are made numerically through singular values with a relative
-cutoff, because every case split in the classification reduces to such
-a decision.
+Subalgebras are handled as explicit bases, and every case split in the
+classification is a numerical decision on them: a rank, by singular values
+with a relative cutoff, or membership of c in a span, by its distance after
+orthogonal projection on `SubalgebraSpec.row_space` over max(1, |c|),
+against STRUCT_TOL for closure, ideals and containment.
 """
 
 from __future__ import annotations
@@ -109,30 +110,44 @@ class SubalgebraSpec:
         rows.setflags(write=False)
         return rows
 
+    @cached_property
+    def row_space(self) -> np.ndarray:
+        """Orthonormal rows spanning the basis: one SVD of the rows scaled
+        to unit max-abs, taken on the first membership question (read-only)."""
+        rows = self.coords_matrix
+        rows = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+        rows.setflags(write=False)
+        return rows
+
+
+def _span_residuals(spec: SubalgebraSpec, rows, relative: bool = True) -> np.ndarray:
+    """Each coordinate row's distance |r| from span(basis), or |r| / max(1, |c|)
+    when relative, evaluated as |r/m| m or |r/m| / max(1/m, |c/m|) on the
+    row scaled to unit max-abs m, so no norm overflows.  No rows, no SVD."""
+    if not len(rows):
+        return np.zeros(0)
+    peak = np.maximum(abs(rows).max(axis=1), np.finfo(float).tiny)
+    unit = rows / peak[:, None]
+    dist = np.linalg.norm(unit - unit @ spec.row_space.T @ spec.row_space, axis=1)
+    if not relative:
+        return dist * peak
+    return dist / np.maximum(1.0 / peak, np.linalg.norm(unit, axis=1))
+
 
 def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
-    """Distance of el from span(basis) after least-squares projection."""
-    if spec.dim == 0:
-        return float(np.linalg.norm(el.coords))
-    M = spec.coords_matrix.T
-    c, *_ = np.linalg.lstsq(M, el.coords, rcond=None)
-    return float(np.linalg.norm(el.coords - M @ c))
+    """Distance of el from span(basis) after orthogonal projection."""
+    return float(_span_residuals(spec, el.coords[None], relative=False)[0])
 
 
 def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
-    scale = max(1.0, float(np.linalg.norm(el.coords)))
-    return span_residual(spec, el) <= STRUCT_TOL * scale
+    return bool(_span_residuals(spec, el.coords[None])[0] <= STRUCT_TOL)
 
 
 def closure_residual(spec: SubalgebraSpec) -> float:
     """Largest (scaled) distance of a pairwise bracket from the span."""
-    worst = 0.0
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            br = bracket(spec.basis[i], spec.basis[j])
-            scale = max(1.0, float(np.linalg.norm(br.coords)))
-            worst = max(worst, span_residual(spec, br) / scale)
-    return worst
+    b = spec.basis
+    brackets = [bracket(x, y).coords for i, x in enumerate(b) for y in b[i + 1:]]
+    return float(_span_residuals(spec, np.reshape(brackets, (-1, 12))).max(initial=0.0))
 
 
 def is_subalgebra(spec: SubalgebraSpec) -> bool:
@@ -141,13 +156,8 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
-    for g in ambient.basis:
-        for h in sub.basis:
-            br = bracket(g, h)
-            scale = max(1.0, float(np.linalg.norm(br.coords)))
-            if span_residual(sub, br) / scale > STRUCT_TOL:
-                return False
-    return True
+    brackets = [bracket(g, h).coords for g in ambient.basis for h in sub.basis]
+    return bool((_span_residuals(sub, np.reshape(brackets, (-1, 12))) <= STRUCT_TOL).all())
 
 
 def _linear_split(spec: SubalgebraSpec):

@@ -38,12 +38,12 @@ from . import catalog
 from .algebra import (
     SubalgebraSpec,
     _linear_split,
+    _span_residuals,
     adjoint_spec,
     closure_residual,
     element_from_coords,
     first_linear_generator,
     kernel_of_l,
-    span_residual,
 )
 from .minkowski import (
     BOOST,
@@ -462,11 +462,8 @@ def classify(spec: SubalgebraSpec):
     except ValueError as exc:
         return Rejection(REASON_UNMATCHED, str(exc), sig)
 
-    residual = 0.0
-    for basis, span in ((moved.basis, target.basis), (target.basis.basis, moved)):
-        for el in basis:
-            scale = max(1.0, float(np.linalg.norm(el.coords)))
-            residual = max(residual, span_residual(span, el) / scale)
+    residual = float(max(_span_residuals(target.basis, moved.coords_matrix).max(),
+                         _span_residuals(moved, target.basis.coords_matrix).max()))
     if residual > SPAN_MATCH_TOL:
         return Rejection(
             REASON_UNMATCHED,

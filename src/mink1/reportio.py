@@ -72,9 +72,12 @@ def parse_basis_text(text: str) -> SubalgebraSpec:
         for token in line.split():
             col = raw.index(token, col - 1) + 1
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 raise BasisParseError(lineno, col, f"not a number: {token!r}") from None
+            if not math.isfinite(value):
+                raise BasisParseError(lineno, col, f"not a finite number: {token!r}")
+            values.append(value)
             col += len(token)
         if len(values) != 12:
             raise BasisParseError(lineno, 1, f"expected 12 numbers, got {len(values)}")

@@ -7,12 +7,15 @@ from mink1.algebra import (
     AlgebraElement,
     SubalgebraSpec,
     adjoint,
+    adjoint_spec,
     bracket,
+    closure_residual,
     is_ideal,
     is_subalgebra,
     kernel_of_l,
     linear_part,
     span_contains,
+    span_residual,
 )
 from mink1.minkowski import (
     BOOST,
@@ -216,3 +219,87 @@ def test_span_contains_brackets_of_catalog_bases(seed):
     i = int(rng.integers(0, len(basis)))
     j = int(rng.integers(0, len(basis)))
     assert span_contains(entry.basis, bracket(basis[i], basis[j]))
+
+
+def _oracle(spec, c):
+    """Least squares on the unscaled rows: c's distance from span(basis)
+    over max(1, |c|)."""
+    M = spec.coords_matrix.T
+    x, *_ = np.linalg.lstsq(M, c, rcond=None)
+    return float(np.linalg.norm(c - M @ x)) / max(1.0, float(np.linalg.norm(c)))
+
+
+def _oracle_specs(rng):
+    """Random 1-4-element spans and conjugated catalog bases scaled by 10^k."""
+    from mink1.catalog import CATALOG_IDS, build
+
+    for _ in range(80):
+        k = int(rng.integers(1, 5))
+        try:
+            yield SubalgebraSpec(tuple(random_algebra_element(rng, 1.5) for _ in range(k)))
+        except ValueError:
+            pass
+    for id_ in CATALOG_IDS:
+        spec = adjoint_spec(random_motion(rng), build(id_).basis)
+        for k in range(-6, 7):
+            try:
+                yield SubalgebraSpec(tuple(el(10.0 ** k * e.X, 10.0 ** k * e.v)
+                                           for e in spec.basis))
+            except ValueError:  # the absolute so(1,2) check, far from unit size
+                pass
+
+
+def _far_from_cut(rel):
+    return not 1e-10 <= rel <= 1e-8
+
+
+def test_membership_matches_least_squares_oracle():
+    rng = rng_from_seed(11)
+    decided = {"contains": 0, "subalgebra": 0, "ideal": 0}
+    for spec in _oracle_specs(rng):
+        basis = spec.basis
+        size = float(np.abs(spec.coords_matrix).max())
+        probes = [random_algebra_element(rng, size),
+                  sum((rng.normal() * e for e in basis[1:]), rng.normal() * basis[0])]
+        try:
+            pairs = {(i, j): bracket(basis[i], basis[j])
+                     for i in range(spec.dim) for j in range(spec.dim)}
+        except ValueError:  # a bracket outside the absolute so(1,2) check
+            pairs = {}
+        for e in probes + list(pairs.values()):
+            norm = max(1.0, float(np.linalg.norm(e.coords)))
+            rel = _oracle(spec, e.coords)
+            assert abs(span_residual(spec, e) - rel * norm) <= 1e-12 * norm
+            if _far_from_cut(rel):
+                assert span_contains(spec, e) == (rel <= 1e-9)
+                decided["contains"] += 1
+        if not pairs:
+            continue
+        closure = max((_oracle(spec, br.coords) for (i, j), br in pairs.items() if i < j),
+                      default=0.0)
+        assert abs(closure_residual(spec) - closure) <= 1e-12
+        if _far_from_cut(closure):
+            assert is_subalgebra(spec) == (closure <= 1e-9)
+            decided["subalgebra"] += 1
+        for n in range(1, spec.dim + 1):
+            sub = SubalgebraSpec(basis[:n])
+            worst = max(_oracle(sub, pairs[i, j].coords)
+                        for i in range(spec.dim) for j in range(n))
+            if _far_from_cut(worst):
+                assert is_ideal(sub, spec) == (worst <= 1e-9)
+                decided["ideal"] += 1
+    assert min(decided.values()) > 100, decided
+
+
+def test_membership_of_graded_rows():
+    # a generator at 1e300 beside one at 1e-300: one SVD of the unscaled
+    # rows flushes the small row to zero, so row_space scales rows first
+    from mink1.catalog import CATALOG_IDS, build
+
+    for id_ in CATALOG_IDS:
+        basis = build(id_).basis.basis
+        if len(basis) < 2:
+            continue
+        spec = SubalgebraSpec((1e300 * basis[0], 1e-300 * basis[1]) + basis[2:])
+        assert all(span_contains(spec, e) for e in basis), id_
+        assert is_subalgebra(spec), id_

@@ -156,6 +156,13 @@ def test_classify_catalog_bases_directly():
         assert isinstance(res, Classification), (id_, res)
         assert res.id == id_
         assert res.residual < 1e-9
+    # a huge parameter beside unit entries: membership is decided on
+    # rows scaled to unit max-abs, so the size cannot break closure
+    for id_, params in (("P-d", {"beta": 1e300}), ("P-d", {"sign": -1, "beta": -1e300}),
+                        ("N-x", {"alpha": 1e300})):
+        res = classify(build(id_, **params).basis)
+        assert isinstance(res, Classification), (id_, params, res)
+        assert res.id == id_
 
 
 def test_classify_round_trip_subset():

@@ -218,6 +218,11 @@ def test_classify_parse_error_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--basis", str(path))
     assert code == 2
     assert "line 1" in err and "column 23" in err
+    for token in ("nan", "inf", "-inf"):
+        path.write_text(f"0 0 0 0 0 0 0 0 0 1 0 0\n0 0 0 0 0 0 0 0 0 0 {token} 0\n")
+        code, _, err = run(capsys, "classify", "--basis", str(path))
+        assert code == 2
+        assert "line 2, column 21: not a finite number" in err, err
 
 
 def test_parse_basis_text_errors():
