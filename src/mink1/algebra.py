@@ -90,11 +90,7 @@ class SubalgebraSpec:
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         if basis:
-            rows = self.coords_matrix
-            peak = abs(rows).max(axis=1, keepdims=True)
-            if not peak.all() or numeric_rank(
-                    np.linalg.svd(rows / peak, compute_uv=False)) < len(basis):
-                raise ValueError("basis is not linearly independent")
+            _require_independent(self.coords_matrix)
 
     @property
     def dim(self) -> int:
@@ -112,23 +108,34 @@ class SubalgebraSpec:
 
     @cached_property
     def row_space(self) -> np.ndarray:
-        """Orthonormal rows spanning the basis: one SVD of the rows scaled
-        to unit max-abs, taken on the first membership question (read-only)."""
-        rows = self.coords_matrix
-        rows = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+        """`_row_space` of the coordinate rows, taken on the first
+        membership question (read-only)."""
+        rows = _row_space(self.coords_matrix)
         rows.setflags(write=False)
         return rows
 
 
-def _span_residuals(spec: SubalgebraSpec, rows, relative: bool = True) -> np.ndarray:
-    """Each coordinate row's distance |r| from span(basis), or |r| / max(1, |c|)
-    when relative, evaluated as |r/m| m or |r/m| / max(1/m, |c/m|) on the
-    row scaled to unit max-abs m, so no norm overflows.  No rows, no SVD."""
-    if not len(rows):
-        return np.zeros(0)
+def _require_independent(rows) -> None:
+    """The independence rule of `SubalgebraSpec`, on coordinate rows."""
+    peak = abs(rows).max(axis=1, keepdims=True)
+    if not peak.all() or numeric_rank(np.linalg.svd(rows / peak, compute_uv=False)) < len(rows):
+        raise ValueError("basis is not linearly independent")
+
+
+def _row_space(rows) -> np.ndarray:
+    """Orthonormal rows spanning the given coordinate rows: one SVD of the
+    rows scaled to unit max-abs."""
+    return np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+
+
+def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
+    """Each coordinate row's distance |r| from the span of the orthonormal
+    rows `space`, or |r| / max(1, |c|) when relative, evaluated as |r/m| m
+    or |r/m| / max(1/m, |c/m|) on the row scaled to unit max-abs m, so no
+    norm overflows."""
     peak = np.maximum(abs(rows).max(axis=1), np.finfo(float).tiny)
     unit = rows / peak[:, None]
-    dist = np.linalg.norm(unit - unit @ spec.row_space.T @ spec.row_space, axis=1)
+    dist = np.linalg.norm(unit - unit @ space.T @ space, axis=1)
     if not relative:
         return dist * peak
     return dist / np.maximum(1.0 / peak, np.linalg.norm(unit, axis=1))
@@ -136,18 +143,21 @@ def _span_residuals(spec: SubalgebraSpec, rows, relative: bool = True) -> np.nda
 
 def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
     """Distance of el from span(basis) after orthogonal projection."""
-    return float(_span_residuals(spec, el.coords[None], relative=False)[0])
+    return float(_span_residuals(spec.row_space, el.coords[None], relative=False)[0])
 
 
 def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
-    return bool(_span_residuals(spec, el.coords[None])[0] <= STRUCT_TOL)
+    return bool(_span_residuals(spec.row_space, el.coords[None])[0] <= STRUCT_TOL)
 
 
 def closure_residual(spec: SubalgebraSpec) -> float:
-    """Largest (scaled) distance of a pairwise bracket from the span."""
+    """Largest (scaled) distance of a pairwise bracket from the span; a
+    single element has no bracket, and is closed without an SVD."""
     b = spec.basis
     brackets = [bracket(x, y).coords for i, x in enumerate(b) for y in b[i + 1:]]
-    return float(_span_residuals(spec, np.reshape(brackets, (-1, 12))).max(initial=0.0))
+    if not brackets:
+        return 0.0
+    return float(_span_residuals(spec.row_space, np.array(brackets)).max())
 
 
 def is_subalgebra(spec: SubalgebraSpec) -> bool:
@@ -157,11 +167,12 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
     brackets = [bracket(g, h).coords for g in ambient.basis for h in sub.basis]
-    return bool((_span_residuals(sub, np.reshape(brackets, (-1, 12))) <= STRUCT_TOL).all())
+    return bool((_span_residuals(sub.row_space, np.reshape(brackets, (-1, 12))) <= STRUCT_TOL).all())
 
 
-def _linear_split(spec: SubalgebraSpec):
-    """Both halves of the span from one SVD of the stacked linear parts.
+def _linear_split(rows):
+    """Both halves of the span of coordinate rows from one SVD of their
+    linear parts.
 
     Returns ``(dim_l, lb, dim_ker, kb)``: lb is an orthonormal basis of
     { X : (X, v) in span(basis) } (the right singular vectors) and kb one
@@ -169,28 +180,35 @@ def _linear_split(spec: SubalgebraSpec):
     translation combinations whose coefficients (the left null space)
     kill every linear part.
     """
-    if spec.dim == 0:
+    if not len(rows):
         return 0, [], 0, []
-    u, s, vh = np.linalg.svd(np.stack([el.X.ravel() for el in spec.basis]))
+    u, s, vh = np.linalg.svd(rows[:, :9])
     dim_l = numeric_rank(s)
     lb = list(vh[:dim_l].reshape(-1, 3, 3))
-    if dim_l == spec.dim:
+    if dim_l == len(rows):
         return dim_l, lb, 0, []
-    _, s, vh = np.linalg.svd(u[:, dim_l:].T @ np.stack([el.v for el in spec.basis]))
+    _, s, vh = np.linalg.svd(u[:, dim_l:].T @ rows[:, 9:])
     dim_ker = numeric_rank(s)
     return dim_l, lb, dim_ker, list(vh[:dim_ker])
 
 
 def linear_part(spec: SubalgebraSpec):
     """Dimension and a basis of { X : (X, v) in span(basis) }."""
-    dim_l, lb, _, _ = _linear_split(spec)
+    dim_l, lb, _, _ = _linear_split(spec.coords_matrix)
     return dim_l, lb
 
 
 def kernel_of_l(spec: SubalgebraSpec):
     """Dimension and a basis of { v : (0, v) in span(basis) }."""
-    _, _, dim_ker, kb = _linear_split(spec)
+    _, _, dim_ker, kb = _linear_split(spec.coords_matrix)
     return dim_ker, kb
+
+
+def _conjugated(A, X, v):
+    """(A X A^-1, A v) for (X, v), or per row of stacks X[k, 3, 3], v[k, 3]:
+    the parts of `adjoint` by (A, a) that do not depend on a."""
+    Ai = ETA @ A.T @ ETA
+    return A @ X @ Ai, (A @ v[..., None])[..., 0]
 
 
 def adjoint(m, el: AlgebraElement) -> AlgebraElement:
@@ -198,13 +216,15 @@ def adjoint(m, el: AlgebraElement) -> AlgebraElement:
 
     Ad_{(A,a)}(X, v) = (A X A^-1, A v - (A X A^-1) a).
     """
-    Ai = ETA @ m.A.T @ ETA
-    Y = m.A @ el.X @ Ai
-    return AlgebraElement(Y, m.A @ el.v - Y @ m.a)
+    Y, Av = _conjugated(m.A, el.X, el.v)
+    return AlgebraElement(Y, Av - Y @ m.a)
 
 
 def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
-    return SubalgebraSpec(tuple(adjoint(m, el) for el in spec.basis))
+    """`adjoint` of every basis element, as one stacked product."""
+    rows = spec.coords_matrix
+    Y, Av = _conjugated(m.A, rows[:, :9].reshape(-1, 3, 3), rows[:, 9:])
+    return SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ m.a)))
 
 
 def first_linear_generator(spec: SubalgebraSpec):

@@ -7,7 +7,9 @@ stacked linear parts, which also yields the bases the later steps reuse
 generators -> a translation conjugation removes every removable
 translation component -> an exact match on the signature tuple,
 certified by the span residual between the conjugated basis and the
-catalog basis.
+catalog basis.  The basis is conjugated once: the standardized and the
+finally moved rows share the linear parts Ci X C and differ only in
+the translation conjugated out.
 
 Every outcome is a Classification or a Rejection.  A basis whose
 numbers defeat a step (a bracket or conjugate outside the absolute
@@ -30,20 +32,22 @@ Two normalization conventions are part of the contract:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import catalog
 from .algebra import (
+    AlgebraElement,
     SubalgebraSpec,
+    _conjugated,
     _linear_split,
+    _require_independent,
+    _row_space,
     _span_residuals,
-    adjoint_spec,
     closure_residual,
-    element_from_coords,
     first_linear_generator,
-    kernel_of_l,
 )
 from .minkowski import (
     BOOST,
@@ -173,7 +177,10 @@ def _frame_from_timelike(v, s=None):
     if s is None:
         s = min(np.eye(3), key=lambda e: abs(inner(e, u1)))
     u2 = s + inner(s, u1) * u1
-    return _frame(u1, u2 / np.sqrt(inner(u2, u2)))
+    n = inner(u2, u2)
+    if n <= 0:
+        raise ValueError(f"second frame vector u2 is not spacelike (<u2, u2> = {n:.3e})")
+    return _frame(u1, u2 / np.sqrt(n))
 
 
 def _frame_from_null(n):
@@ -277,7 +284,7 @@ def _invariants(spec: SubalgebraSpec):
     res = closure_residual(spec)
     if res > STRUCT_TOL:
         raise NotASubalgebraError(res)
-    dim_l, lb, dim_ker, kb = _linear_split(spec)
+    dim_l, lb, dim_ker, kb = _linear_split(spec.coords_matrix)
     ker_causal = causal_of_span(np.stack(kb)) if dim_ker else None
     X0 = None
     if dim_l == 0:
@@ -313,15 +320,14 @@ def signature(spec: SubalgebraSpec) -> InvariantSignature:
     return _invariants(spec)[0]
 
 
-def _lift(spec: SubalgebraSpec, target_linear):
-    """The span element whose linear part equals the target matrix."""
-    L = np.stack([el.X.ravel() for el in spec.basis]).T  # 9 x k
-    c, *_ = np.linalg.lstsq(L, np.asarray(target_linear, float).ravel(), rcond=1e-9)
-    combo = np.asarray(c) @ spec.coords_matrix
-    return element_from_coords(np.concatenate([np.asarray(target_linear, float).ravel(), combo[9:]]))
+def _lift(rows, T):
+    """Translation of the span element whose linear part equals the
+    target matrix T, the span given by coordinate rows."""
+    c, *_ = np.linalg.lstsq(rows[:, :9].T, T.ravel(), rcond=1e-9)
+    return (c @ rows)[9:]
 
 
-def _complete_square(spec_std: SubalgebraSpec, targets):
+def _complete_square(rows, targets):
     """Translation c removing removable generator translations.
 
     For each target linear generator T with lifted translation w the
@@ -329,22 +335,29 @@ def _complete_square(spec_std: SubalgebraSpec, targets):
     those residuals off the kernel translation subspace (components
     inside it are absorbed by the kernel); directions the system cannot
     reach are the genuine family parameters and survive in the returned
-    residual translations.
+    residual translations.  The span is given by its coordinate rows.
     """
-    dim_ker, kb = kernel_of_l(spec_std)
+    _, _, _, kb = _linear_split(rows)
     Q = np.eye(3)
     for k in kb:
         Q = Q - np.outer(k, k)
-    lifts = [_lift(spec_std, T) for T in targets]
+    lifts = [_lift(rows, T) for T in targets]
     if not lifts:
         return np.zeros(3), []
-    A = np.vstack([Q @ el.X for el in lifts])
-    b = np.concatenate([Q @ el.v for el in lifts])
+    A = np.vstack([Q @ T for T in targets])
+    b = np.concatenate([Q @ w for w in lifts])
     # rank-deficient by design: truncate noise directions or the solve
     # explodes along them
     c, *_ = np.linalg.lstsq(A, b, rcond=1e-9)
-    remainders = [Q @ (el.v - el.X @ c) for el in lifts]
+    remainders = [Q @ (w - T @ c) for T, w in zip(targets, lifts)]
     return c, remainders
+
+
+@lru_cache(maxsize=None)
+def _constant_target(id_, items) -> SubalgebraSpec:
+    """The catalog basis of a family whose parameters the classifier does
+    not compute (all but P-d and N-x at beta != 0), built once per process."""
+    return catalog.build(id_, **dict(items)).basis
 
 
 def _match_table(sig: InvariantSignature, beta: float):
@@ -444,9 +457,13 @@ def classify(spec: SubalgebraSpec):
         else:
             C = np.eye(3)
         Ci = ETA @ C.T @ ETA
-        spec_std = adjoint_spec(Motion(Ci, np.zeros(3)), spec)
+        rows = spec.coords_matrix
+        Y, Av = _conjugated(Ci, rows[:, :9].reshape(-1, 3, 3), rows[:, 9:])
+        # the standardized basis, validated once: its linear parts are
+        # those of every later conjugate
+        std = SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ np.zeros(3))))
         targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
-        c, remainders = _complete_square(spec_std, targets)
+        c, remainders = _complete_square(std.coords_matrix, targets)
         conj = Motion(Ci, c)
         beta = 0.0
         if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE):
@@ -457,13 +474,15 @@ def classify(spec: SubalgebraSpec):
         if hit is None:
             return Rejection(REASON_UNMATCHED, "signature matches no catalog family", sig)
         id_, params = hit
-        target = catalog.build(id_, **params)
-        moved = adjoint_spec(conj, spec)
+        target = (_constant_target(id_, tuple(params.items())) if params.get("beta", 0.0) == 0.0
+                  else catalog.build(id_, **params).basis)
+        moved = np.hstack([Y.reshape(-1, 9), Av - Y @ c])
+        _require_independent(moved)
     except ValueError as exc:
         return Rejection(REASON_UNMATCHED, str(exc), sig)
 
-    residual = float(max(_span_residuals(target.basis, moved.coords_matrix).max(),
-                         _span_residuals(moved, target.basis.coords_matrix).max()))
+    residual = float(max(_span_residuals(target.row_space, moved).max(),
+                         _span_residuals(_row_space(moved), target.coords_matrix).max()))
     if residual > SPAN_MATCH_TOL:
         return Rejection(
             REASON_UNMATCHED,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,17 +74,19 @@ def numeric_rank(s, rtol: float = STRUCT_TOL):
     return above.sum(axis=-1)
 
 
-def sign_of(x: float, cut: float) -> int:
+def sign_of(x, cut):
     """-1, 0 or +1: the sign of x, reading |x| <= cut (and NaN) as 0.
 
     Causal characters, generator classes, catalog strata and the
     classifier's eigenvalue sign and parameter zero test are all decided
     by this one rule; `cut` is the decision's tolerance, absolute or
-    already scaled by the caller.  Both are taken as Python floats, so a
-    numpy scalar works too.
+    already scaled by the caller.  Scalars are taken as Python floats, so
+    a numpy scalar works too and the result is an int; an array x gives
+    the integer array of its elements' signs.
     """
-    x, cut = float(x), float(cut)
-    return (x > cut) - (x < -cut)
+    if not isinstance(x, np.ndarray):
+        x, cut = float(x), float(cut)
+    return (x > cut) * 1 - (x < -cut)
 
 
 def inner(u, v) -> float:
@@ -94,7 +97,8 @@ def inner(u, v) -> float:
 
 
 _VECTOR_BY_SIGN = {-1: TIMELIKE, 0: NULL, 1: SPACELIKE}
-_GENERATOR_BY_SIGN = {-1: ELLIPTIC, 0: PARABOLIC, 1: HYPERBOLIC}
+# generator classes at index sign(tr X^2) + 1, and ZERO last
+_GENERATOR_CLASSES = np.array([ELLIPTIC, PARABOLIC, HYPERBOLIC, ZERO], dtype=object)
 
 
 def causal_character(v) -> str:
@@ -129,12 +133,37 @@ def generator_class(X) -> str:
     tr(X^2) < 0 means a rotation conjugate (elliptic), > 0 a boost
     conjugate (hyperbolic); trace zero with X nonzero is the nilpotent
     class (parabolic).  tr(X^2) is conjugation invariant, so this is a
-    well-defined classification of the generated subgroup.
+    well-defined classification of the generated subgroup.  A stack
+    X[..., 3, 3] gives the object array of its matrices' classes.
     """
     X = np.asarray(X, dtype=float)
-    if not sign_of(np.max(np.abs(X)), STRUCT_TOL):
-        return ZERO
-    return _GENERATOR_BY_SIGN[sign_of(np.trace(X @ X), STRUCT_TOL)]
+    zero = sign_of(np.abs(X).max(axis=(-2, -1), initial=0.0), STRUCT_TOL) == 0
+    trace = np.trace(X @ X, axis1=-2, axis2=-1)
+    return _GENERATOR_CLASSES[np.where(zero, 3, sign_of(trace, STRUCT_TOL) + 1)]
+
+
+def check_motions(A, a) -> None:
+    """The rule every motion is validated by, applied once to a stack
+    (A[N, 3, 3], a[N, 3]).  Raises the ValueError of the first rule some
+    motion breaks, with that motion's figures, as `Motion` would for it."""
+    if not (np.isfinite(A).all() and np.isfinite(a).all()):
+        raise ValueError("Motion components must be finite")
+    # tolerances scale with ||A||^2: the isometry residual grows like
+    # that under roundoff, and witness boosts reach entries ~ e^20
+    peak = np.abs(A).max(axis=(1, 2))
+    scale2 = np.array([max(1.0, x ** 2) for x in peak.tolist()])
+    res = np.abs(A.transpose(0, 2, 1) @ ETA @ A - ETA).max(axis=(1, 2))
+    bad = res > MOTION_TOL * scale2
+    if bad.any():
+        raise ValueError(f"linear part is not an isometry (residual {res[bad][0]:.3e})")
+    # beyond ~1e6 the determinant of a near-isometry is lost to
+    # cancellation; the residual check above still constrains A there
+    near = peak < 1e6
+    det = np.linalg.det(A[near])
+    if ((det <= 0.0) | (abs(det - 1.0) > 1e-8 * scale2[near])).any():
+        raise ValueError("linear part must have determinant 1")
+    if (A[:, 0, 0] < 1.0 - MOTION_TOL).any():
+        raise ValueError("linear part must preserve time orientation (A[0,0] >= 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,22 +178,7 @@ class Motion:
         a = np.array(self.a, dtype=float)
         if A.shape != (3, 3) or a.shape != (3,):
             raise ValueError("Motion needs a 3x3 linear part and a 3-vector")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(a))):
-            raise ValueError("Motion components must be finite")
-        # tolerances scale with ||A||^2: the isometry residual grows like
-        # that under roundoff, and witness boosts reach entries ~ e^20
-        scale2 = max(1.0, float(np.max(np.abs(A))) ** 2)
-        res = float(np.max(np.abs(A.T @ ETA @ A - ETA)))
-        if res > MOTION_TOL * scale2:
-            raise ValueError(f"linear part is not an isometry (residual {res:.3e})")
-        # beyond ~1e6 the determinant of a near-isometry is lost to
-        # cancellation; the residual check above still constrains A there
-        if np.max(np.abs(A)) < 1e6:
-            det = float(np.linalg.det(A))
-            if det <= 0.0 or abs(det - 1.0) > 1e-8 * scale2:
-                raise ValueError("linear part must have determinant 1")
-        if A[0, 0] < 1.0 - MOTION_TOL:
-            raise ValueError("linear part must preserve time orientation (A[0,0] >= 1)")
+        check_motions(A[None], a[None])
         A.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -178,14 +192,31 @@ class Motion:
         return f"Motion(A={self.A.tolist()}, a={self.a.tolist()})"
 
 
-def apply(m: Motion, p) -> np.ndarray:
-    """Act on a point: A p + a."""
-    return m.A @ np.asarray(p, dtype=float) + m.a
+class Motions(NamedTuple):
+    """A stack (A[N, 3, 3], a[N, 3]) of motions checked by `check_motions`."""
+
+    A: np.ndarray
+    a: np.ndarray
 
 
-def compose(m1: Motion, m2: Motion) -> Motion:
-    """Group law: (A1, a1)(A2, a2) = (A1 A2, A1 a2 + a1)."""
-    return Motion(m1.A @ m2.A, m1.A @ m2.a + m1.a)
+def _validated(A, a):
+    """A `Motion` for one (A, a); a `Motions` for a stack, checked once."""
+    if A.ndim == 2:
+        return Motion(A, a)
+    check_motions(A, a)
+    return Motions(A, a)
+
+
+def apply(m, p) -> np.ndarray:
+    """Act on a point: A p + a.  A stack of motions acts on one point, or
+    on a stack of points row by row; each row has the bits of its own."""
+    return (m.A @ np.asarray(p, dtype=float)[..., None])[..., 0] + m.a
+
+
+def compose(m1, m2):
+    """Group law: (A1, a1)(A2, a2) = (A1 A2, A1 a2 + a1); for two stacks,
+    row by row, each row bit for bit the composition of its motions."""
+    return _validated(m1.A @ m2.A, (m1.A @ m2.a[..., None])[..., 0] + m1.a)
 
 
 def invert(m: Motion) -> Motion:
@@ -194,12 +225,9 @@ def invert(m: Motion) -> Motion:
     return Motion(Ai, -Ai @ m.a)
 
 
-def motion_distance(m1: Motion, m2: Motion) -> float:
-    """Sup-norm distance between two motions' components."""
-    return max(
-        float(np.max(np.abs(m1.A - m2.A))),
-        float(np.max(np.abs(m1.a - m2.a))),
-    )
+def motion_distance(m1, m2):
+    """Sup-norm distance between two motions' components (per row of stacks)."""
+    return np.maximum(np.abs(m1.A - m2.A).max(axis=(-2, -1)), np.abs(m1.a - m2.a).max(axis=-1))
 
 
 def _exp_coeffs(kappa: float):
@@ -231,10 +259,17 @@ def _exp_coeffs(kappa: float):
 
 
 def _closed_exp_pair(M: np.ndarray):
-    """(exp(M), V(M)) by the cubic-recursion closed form M^3 = kappa M."""
+    """(exp(M), V(M)) by the cubic-recursion closed form M^3 = kappa M.
+
+    For a stack M[N, 3, 3] the coefficients are still taken one kappa at
+    a time with `math`: numpy's vectorized sin and cosh can differ in the
+    last bit."""
     M2 = M @ M
-    kappa = 0.5 * float(np.trace(M2))
-    c1, c2, c3 = _exp_coeffs(kappa)
+    kappa = 0.5 * np.trace(M2, axis1=-2, axis2=-1)
+    if kappa.ndim:
+        c1, c2, c3 = np.array([_exp_coeffs(k) for k in kappa.tolist()]).T[..., None, None]
+    else:
+        c1, c2, c3 = _exp_coeffs(float(kappa))
     eye = np.eye(3)
     return eye + c1 * M + c2 * M2, eye + c2 * M + c3 * M2
 
@@ -264,27 +299,31 @@ def _series_exp_pair(M: np.ndarray, w: np.ndarray):
     return T[:3, :3], T[:3, 3]
 
 
-def exp_element(el, t: float = 1.0, method: str = "closed") -> Motion:
+def exp_element(el, t: float = 1.0, method: str = "closed"):
     """Time-t flow of the infinitesimal isometry (X, v).
 
-    Returns (exp(tX), V(tX) (t v)).  ``method="closed"`` uses the cubic
-    closed form (trig / hyperbolic / polynomial depending on the class
-    of X); ``method="series"`` runs scaling-and-squaring on the 4x4
-    homogeneous embedding.  Both paths agree to high accuracy and the
-    test suite holds them against each other.
+    Returns the Motion (exp(tX), V(tX) (t v)).  ``method="closed"`` uses
+    the cubic closed form (trig / hyperbolic / polynomial depending on
+    the class of X); ``method="series"`` runs scaling-and-squaring on the
+    4x4 homogeneous embedding, one t at a time.  Both paths agree to high
+    accuracy and the test suite holds them against each other.  An array
+    of times t[N] gives the stack `Motions` (A[N, 3, 3], a[N, 3]),
+    validated once; each row equals the Motion of its t alone, bit for bit.
     """
     X = np.asarray(el.X, dtype=float)
     v = np.asarray(el.v, dtype=float)
     if not so12_check(X):
         raise ValueError("linear part is not an infinitesimal isometry")
-    M = t * X
-    w = t * v
+    t = np.asarray(t, dtype=float)
+    M = t[..., None, None] * X
+    w = t[..., None] * v
     if method == "closed":
-        E, V = _closed_exp_pair(M)
-        return Motion(E, V @ w)
+        A, V = _closed_exp_pair(M)
+        return _validated(A, (V @ w[..., None])[..., 0])
     if method == "series":
-        A, a = _series_exp_pair(M, w)
-        return Motion(A, a)
+        pairs = [_series_exp_pair(m, x) for m, x in zip(M.reshape(-1, 3, 3), w.reshape(-1, 3))]
+        return _validated(np.reshape([A for A, _ in pairs], M.shape),
+                          np.reshape([a for _, a in pairs], w.shape))
     raise ValueError(f"unknown exponential method: {method!r}")
 
 
@@ -298,20 +337,23 @@ def causal_of_span(vectors) -> str:
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vh = np.linalg.svd(V)
-    return causal_of_svd(s, vh)
+    return causal_of_svd(s[None], vh[None])[0]
 
 
-def causal_of_svd(s, vh) -> str:
-    """`causal_of_span` of the rows of a matrix, from its SVD ``(s, vh)``."""
-    rank = numeric_rank(s)
-    if rank == 0:
-        return ZERO_VECTOR
-    Q = vh[:rank]
-    if rank == 1:
-        return causal_character(Q[0])
-    signs = {sign_of(e, STRUCT_TOL) for e in np.linalg.eigvalsh(Q @ ETA @ Q.T)}
-    if 0 in signs:
-        return DEGENERATE
-    if -1 in signs:
-        return LORENTZIAN
-    return RIEMANNIAN
+def causal_of_svd(s, vh) -> list:
+    """`causal_of_span` of the rows of each matrix of a stack, from its
+    batched SVD (s[N, k], vh[N, 3, 3]), with one batched eigvalsh per rank."""
+    rank = numeric_rank(s).tolist()
+    out = [ZERO_VECTOR] * len(rank)
+    for r in set(rank) - {0}:
+        at = [k for k, rk in enumerate(rank) if rk == r]
+        Q = vh[at, :r] if len(at) < len(rank) else vh[:, :r]
+        if r == 1:
+            chars = [causal_character(q) for q in Q[:, 0]]
+        else:
+            eig = np.linalg.eigvalsh(Q @ ETA @ Q.transpose(0, 2, 1)).tolist()
+            chars = [DEGENERATE if 0 in sg else LORENTZIAN if -1 in sg else RIEMANNIAN
+                     for sg in ({sign_of(e, STRUCT_TOL) for e in row} for row in eig)]
+        for k, c in zip(at, chars):
+            out[k] = c
+    return out

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .minkowski import (
     HYPERBOLIC,
     PARABOLIC,
     apply,
-    causal_of_span,
     causal_of_svd,
     compose,
     exp_element,
@@ -48,54 +48,71 @@ def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
     product, so a block equals, bit for bit, the one of its point alone.
     """
     p = np.asarray(p, dtype=float)
-    X = np.array([el.X for el in spec.basis]).reshape(-1, 3, 3)
-    v = np.array([el.v for el in spec.basis]).reshape(-1, 3)
-    return (X @ p[..., None, :, None])[..., 0] + v
+    rows = spec.coords_matrix
+    return (rows[:, :9].reshape(-1, 3, 3) @ p[..., None, :, None])[..., 0] + rows[:, 9:]
+
+
+class PointAnalysis(NamedTuple):
+    """What `analyze_points` decides, one list entry per point.  Column j
+    of ``coefficients[k]`` (the left singular vectors of the tangent map
+    at point k) combines the basis into one element; the columns past
+    ``orbit_dim[k]`` span the stabilizer algebra."""
+
+    orbit_dim: list
+    causal: list
+    stabilizer_dim: list
+    stabilizer_class: list
+    coefficients: np.ndarray
+
+
+def _combine(coeffs, parts):
+    """sum_i coeffs[..., i, j] * parts[i] for every column j, added term by
+    term in basis order, as `AlgebraElement` arithmetic adds them."""
+    terms = (c[(...,) + (None,) * np.ndim(x)] * x for c, x in zip(np.moveaxis(coeffs, -2, 0), parts))
+    acc = next(terms)
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
+    """Orbit dimension, causal character and stabilizer at every point of
+    a stack P[N, 3], from one batched full SVD of the N tangent maps; each
+    point gets the bits its own SVD gives.  A connected one-parameter
+    isometry group with a fixed point is precompact iff its linear part is
+    elliptic, so a stabilizer is noncompact when a generator is hyperbolic
+    or parabolic, compact when it has generators and none is, else trivial.
+    """
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    u, s, vh = np.linalg.svd(tangent_basis(spec, P), full_matrices=True)
+    odim = numeric_rank(s).tolist()
+    sclass = [TRIVIAL] * len(odim)
+    lo = min(odim, default=spec.dim)  # no column before it spans a stabilizer
+    if lo < spec.dim:
+        kinds = generator_class(_combine(u[:, :, lo:], [el.X for el in spec.basis])).tolist()
+        for k, (rank, row) in enumerate(zip(odim, kinds)):
+            gens = row[rank - lo:]
+            if gens:
+                sclass[k] = NONCOMPACT if HYPERBOLIC in gens or PARABOLIC in gens else COMPACT
+    return PointAnalysis(odim, causal_of_svd(s, vh), [spec.dim - r for r in odim], sclass, u)
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:
-    return numeric_rank(np.linalg.svd(tangent_basis(spec, p), compute_uv=False))
-
-
-def _stabilizer_basis(spec: SubalgebraSpec, u, rank: int) -> tuple:
-    """Basis of the nullspace of the evaluation map, as elements of `spec`.
-
-    `u` and `rank` come from the full SVD of `tangent_basis`; the columns
-    of `u` past `rank` are the coefficients of the elements.
-    """
-    els = []
-    for c in u[:, rank:].T:
-        acc = spec.basis[0] * c[0]
-        for ci, el in zip(c[1:], spec.basis[1:]):
-            acc = acc + el * ci
-        els.append(acc)
-    return tuple(els)
+    return analyze_points(spec, p).orbit_dim[0]
 
 
 def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
     """Nullspace of the evaluation map, as a subalgebra of `spec`."""
-    u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
-    return SubalgebraSpec(_stabilizer_basis(spec, u, numeric_rank(s)))
-
-
-def stabilizer_class(generators) -> str:
-    """trivial / compact / noncompact for the connected group generated
-    by the given stabilizer algebra elements.
-
-    A connected one-parameter isometry group with a fixed point is
-    precompact iff its linear part is elliptic.
-    """
-    if not generators:
-        return TRIVIAL
-    kinds = {generator_class(el.X) for el in generators}
-    if kinds & {HYPERBOLIC, PARABOLIC}:
-        return NONCOMPACT
-    return COMPACT
+    a = analyze_points(spec, p)
+    c = a.coefficients[0, :, a.orbit_dim[0]:]
+    X = _combine(c, [el.X for el in spec.basis])
+    v = _combine(c, [el.v for el in spec.basis])
+    return SubalgebraSpec(tuple(map(AlgebraElement, X, v)))
 
 
 def orbit_causal(spec: SubalgebraSpec, p) -> str:
     """Causal character of the tangent space T_p G(p)."""
-    return causal_of_span(tangent_basis(spec, p))
+    return analyze_points(spec, p).causal[0]
 
 
 def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -121,8 +138,7 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
 
 def finite_tangent(el: AlgebraElement, p) -> np.ndarray:
     """Central-difference velocity of the flow of (X, v) at p."""
-    plus = apply(exp_element(el, TANGENT_STEP), p)
-    minus = apply(exp_element(el, -TANGENT_STEP), p)
+    plus, minus = apply(exp_element(el, np.array([TANGENT_STEP, -TANGENT_STEP])), p)
     return (plus - minus) / (2.0 * TANGENT_STEP)
 
 
@@ -130,21 +146,18 @@ def sample_orbit(entry: CatalogEntry, p, grid) -> np.ndarray:
     """Orbit points exp(t1 xi1) exp(t2 xi2) ... p over a parameter grid.
 
     ``grid`` is a sequence of tuples, one coordinate per basis element.
-    The empty grid yields the base point itself.
+    The empty grid yields the base point itself.  Each flow runs over the
+    whole grid as one stack, and the stacks compose row by row, so every
+    sample has the bits of its own chain of motions.
     """
     p = np.asarray(p, dtype=float)
     grid = list(grid)
     if not grid:
         return p.reshape(1, 3)
-    pts = []
-    for tup in grid:
-        if len(tup) != entry.basis.dim:
-            raise ValueError("grid tuples must match the basis dimension")
-        m = exp_element(entry.basis.basis[0], float(tup[0]))
-        for el, t in zip(entry.basis.basis[1:], tup[1:]):
-            m = compose(m, exp_element(el, float(t)))
-        pts.append(apply(m, p))
-    return np.stack(pts)
+    if any(len(tup) != entry.basis.dim for tup in grid):
+        raise ValueError("grid tuples must match the basis dimension")
+    ts = np.array(grid, dtype=float).T
+    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts)), p)
 
 
 def eq1_norm(alpha: float, p) -> float:
@@ -294,38 +307,27 @@ class OrbitReport:
     evidence: Optional[dict]
 
 
-def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitReport:
-    """Full per-point analysis compared against the catalog expectation.
+def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
+    """`orbit_report` of every point of a stack P[N, 3], from one
+    `analyze_points` call."""
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    a = analyze_points(entry.basis, P)
+    reports = []
+    for p, *got in zip(P, a.orbit_dim, a.causal, a.stabilizer_dim, a.stabilizer_class):
+        expected = expected_orbit(entry, p)
+        reports.append(OrbitReport(
+            p, *got,
+            orbit_class=expected.orbit_class,
+            matched_expectation=got == [expected.dim, expected.causal,
+                                        expected.stabilizer_dim, expected.stabilizer_class],
+            expected=expected,
+            invariant_value=entry.invariant(p) if entry.invariant is not None else None,
+            evidence=_evidence(entry.basis, p) if with_evidence else None,
+        ))
+    return reports
 
-    One full SVD of the tangent map at p gives the orbit dimension, the
-    causal character and the stabilizer; the evidence stencil is one
-    more, batched, SVD.
-    """
-    p = np.asarray(p, dtype=float)
-    spec = entry.basis
-    u, s, vh = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
-    odim = numeric_rank(s)
-    causal = causal_of_svd(s, vh)
-    sdim = spec.dim - odim
-    sclass = stabilizer_class(_stabilizer_basis(spec, u, odim))
-    expected = expected_orbit(entry, p)
-    matched = (
-        odim == expected.dim
-        and causal == expected.causal
-        and sdim == expected.stabilizer_dim
-        and sclass == expected.stabilizer_class
-    )
-    evidence = _evidence(spec, p) if with_evidence else None
-    inv = entry.invariant(p) if entry.invariant is not None else None
-    return OrbitReport(
-        point=p,
-        orbit_dim=odim,
-        causal=causal,
-        stabilizer_dim=sdim,
-        stabilizer_class=sclass,
-        orbit_class=expected.orbit_class,
-        matched_expectation=matched,
-        expected=expected,
-        invariant_value=inv,
-        evidence=evidence,
-    )
+
+def orbit_report(entry: CatalogEntry, p, with_evidence: bool = True) -> OrbitReport:
+    """Full per-point analysis compared against the catalog expectation:
+    one row of `analyze_points`, plus the evidence stencil."""
+    return orbit_reports(entry, p, with_evidence)[0]

@@ -44,16 +44,16 @@ from .minkowski import (
     motion_distance,
 )
 from .orbits import (
+    analyze_points,
     eq1_norm,
     orbit_causal,
-    orbit_dimension,
     orbit_normal,
-    orbit_report,
+    orbit_reports,
     sample_orbit,
     shape_operator,
     stabilizer_algebra,
 )
-from .properness import make_witness, stabilizer_compactness
+from .properness import make_witness
 from .sampling import random_algebra_element, random_causal_point, random_motion, rng_from_seed
 
 
@@ -133,7 +133,7 @@ def check_catalog_integrity(seed: int = 42) -> CheckResult:
                 problems.append(f"{id_}{entry.params}: bracket residual {res:.2e}")
             pts = _generic_points(entry, rng, 70) + _stratum_points(entry, rng, 2)
             pts = pts[:100]
-            dims = [orbit_dimension(entry.basis, p) for p in pts]
+            dims = analyze_points(entry.basis, pts).orbit_dim
             if max(dims) > 3:
                 problems.append(f"{id_}{entry.params}: orbit dimension exceeds 3")
             # codimension one at the family representative; the beta = 0
@@ -170,10 +170,8 @@ def check_properness_dichotomy(seed: int = 42) -> CheckResult:
             except properness.WitnessError as exc:
                 problems.append(str(exc))
                 continue
-            res = max(
-                float(np.max(np.abs(apply(exp_element(w.generator, float(n)), w.point) - w.point)))
-                for n in range(1, 21)
-            )
+            flow = exp_element(w.generator, np.arange(1.0, 21.0))
+            res = float(np.max(np.abs(apply(flow, w.point) - w.point)))
             worst = max(worst, res)
             if w.certificate[-1][1] < 100.0:
                 problems.append(f"{id_}{params}: growth norm below 100 at n=20")
@@ -184,11 +182,11 @@ def check_properness_dichotomy(seed: int = 42) -> CheckResult:
         + [build("P-d", sign=s, beta=b) for s in (1.0, -1.0) for b in (-2.0, -1.0, 0.5, 1.0, 3.0)]
     )
     for entry in proper_variants:
-        pts = _generic_points(entry, rng, 150) + _stratum_points(entry, rng, 7)
-        for p in pts[:200]:
-            if stabilizer_compactness(entry.basis, p) == "noncompact":
-                problems.append(f"{entry.id}{entry.params}: noncompact stabilizer at {p}")
-                break
+        pts = (_generic_points(entry, rng, 150) + _stratum_points(entry, rng, 7))[:200]
+        classes = analyze_points(entry.basis, pts).stabilizer_class
+        if "noncompact" in classes:
+            p = pts[classes.index("noncompact")]
+            problems.append(f"{entry.id}{entry.params}: noncompact stabilizer at {p}")
     return CheckResult(
         "C2", "properness-dichotomy: verdicts, growth witnesses, compact stabilizers",
         not problems, worst, "; ".join(problems[:4]) or "ok",
@@ -267,8 +265,7 @@ def check_orbit_inventories(seed: int = 42) -> CheckResult:
     for id_ in CATALOG_IDS:
         for entry in entry_variants(id_):
             pts = _generic_points(entry, rng, 100) + _stratum_points(entry, rng, 5)
-            for p in pts:
-                rep = orbit_report(entry, p, with_evidence=False)
+            for p, rep in zip(pts, orbit_reports(entry, pts, with_evidence=False)):
                 if not rep.matched_expectation:
                     problems.append(
                         f"{id_}{entry.params} at {np.round(p, 3)}: got "
@@ -433,9 +430,8 @@ def check_exponential_cross_validation(seed: int = 42) -> CheckResult:
     for id_ in CATALOG_IDS:
         for entry in entry_variants(id_):
             for el in entry.basis.basis:
-                for t in ts:
-                    d = motion_distance(exp_element(el, t, "closed"),
-                                        exp_element(el, t, "series"))
+                dists = motion_distance(exp_element(el, ts), exp_element(el, ts, "series"))
+                for t, d in zip(ts, dists.tolist()):
                     worst = max(worst, d)
                     if d > 1e-10:
                         problems.append(f"{id_}{entry.params}: paths differ by {d:.2e} at t={t}")

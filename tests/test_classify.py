@@ -271,6 +271,22 @@ def test_classify_rejections():
     assert res.reason == REASON_NOT_COHOMOGENEITY_ONE
 
 
+def test_classify_rejects_a_timelike_second_frame_vector():
+    # a conjugated N-viii basis scaled by 1e3 whose parabolic generator
+    # reads as elliptic: the frame's second vector comes out timelike
+    # (seed 17) or null (seed 44); the pytest configuration turns a
+    # RuntimeWarning from the square root into a failure
+    for seed, draw in ((17, 12), (44, 18)):
+        rng = rng_from_seed(seed)
+        for _ in range(draw):
+            g = random_motion(rng)
+        moved = adjoint_spec(g, build("N-viii").basis)
+        spec = SubalgebraSpec(tuple(el(1e3 * e.X, 1e3 * e.v) for e in moved.basis))
+        res = classify(spec)
+        assert isinstance(res, Rejection) and res.reason == REASON_UNMATCHED, (seed, res)
+        assert res.detail.startswith("second frame vector u2 is not spacelike"), res.detail
+
+
 def test_classify_unmatched_keeps_signature():
     # a skew parabolic decoration that is bracket-closed and acts with
     # 2-dimensional orbits everywhere, but belongs to no catalog family

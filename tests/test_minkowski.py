@@ -20,6 +20,7 @@ from mink1.minkowski import (
     Motion,
     apply,
     causal_character,
+    check_motions,
     compose,
     exp_element,
     inner,
@@ -245,3 +246,41 @@ def test_linear_part_stays_in_group():
         m = random_motion(rng)
         assert np.max(np.abs(m.A.T @ ETA @ m.A - ETA)) < 1e-9
         assert m.A[0, 0] >= 1.0 - 1e-12
+
+
+def test_stacked_flow_rows_equal_single_flows():
+    from mink1.catalog import CATALOG_IDS
+    from mink1.verify import entry_variants
+
+    ts = np.concatenate([np.linspace(-5.0, 5.0, 21), [1e-9, -3e-5, 7.25]])
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            for el in entry.basis.basis:
+                for method in ("closed", "series"):
+                    A, a = exp_element(el, ts, method)
+                    assert A.shape == (len(ts), 3, 3) and a.shape == (len(ts), 3)
+                    for k, t in enumerate(ts):
+                        m = exp_element(el, t, method)
+                        assert np.array_equal(A[k], m.A) and np.array_equal(a[k], m.a)
+
+
+def test_motion_stack_raises_what_its_failing_motion_raises():
+    rng = rng_from_seed(8)
+    good = [random_motion(rng) for _ in range(5)]
+    broken = {
+        "non-finite": (np.eye(3), np.array([0.0, np.nan, 0.0])),
+        "not an isometry": (1.1 * np.eye(3), np.zeros(3)),
+        "det -1": (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+        "time-reversing": (np.diag([-1.0, -1.0, 1.0]), np.zeros(3)),
+    }
+    for name, (Ak, ak) in broken.items():
+        with pytest.raises(ValueError) as alone:
+            Motion(Ak, ak)
+        for k in range(len(good)):
+            A = np.stack([m.A for m in good])
+            a = np.stack([m.a for m in good])
+            A[k], a[k] = Ak, ak
+            with pytest.raises(ValueError) as stacked:
+                check_motions(A, a)
+            assert str(stacked.value) == str(alone.value), (name, k)
+    check_motions(np.stack([m.A for m in good]), np.stack([m.a for m in good]))

@@ -7,13 +7,20 @@ from mink1.minkowski import (
     BOOST,
     E1,
     E2,
+    HYPERBOLIC,
     NULL_PLUS,
     NULL_ROTATION,
+    PARABOLIC,
+    apply,
+    compose,
+    exp_element,
+    generator_class,
     inner,
 )
 from mink1.orbits import (
     _STENCIL,
     STENCIL_RADIUS,
+    analyze_points,
     eq1_norm,
     finite_tangent,
     orbit_causal,
@@ -305,3 +312,50 @@ def test_timelike_points_give_positive_eq1_everywhere():
         p = random_causal_point(rng, "timelike", avoid_boost_stratum=True)
         vals = [eq1_norm(a, p) for a in alphas]
         assert min(vals) > 0.0
+
+
+def _stabilizer_class_oracle(generators):
+    """trivial / compact / noncompact from the generators' classes."""
+    if not generators:
+        return "trivial"
+    kinds = {generator_class(g.X) for g in generators}
+    return "noncompact" if kinds & {HYPERBOLIC, PARABOLIC} else "compact"
+
+
+def test_analyze_points_rows_equal_one_point_answers():
+    rng = rng_from_seed(37)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            spec = entry.basis
+            pts = _generic_and_stratum_points(entry, rng)
+            a = analyze_points(spec, pts)
+            for k, p in enumerate(pts):
+                stab = stabilizer_algebra(spec, p)
+                got = (a.orbit_dim[k], a.causal[k], a.stabilizer_dim[k], a.stabilizer_class[k])
+                want = (orbit_dimension(spec, p), orbit_causal(spec, p), stab.dim,
+                        _stabilizer_class_oracle(stab.basis))
+                assert got == want, (entry.id, entry.params, p)
+                assert stabilizer_compactness(spec, p) == want[3]
+                # the stabilizer elements are the AlgebraElement sums of the
+                # basis over the coefficient columns past the orbit dimension
+                u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
+                for c, g in zip(u[:, a.orbit_dim[k]:].T, stab.basis):
+                    acc = spec.basis[0] * c[0]
+                    for ci, el in zip(c[1:], spec.basis[1:]):
+                        acc = acc + el * ci
+                    assert np.array_equal(acc.X, g.X) and np.array_equal(acc.v, g.v)
+
+
+def test_sample_orbit_equals_the_per_tuple_flow_loop():
+    rng = rng_from_seed(41)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            p = rng.uniform(-2.0, 2.0, 3)
+            grid = [tuple(t) for t in rng.uniform(-1.5, 1.5, (7, entry.basis.dim))]
+            want = []
+            for tup in grid:
+                m = exp_element(entry.basis.basis[0], float(tup[0]))
+                for el, t in zip(entry.basis.basis[1:], tup[1:]):
+                    m = compose(m, exp_element(el, float(t)))
+                want.append(apply(m, p))
+            assert np.array_equal(sample_orbit(entry, p, grid), np.stack(want)), entry.id
