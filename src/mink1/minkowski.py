@@ -337,13 +337,13 @@ def causal_of_span(vectors) -> str:
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vh = np.linalg.svd(V)
-    return causal_of_svd(s[None], vh[None])[0]
+    return causal_of_svd([numeric_rank(s)], vh[None])[0]
 
 
-def causal_of_svd(s, vh) -> list:
-    """`causal_of_span` of the rows of each matrix of a stack, from its
-    batched SVD (s[N, k], vh[N, 3, 3]), with one batched eigvalsh per rank."""
-    rank = numeric_rank(s).tolist()
+def causal_of_svd(rank, vh) -> list:
+    """`causal_of_span` of the rows of each matrix of a stack, from their
+    numerical ranks and the right singular vectors vh[N, 3, 3] of a
+    batched SVD, with one batched eigvalsh per rank."""
     out = [ZERO_VECTOR] * len(rank)
     for r in set(rank) - {0}:
         at = [k for k, rk in enumerate(rank) if rk == r]

@@ -94,7 +94,7 @@ def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
             gens = row[rank - lo:]
             if gens:
                 sclass[k] = NONCOMPACT if HYPERBOLIC in gens or PARABOLIC in gens else COMPACT
-    return PointAnalysis(odim, causal_of_svd(s, vh), [spec.dim - r for r in odim], sclass, u)
+    return PointAnalysis(odim, causal_of_svd(odim, vh), [spec.dim - r for r in odim], sclass, u)
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:
