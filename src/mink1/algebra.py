@@ -107,6 +107,15 @@ class SubalgebraSpec:
         return rows
 
     @cached_property
+    def parts(self) -> tuple:
+        """The basis as contiguous stacks (X[k, 3, 3], v[k, 3]), built once."""
+        X = np.array([el.X for el in self.basis]).reshape(-1, 3, 3)
+        v = self.coords_matrix[:, 9:].copy()
+        for part in (X, v):
+            part.setflags(write=False)
+        return X, v
+
+    @cached_property
     def row_space(self) -> np.ndarray:
         """`_row_space` of the coordinate rows, taken on the first
         membership question (read-only)."""
@@ -123,8 +132,7 @@ def _require_independent(rows) -> None:
 
 
 def _row_space(rows) -> np.ndarray:
-    """Orthonormal rows spanning the given coordinate rows: one SVD of the
-    rows scaled to unit max-abs."""
+    """Orthonormal rows spanning coordinate rows: one SVD of the rows scaled to unit max-abs."""
     return np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
 
 
@@ -167,12 +175,12 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
     brackets = [bracket(g, h).coords for g in ambient.basis for h in sub.basis]
-    return bool((_span_residuals(sub.row_space, np.reshape(brackets, (-1, 12))) <= STRUCT_TOL).all())
+    residuals = _span_residuals(sub.row_space, np.reshape(brackets, (-1, 12)))
+    return bool((residuals <= STRUCT_TOL).all())
 
 
 def _linear_split(rows):
-    """Both halves of the span of coordinate rows from one SVD of their
-    linear parts.
+    """Both halves of the span of coordinate rows, from one SVD of their linear parts.
 
     Returns ``(dim_l, lb, dim_ker, kb)``: lb is an orthonormal basis of
     { X : (X, v) in span(basis) } (the right singular vectors) and kb one
@@ -222,8 +230,7 @@ def adjoint(m, el: AlgebraElement) -> AlgebraElement:
 
 def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     """`adjoint` of every basis element, as one stacked product."""
-    rows = spec.coords_matrix
-    Y, Av = _conjugated(m.A, rows[:, :9].reshape(-1, 3, 3), rows[:, 9:])
+    Y, Av = _conjugated(m.A, *spec.parts)
     return SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ m.a)))
 
 

@@ -8,8 +8,7 @@ generators -> a translation conjugation removes every removable
 translation component -> an exact match on the signature tuple,
 certified by the span residual between the conjugated basis and the
 catalog basis.  The basis is conjugated once: the standardized and the
-finally moved rows share the linear parts Ci X C and differ only in
-the translation conjugated out.
+moved rows share the linear parts Ci X C and differ only in translation.
 
 Every outcome is a Classification or a Rejection.  A basis whose
 numbers defeat a step (a bracket or conjugate outside the absolute
@@ -321,8 +320,7 @@ def signature(spec: SubalgebraSpec) -> InvariantSignature:
 
 
 def _lift(rows, T):
-    """Translation of the span element whose linear part equals the
-    target matrix T, the span given by coordinate rows."""
+    """Translation of the element of the rows' span whose linear part is T."""
     c, *_ = np.linalg.lstsq(rows[:, :9].T, T.ravel(), rcond=1e-9)
     return (c @ rows)[9:]
 
@@ -457,8 +455,7 @@ def classify(spec: SubalgebraSpec):
         else:
             C = np.eye(3)
         Ci = ETA @ C.T @ ETA
-        rows = spec.coords_matrix
-        Y, Av = _conjugated(Ci, rows[:, :9].reshape(-1, 3, 3), rows[:, 9:])
+        Y, Av = _conjugated(Ci, *spec.parts)
         # the standardized basis, validated once: its linear parts are
         # those of every later conjugate
         std = SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ np.zeros(3))))

@@ -80,9 +80,8 @@ def sign_of(x, cut):
     Causal characters, generator classes, catalog strata and the
     classifier's eigenvalue sign and parameter zero test are all decided
     by this one rule; `cut` is the decision's tolerance, absolute or
-    already scaled by the caller.  Scalars are taken as Python floats, so
-    a numpy scalar works too and the result is an int; an array x gives
-    the integer array of its elements' signs.
+    already scaled by the caller.  A scalar (a numpy one too) is taken as a
+    Python float and gives an int; an array x gives the int array of signs.
     """
     if not isinstance(x, np.ndarray):
         x, cut = float(x), float(cut)

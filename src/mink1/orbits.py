@@ -47,16 +47,13 @@ def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
     point, shape ``(..., dim, 3)``.  Each X p is a stacked matrix-vector
     product, so a block equals, bit for bit, the one of its point alone.
     """
-    p = np.asarray(p, dtype=float)
-    rows = spec.coords_matrix
-    return (rows[:, :9].reshape(-1, 3, 3) @ p[..., None, :, None])[..., 0] + rows[:, 9:]
+    X, v = spec.parts
+    return (X @ np.asarray(p, dtype=float)[..., None, :, None])[..., 0] + v
 
 
 class PointAnalysis(NamedTuple):
-    """What `analyze_points` decides, one list entry per point.  Column j
-    of ``coefficients[k]`` (the left singular vectors of the tangent map
-    at point k) combines the basis into one element; the columns past
-    ``orbit_dim[k]`` span the stabilizer algebra."""
+    """What `analyze_points` decides, one list entry per point; the columns of
+    ``coefficients[k]`` (left singular vectors) past ``orbit_dim[k]`` give the stabilizer."""
 
     orbit_dim: list
     causal: list
@@ -66,9 +63,9 @@ class PointAnalysis(NamedTuple):
 
 
 def _combine(coeffs, parts):
-    """sum_i coeffs[..., i, j] * parts[i] for every column j, added term by
-    term in basis order, as `AlgebraElement` arithmetic adds them."""
-    terms = (c[(...,) + (None,) * np.ndim(x)] * x for c, x in zip(np.moveaxis(coeffs, -2, 0), parts))
+    """sum_i coeffs[..., i, j] * parts[i] per column j, in basis order as `AlgebraElement` adds."""
+    columns = np.moveaxis(coeffs, -2, 0)
+    terms = (c[(...,) + (None,) * np.ndim(x)] * x for c, x in zip(columns, parts))
     acc = next(terms)
     for term in terms:
         acc = acc + term
@@ -255,6 +252,7 @@ _STENCIL = np.array(
 )
 _STENCIL = _STENCIL / np.linalg.norm(_STENCIL, axis=1)[:, None]
 STENCIL_RADIUS = 1e-3
+_STENCIL_STEPS = STENCIL_RADIUS * _STENCIL
 
 
 def _evidence(spec: SubalgebraSpec, p: np.ndarray) -> dict:
@@ -265,7 +263,7 @@ def _evidence(spec: SubalgebraSpec, p: np.ndarray) -> dict:
     batched SVD; row 0 is p itself.  Each row's rank is `orbit_dimension`
     of that point.
     """
-    pts = np.vstack([p, p + STENCIL_RADIUS * _STENCIL])
+    pts = np.concatenate([p[None], p + _STENCIL_STEPS])
     dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
     od = int(dims[0])
     total = len(_STENCIL)
@@ -308,8 +306,7 @@ class OrbitReport:
 
 
 def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
-    """`orbit_report` of every point of a stack P[N, 3], from one
-    `analyze_points` call."""
+    """`orbit_report` of every point of a stack P[N, 3], from one `analyze_points`."""
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     a = analyze_points(entry.basis, P)
     reports = []

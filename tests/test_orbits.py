@@ -336,14 +336,26 @@ def test_analyze_points_rows_equal_one_point_answers():
                         _stabilizer_class_oracle(stab.basis))
                 assert got == want, (entry.id, entry.params, p)
                 assert stabilizer_compactness(spec, p) == want[3]
-                # the stabilizer elements are the AlgebraElement sums of the
-                # basis over the coefficient columns past the orbit dimension
-                u, s, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
-                for c, g in zip(u[:, a.orbit_dim[k]:].T, stab.basis):
-                    acc = spec.basis[0] * c[0]
-                    for ci, el in zip(c[1:], spec.basis[1:]):
-                        acc = acc + el * ci
-                    assert np.array_equal(acc.X, g.X) and np.array_equal(acc.v, g.v)
+                _assert_stabilizer_is_the_ordered_sum(spec, p, a.orbit_dim[k], stab)
+    # random bases whose elements overlap entrywise, so that the order of
+    # the sum shows in the bits
+    for _ in range(30):
+        spec = SubalgebraSpec(tuple(random_algebra_element(rng) for _ in range(4)))
+        p = rng.uniform(-3.0, 3.0, 3)
+        stab = stabilizer_algebra(spec, p)
+        assert stab.dim == 1
+        _assert_stabilizer_is_the_ordered_sum(spec, p, analyze_points(spec, [p]).orbit_dim[0], stab)
+
+
+def _assert_stabilizer_is_the_ordered_sum(spec, p, rank, stab):
+    """The stabilizer elements are the AlgebraElement sums of the basis
+    over the coefficient columns past the orbit dimension, in basis order."""
+    u, _, _ = np.linalg.svd(tangent_basis(spec, p), full_matrices=True)
+    for c, g in zip(u[:, rank:].T, stab.basis):
+        acc = spec.basis[0] * c[0]
+        for ci, el in zip(c[1:], spec.basis[1:]):
+            acc = acc + el * ci
+        assert np.array_equal(acc.X, g.X) and np.array_equal(acc.v, g.v)
 
 
 def test_sample_orbit_equals_the_per_tuple_flow_loop():
