@@ -31,8 +31,7 @@ class AlgebraElement:
         v = np.array(self.v, dtype=float)
         if X.shape != (3, 3) or v.shape != (3,):
             raise ValueError("AlgebraElement needs a 3x3 matrix and a 3-vector")
-        if not so12_check(X):
-            raise ValueError("linear part violates the isometry-algebra membership")
+        _require_so12([X])
         X.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -61,6 +60,12 @@ class AlgebraElement:
         return f"AlgebraElement(X={self.X.tolist()}, v={self.v.tolist()})"
 
 
+def _require_so12(Xs) -> None:
+    """`AlgebraElement`'s membership rule: `so12_check` of each linear part."""
+    if not all(map(so12_check, Xs)):
+        raise ValueError("linear part violates the isometry-algebra membership")
+
+
 def element_from_coords(c) -> AlgebraElement:
     c = np.asarray(c, dtype=float)
     return AlgebraElement(c[:9].reshape(3, 3), c[9:])
@@ -71,69 +76,75 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.X @ b.X - b.X @ a.X, a.X @ b.v - b.X @ a.v)
 
 
-@dataclass(frozen=True, eq=False)
-class SubalgebraSpec:
-    """A subspace of the isometry algebra given by a basis.
+def _brackets(spec_a: SubalgebraSpec, spec_b: SubalgebraSpec, i, j) -> np.ndarray:
+    """Coordinate rows of the brackets [a_i[k], b_j[k]] of basis elements,
+    as one stacked product; each is checked as `bracket` checks it."""
+    (X, u), (Y, v) = spec_a.parts, spec_b.parts
+    X, u, Y, v = X[i], u[i], Y[j], v[j]
+    Z = X @ Y - Y @ X
+    _require_so12(Z)
+    return np.concatenate((Z.reshape(-1, 9), (X @ v[..., None] - Y @ u[..., None])[..., 0]), axis=1)
 
-    Construction verifies linear independence, on coordinate rows scaled
-    to unit max-abs so that a generator's size (a family parameter of
-    1e300 beside unit entries, say) cannot decide it; a zero row is
-    dependent.  Closure under the bracket is a separate, tolerance-based
-    decision (`is_subalgebra`).
+
+class SubalgebraSpec:
+    """A subspace of the isometry algebra, held as the read-only (n, 12)
+    array `coords_matrix` of a basis's coordinates.
+
+    Built from `AlgebraElement`s, or from coordinate rows whose linear
+    parts then pass `AlgebraElement`'s rule.  Construction verifies linear
+    independence, on rows scaled to unit max-abs so that a generator's
+    size (a family parameter of 1e300 beside unit entries, say) cannot
+    decide it; a zero row is dependent.  Closure under the bracket is a
+    separate, tolerance-based decision (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
 
-    basis: tuple
+    def __init__(self, basis):
+        if isinstance(basis, np.ndarray):
+            rows = np.array(basis, dtype=float).reshape(-1, 12)
+            _require_so12(rows[:, :9].reshape(-1, 3, 3))
+        else:
+            self.basis = tuple(basis)
+            rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
+        self._adopt(rows)
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if basis:
-            _require_independent(self.coords_matrix)
+    def _adopt(self, rows):
+        peak = abs(rows).max(axis=1, keepdims=True)
+        if len(rows) and (not peak.all() or numeric_rank(
+                np.linalg.svd(rows / peak, compute_uv=False)) < len(rows)):
+            raise ValueError("basis is not linearly independent")
+        rows.setflags(write=False)
+        self.coords_matrix = rows
+
+    def _retranslated(self, v) -> SubalgebraSpec:
+        """These checked linear parts with translations v[n, 3]; checks independence only."""
+        spec = object.__new__(SubalgebraSpec)
+        spec._adopt(np.hstack([self.coords_matrix[:, :9], v]))
+        return spec
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.coords_matrix)
 
     @cached_property
-    def coords_matrix(self) -> np.ndarray:
-        """The basis `coords` as rows, built once (read-only)."""
-        rows = np.empty((len(self.basis), 12))
-        for row, el in zip(rows, self.basis):
-            row[:9] = el.X.ravel()
-            row[9:] = el.v
-        rows.setflags(write=False)
-        return rows
+    def basis(self) -> tuple:
+        """The `AlgebraElement`s given, or built from the rows on first use."""
+        return tuple(map(AlgebraElement, *self.parts))
 
     @cached_property
     def parts(self) -> tuple:
-        """The basis as contiguous stacks (X[k, 3, 3], v[k, 3]), built once."""
-        X = np.array([el.X for el in self.basis]).reshape(-1, 3, 3)
-        v = self.coords_matrix[:, 9:].copy()
-        for part in (X, v):
-            part.setflags(write=False)
-        return X, v
+        """The rows as read-only stacks (X[n, 3, 3], v[n, 3]), views of them."""
+        return self.coords_matrix[:, :9].reshape(-1, 3, 3), self.coords_matrix[:, 9:]
 
     @cached_property
     def row_space(self) -> np.ndarray:
-        """`_row_space` of the coordinate rows, taken on the first
-        membership question (read-only)."""
-        rows = _row_space(self.coords_matrix)
-        rows.setflags(write=False)
-        return rows
-
-
-def _require_independent(rows) -> None:
-    """The independence rule of `SubalgebraSpec`, on coordinate rows."""
-    peak = abs(rows).max(axis=1, keepdims=True)
-    if not peak.all() or numeric_rank(np.linalg.svd(rows / peak, compute_uv=False)) < len(rows):
-        raise ValueError("basis is not linearly independent")
-
-
-def _row_space(rows) -> np.ndarray:
-    """Orthonormal rows spanning coordinate rows: one SVD of the rows scaled to unit max-abs."""
-    return np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+        """Orthonormal rows spanning the rows: one SVD of them scaled to unit
+        max-abs, taken on the first membership question (read-only)."""
+        rows = self.coords_matrix
+        space = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+        space.setflags(write=False)
+        return space
 
 
 def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
@@ -161,11 +172,11 @@ def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
 def closure_residual(spec: SubalgebraSpec) -> float:
     """Largest (scaled) distance of a pairwise bracket from the span; a
     single element has no bracket, and is closed without an SVD."""
-    b = spec.basis
-    brackets = [bracket(x, y).coords for i, x in enumerate(b) for y in b[i + 1:]]
-    if not brackets:
+    if spec.dim < 2:
         return 0.0
-    return float(_span_residuals(spec.row_space, np.array(brackets)).max())
+    r = np.arange(spec.dim)  # the pairs i < j, row by row
+    brackets = _brackets(spec, spec, *np.nonzero(np.less.outer(r, r)))
+    return float(_span_residuals(spec.row_space, brackets).max())
 
 
 def is_subalgebra(spec: SubalgebraSpec) -> bool:
@@ -174,9 +185,8 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
-    brackets = [bracket(g, h).coords for g in ambient.basis for h in sub.basis]
-    residuals = _span_residuals(sub.row_space, np.reshape(brackets, (-1, 12)))
-    return bool((residuals <= STRUCT_TOL).all())
+    brackets = _brackets(ambient, sub, *divmod(np.arange(ambient.dim * sub.dim), sub.dim))
+    return bool((_span_residuals(sub.row_space, brackets) <= STRUCT_TOL).all())
 
 
 def _linear_split(rows):
@@ -231,7 +241,7 @@ def adjoint(m, el: AlgebraElement) -> AlgebraElement:
 def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     """`adjoint` of every basis element, as one stacked product."""
     Y, Av = _conjugated(m.A, *spec.parts)
-    return SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ m.a)))
+    return SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av - Y @ m.a]))
 
 
 def first_linear_generator(spec: SubalgebraSpec):
@@ -240,9 +250,15 @@ def first_linear_generator(spec: SubalgebraSpec):
     The classifier keys its orientation conventions to this element, so
     the basis order supplied by the caller is part of the contract.
     """
-    for el in spec.basis:
-        if sign_of(np.max(np.abs(el.X)), STRUCT_TOL):
-            return el
+    k = _first_linear_index(spec)
+    return None if k is None else spec.basis[k]
+
+
+def _first_linear_index(spec: SubalgebraSpec):
+    """Index of `first_linear_generator` in the basis, or None."""
+    for k, X in enumerate(spec.parts[0]):
+        if sign_of(np.max(np.abs(X)), STRUCT_TOL):
+            return k
     return None
 
 

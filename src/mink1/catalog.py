@@ -625,16 +625,6 @@ def build(id_: str, **params) -> CatalogEntry:
 
 def list_catalog():
     """Summaries (id, parameter domain, proper flag, orbit space) for all 16."""
-    out = []
-    for id_ in CATALOG_IDS:
-        e = build(id_)
-        out.append(
-            {
-                "id": e.id,
-                "param_domain": e.param_domain,
-                "proper": e.proper,
-                "orbit_space": e.orbit_space,
-                "family": e.family,
-            }
-        )
-    return out
+    return [{"id": e.id, "param_domain": e.param_domain, "proper": e.proper,
+             "orbit_space": e.orbit_space, "family": e.family}
+            for e in map(build, CATALOG_IDS)]

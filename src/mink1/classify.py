@@ -38,15 +38,12 @@ import numpy as np
 
 from . import catalog
 from .algebra import (
-    AlgebraElement,
     SubalgebraSpec,
     _conjugated,
+    _first_linear_index,
     _linear_split,
-    _require_independent,
-    _row_space,
     _span_residuals,
     closure_residual,
-    first_linear_generator,
 )
 from .minkowski import (
     BOOST,
@@ -289,10 +286,10 @@ def _invariants(spec: SubalgebraSpec):
     if dim_l == 0:
         linear_type = ZERO
     elif dim_l == 1:
-        gen = first_linear_generator(spec)
+        k = _first_linear_index(spec)
         # entries under its absolute cutoff read as ZERO, which then fails
         # standardization instead of raising here
-        X0 = np.zeros((3, 3)) if gen is None else gen.X
+        X0 = np.zeros((3, 3)) if k is None else spec.parts[0][k]
         linear_type = generator_class(X0)
     elif dim_l == 2:
         linear_type = TWO_DIM_SOLVABLE
@@ -458,7 +455,7 @@ def classify(spec: SubalgebraSpec):
         Y, Av = _conjugated(Ci, *spec.parts)
         # the standardized basis, validated once: its linear parts are
         # those of every later conjugate
-        std = SubalgebraSpec(tuple(map(AlgebraElement, Y, Av - Y @ np.zeros(3))))
+        std = SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av]))
         targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
         c, remainders = _complete_square(std.coords_matrix, targets)
         conj = Motion(Ci, c)
@@ -473,13 +470,12 @@ def classify(spec: SubalgebraSpec):
         id_, params = hit
         target = (_constant_target(id_, tuple(params.items())) if params.get("beta", 0.0) == 0.0
                   else catalog.build(id_, **params).basis)
-        moved = np.hstack([Y.reshape(-1, 9), Av - Y @ c])
-        _require_independent(moved)
+        moved = std._retranslated(Av - Y @ c)
     except ValueError as exc:
         return Rejection(REASON_UNMATCHED, str(exc), sig)
 
-    residual = float(max(_span_residuals(target.row_space, moved).max(),
-                         _span_residuals(_row_space(moved), target.coords_matrix).max()))
+    residual = float(max(_span_residuals(target.row_space, moved.coords_matrix).max(),
+                         _span_residuals(moved.row_space, target.coords_matrix).max()))
     if residual > SPAN_MATCH_TOL:
         return Rejection(
             REASON_UNMATCHED,

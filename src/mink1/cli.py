@@ -2,12 +2,12 @@
 
 Subcommands: catalog | orbit | classify | properness | verify.
 Exit codes: 0 success / all checks pass, 1 a check or verdict failed,
-2 unknown id or parse error (a non-finite --point or --params value, a
-negative or non-finite --grid, or --grid bounds whose samples overflow,
-included), 3 orbit expectation mismatch.  The environment variable
-MINK_SEED overrides the default seed (42); an explicit --seed flag wins
-over both.  JSON has no inf or nan, so an orbit invariant that
-overflows is reported as null.
+2 unknown id or bad input (a non-finite --point or --params value, a
+negative or non-finite --grid or one whose samples overflow, a basis
+file that is not UTF-8, an unwritable --csv, a negative seed), 3 orbit
+expectation mismatch.  MINK_SEED overrides the default seed (42); an
+explicit --seed flag wins over both.  JSON has no inf or nan, so an
+orbit invariant that overflows is reported as null.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ SCHEMA = 1
 
 
 def _default_seed() -> int:
-    env = os.environ.get("MINK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+    try:
+        return int(os.environ.get("MINK_SEED", "42"))
+    except ValueError:
+        return 42
 
 
 def _report(command, seed, payload, checks):
@@ -188,9 +185,12 @@ def cmd_orbit(args) -> int:
             dev = float(np.max([abs(entry.invariant(q) - ref) for q in samples]))
             payload["invariant_drift"] = _finite_or_none(dev)
         if args.csv:
-            names = [f"t{i+1}" for i in range(entry.basis.dim)]
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                write_orbit_csv(fh, names, grid, samples)
+            try:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    write_orbit_csv(fh, [f"t{i+1}" for i in range(entry.basis.dim)], grid, samples)
+            except OSError as exc:
+                print(f"error: cannot write --csv: {exc}", file=sys.stderr)
+                return 2
             payload["csv"] = args.csv
     checks = [("orbit-expectation", "per-point analysis matches the catalog table",
                rep.matched_expectation, 0.0)]
@@ -213,7 +213,7 @@ def cmd_orbit(args) -> int:
 def cmd_classify(args) -> int:
     try:
         spec = parse_basis_file(args.basis)
-    except (OSError, BasisParseError) as exc:
+    except (OSError, UnicodeDecodeError, BasisParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     res = classify(spec)
@@ -344,6 +344,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print("error: --seed and MINK_SEED must be non-negative integers", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

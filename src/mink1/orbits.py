@@ -86,7 +86,7 @@ def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
     sclass = [TRIVIAL] * len(odim)
     lo = min(odim, default=spec.dim)  # no column before it spans a stabilizer
     if lo < spec.dim:
-        kinds = generator_class(_combine(u[:, :, lo:], [el.X for el in spec.basis])).tolist()
+        kinds = generator_class(_combine(u[:, :, lo:], spec.parts[0])).tolist()
         for k, (rank, row) in enumerate(zip(odim, kinds)):
             gens = row[rank - lo:]
             if gens:
@@ -101,10 +101,7 @@ def orbit_dimension(spec: SubalgebraSpec, p) -> int:
 def stabilizer_algebra(spec: SubalgebraSpec, p) -> SubalgebraSpec:
     """Nullspace of the evaluation map, as a subalgebra of `spec`."""
     a = analyze_points(spec, p)
-    c = a.coefficients[0, :, a.orbit_dim[0]:]
-    X = _combine(c, [el.X for el in spec.basis])
-    v = _combine(c, [el.v for el in spec.basis])
-    return SubalgebraSpec(tuple(map(AlgebraElement, X, v)))
+    return SubalgebraSpec(_combine(a.coefficients[0, :, a.orbit_dim[0]:], spec.coords_matrix))
 
 
 def orbit_causal(spec: SubalgebraSpec, p) -> str:

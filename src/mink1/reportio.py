@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, SubalgebraSpec
+from .algebra import SubalgebraSpec, element_from_coords
 
 
 def fmt17(x: float) -> str:
@@ -81,10 +81,8 @@ def parse_basis_text(text: str) -> SubalgebraSpec:
             col += len(token)
         if len(values) != 12:
             raise BasisParseError(lineno, 1, f"expected 12 numbers, got {len(values)}")
-        X = np.array(values[:9]).reshape(3, 3)
-        v = np.array(values[9:])
         try:
-            elements.append(AlgebraElement(X, v))
+            elements.append(element_from_coords(values))
         except ValueError as exc:
             raise BasisParseError(lineno, 1, str(exc)) from None
     if not elements:

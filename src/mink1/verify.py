@@ -298,8 +298,7 @@ def check_orbit_inventories(seed: int = 42) -> CheckResult:
             continue
         g = Motion(np.eye(3), np.array([0.0, p[1] - p[0], p[2]]))
         expected = adjoint(g, AlgebraElement(NULL_ROTATION, np.zeros(3)))
-        gen = stab.basis[0]
-        gen = gen * (1.0 / np.linalg.norm(gen.coords))
+        gen = stab.basis[0] * (1.0 / np.linalg.norm(stab.coords_matrix[0]))
         res = span_residual(SubalgebraSpec((expected,)), gen)
         worst = max(worst, res)
         if res > 1e-8:

@@ -303,3 +303,25 @@ def test_membership_of_graded_rows():
         spec = SubalgebraSpec((1e300 * basis[0], 1e-300 * basis[1]) + basis[2:])
         assert all(span_contains(spec, e) for e in basis), id_
         assert is_subalgebra(spec), id_
+
+
+def test_spec_from_rows_matches_spec_from_elements():
+    # the two construction forms hold the same rows and apply the same rules
+    from mink1.catalog import CATALOG_IDS, build
+
+    for id_ in CATALOG_IDS:
+        from_elements = build(id_).basis
+        from_rows = SubalgebraSpec(np.array(from_elements.coords_matrix))
+        assert from_rows.coords_matrix.tobytes() == from_elements.coords_matrix.tobytes()
+        assert not from_rows.coords_matrix.flags.writeable
+        for a, b in zip(from_rows.basis, from_elements.basis):
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.v, b.v)
+        assert closure_residual(from_rows) == closure_residual(from_elements)
+    rows = build("N-xi").basis.coords_matrix
+    for bad, message in ((np.eye(12)[:1], "linear part violates"),
+                         (np.vstack([rows[:1], 2.0 * rows[:1]]), "not linearly independent"),
+                         (np.zeros((1, 12)), "not linearly independent")):
+        with pytest.raises(ValueError, match=message):
+            SubalgebraSpec(bad)
+        with pytest.raises(ValueError, match=message):
+            SubalgebraSpec(tuple(AlgebraElement(r[:9].reshape(3, 3), r[9:]) for r in bad))

@@ -251,6 +251,42 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 42
 
 
+def test_classify_basis_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.alg"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00\x80 not text\n")
+    code, out, err = run(capsys, "classify", "--basis", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "utf-8" in err
+
+
+def test_negative_seed_exits_2(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "non-negative" in err
+    monkeypatch.setenv("MINK_SEED", "-3")
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MINK_SEED" in err
+    # an explicit non-negative flag still wins over the variable
+    code, out, _ = run(capsys, "catalog", "--json", "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    # a variable that is not an integer still falls back to 42
+    monkeypatch.setenv("MINK_SEED", "seven")
+    code, out, _ = run(capsys, "catalog", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 42
+
+
+def test_orbit_unwritable_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = run(capsys, "orbit", "--id", "N-i", "--point", "1,2,0",
+                         "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--csv" in err
+    assert not path.exists()
+
+
 def test_to_json_float_formatting():
     assert to_json(0.1) == "0.10000000000000001"
     assert to_json({"a": [1, True, None]}) == '{\n  "a": [\n    1,\n    true,\n    null\n  ]\n}'
