@@ -6,7 +6,9 @@ Subalgebras are handled as explicit bases, and every case split in the
 classification is a numerical decision on them: a rank, by singular values
 with a relative cutoff, or membership of c in a span, by its distance after
 orthogonal projection on `SubalgebraSpec.row_space` over max(1, |c|),
-against STRUCT_TOL for closure, ideals and containment.
+against STRUCT_TOL for closure, ideals and containment.  Linear parts are
+validated where they enter, by one `so12_check` per stack; internal steps
+pass coordinate rows on without validating them again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class AlgebraElement:
         v = np.array(self.v, dtype=float)
         if X.shape != (3, 3) or v.shape != (3,):
             raise ValueError("AlgebraElement needs a 3x3 matrix and a 3-vector")
-        _require_so12([X])
+        _require_so12(X)
         X.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -60,9 +62,10 @@ class AlgebraElement:
         return f"AlgebraElement(X={self.X.tolist()}, v={self.v.tolist()})"
 
 
-def _require_so12(Xs) -> None:
-    """`AlgebraElement`'s membership rule: `so12_check` of each linear part."""
-    if not all(map(so12_check, Xs)):
+def _require_so12(X) -> None:
+    """`AlgebraElement`'s membership rule, for one linear part or a stack."""
+    ok = so12_check(X)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ValueError("linear part violates the isometry-algebra membership")
 
 
@@ -91,11 +94,12 @@ class SubalgebraSpec:
     array `coords_matrix` of a basis's coordinates.
 
     Built from `AlgebraElement`s, or from coordinate rows whose linear
-    parts then pass `AlgebraElement`'s rule.  Construction verifies linear
-    independence, on rows scaled to unit max-abs so that a generator's
-    size (a family parameter of 1e300 beside unit entries, say) cannot
-    decide it; a zero row is dependent.  Closure under the bracket is a
-    separate, tolerance-based decision (`is_subalgebra`).
+    parts then pass `AlgebraElement`'s rule as one stack.  Construction
+    verifies linear independence once, on rows scaled to unit max-abs so
+    that a generator's size (a family parameter of 1e300 beside unit
+    entries, say) cannot decide it; a zero row is dependent.  The row
+    space is factored on the first membership question.  Closure under the
+    bracket is a separate, tolerance-based decision (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -107,21 +111,12 @@ class SubalgebraSpec:
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-        self._adopt(rows)
-
-    def _adopt(self, rows):
         peak = abs(rows).max(axis=1, keepdims=True)
         if len(rows) and (not peak.all() or numeric_rank(
                 np.linalg.svd(rows / peak, compute_uv=False)) < len(rows)):
             raise ValueError("basis is not linearly independent")
         rows.setflags(write=False)
         self.coords_matrix = rows
-
-    def _retranslated(self, v) -> SubalgebraSpec:
-        """These checked linear parts with translations v[n, 3]; checks independence only."""
-        spec = object.__new__(SubalgebraSpec)
-        spec._adopt(np.hstack([self.coords_matrix[:, :9], v]))
-        return spec
 
     @property
     def dim(self) -> int:
@@ -139,12 +134,16 @@ class SubalgebraSpec:
 
     @cached_property
     def row_space(self) -> np.ndarray:
-        """Orthonormal rows spanning the rows: one SVD of them scaled to unit
-        max-abs, taken on the first membership question (read-only)."""
-        rows = self.coords_matrix
-        space = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
-        space.setflags(write=False)
-        return space
+        """`_row_space` of the rows, taken on the first membership question."""
+        return _row_space(self.coords_matrix)
+
+
+def _row_space(rows) -> np.ndarray:
+    """Orthonormal rows spanning independent coordinate rows: one SVD of
+    them scaled to unit max-abs (read-only)."""
+    space = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+    space.setflags(write=False)
+    return space
 
 
 def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
@@ -244,22 +243,16 @@ def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     return SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av - Y @ m.a]))
 
 
-def first_linear_generator(spec: SubalgebraSpec):
-    """The first basis element with a nonzero linear part, or None.
+def _first_linear_index(spec: SubalgebraSpec):
+    """Index of the first basis element whose linear part is nonzero (its
+    sup-norm above STRUCT_TOL), or None.
 
     The classifier keys its orientation conventions to this element, so
     the basis order supplied by the caller is part of the contract.
     """
-    k = _first_linear_index(spec)
-    return None if k is None else spec.basis[k]
-
-
-def _first_linear_index(spec: SubalgebraSpec):
-    """Index of `first_linear_generator` in the basis, or None."""
-    for k, X in enumerate(spec.parts[0]):
-        if sign_of(np.max(np.abs(X)), STRUCT_TOL):
-            return k
-    return None
+    nonzero = np.flatnonzero(sign_of(np.abs(spec.parts[0]).max(axis=(1, 2), initial=0.0),
+                                     STRUCT_TOL))
+    return int(nonzero[0]) if len(nonzero) else None
 
 
 __all__ = [
@@ -270,7 +263,6 @@ __all__ = [
     "bracket",
     "closure_residual",
     "element_from_coords",
-    "first_linear_generator",
     "generator_class",
     "is_ideal",
     "is_subalgebra",

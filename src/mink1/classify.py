@@ -8,7 +8,9 @@ generators -> a translation conjugation removes every removable
 translation component -> an exact match on the signature tuple,
 certified by the span residual between the conjugated basis and the
 catalog basis.  The basis is conjugated once: the standardized and the
-moved rows share the linear parts Ci X C and differ only in translation.
+moved rows share the linear parts Ci X C, checked once as a stack, and
+differ only in translation.  Both stay coordinate rows: conjugation and
+retranslation are invertible, so they keep the input's independence.
 
 Every outcome is a Classification or a Rejection.  A basis whose
 numbers defeat a step (a bracket or conjugate outside the absolute
@@ -42,6 +44,8 @@ from .algebra import (
     _conjugated,
     _first_linear_index,
     _linear_split,
+    _require_so12,
+    _row_space,
     _span_residuals,
     closure_residual,
 )
@@ -415,30 +419,15 @@ def classify(spec: SubalgebraSpec):
     except ValueError as exc:  # a bracket fell outside the membership tolerance
         return Rejection(REASON_UNMATCHED, str(exc))
 
-    if sig.dim_g < 2:
-        return Rejection(
-            REASON_NOT_COHOMOGENEITY_ONE,
-            "the algebra has dimension < 2, so every orbit has codimension >= 2",
-            sig,
-        )
-    if sig.dim_l == 3 and sig.dim_ker_l > 0:
-        return Rejection(
-            REASON_NOT_COHOMOGENEITY_ONE,
-            "full linear part with translations acts transitively",
-            sig,
-        )
-    if sig.dim_ker_l == 3:
-        return Rejection(
-            REASON_NOT_COHOMOGENEITY_ONE,
-            "a full translation space acts transitively",
-            sig,
-        )
-    if sig.dim_l == 0 and sig.dim_ker_l != 2:
-        return Rejection(
-            REASON_NOT_COHOMOGENEITY_ONE,
-            "a pure translation group needs a 2-dimensional translation space",
-            sig,
-        )
+    for applies, why in (
+            (sig.dim_g < 2, "the algebra has dimension < 2, so every orbit has codimension >= 2"),
+            (sig.dim_l == 3 and sig.dim_ker_l > 0,
+             "full linear part with translations acts transitively"),
+            (sig.dim_ker_l == 3, "a full translation space acts transitively"),
+            (sig.dim_l == 0 and sig.dim_ker_l != 2,
+             "a pure translation group needs a 2-dimensional translation space")):
+        if applies:
+            return Rejection(REASON_NOT_COHOMOGENEITY_ONE, why, sig)
 
     # standardize -> conjugate -> normalize -> match: a numerical failure
     # at any step (catalog.CatalogError included) rejects the basis
@@ -453,11 +442,11 @@ def classify(spec: SubalgebraSpec):
             C = np.eye(3)
         Ci = ETA @ C.T @ ETA
         Y, Av = _conjugated(Ci, *spec.parts)
-        # the standardized basis, validated once: its linear parts are
-        # those of every later conjugate
-        std = SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av]))
+        # the standardized linear parts, checked once: they are those of
+        # every later conjugate
+        _require_so12(Y)
         targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
-        c, remainders = _complete_square(std.coords_matrix, targets)
+        c, remainders = _complete_square(np.hstack([Y.reshape(-1, 9), Av]), targets)
         conj = Motion(Ci, c)
         beta = 0.0
         if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE):
@@ -470,12 +459,12 @@ def classify(spec: SubalgebraSpec):
         id_, params = hit
         target = (_constant_target(id_, tuple(params.items())) if params.get("beta", 0.0) == 0.0
                   else catalog.build(id_, **params).basis)
-        moved = std._retranslated(Av - Y @ c)
+        moved = np.hstack([Y.reshape(-1, 9), Av - Y @ c])
+        residual = float(max(_span_residuals(target.row_space, moved).max(),
+                             _span_residuals(_row_space(moved), target.coords_matrix).max()))
     except ValueError as exc:
         return Rejection(REASON_UNMATCHED, str(exc), sig)
 
-    residual = float(max(_span_residuals(target.row_space, moved.coords_matrix).max(),
-                         _span_residuals(moved.row_space, target.coords_matrix).max()))
     if residual > SPAN_MATCH_TOL:
         return Rejection(
             REASON_UNMATCHED,

@@ -3,11 +3,11 @@
 Subcommands: catalog | orbit | classify | properness | verify.
 Exit codes: 0 success / all checks pass, 1 a check or verdict failed,
 2 unknown id or bad input (a non-finite --point or --params value, a
-negative or non-finite --grid or one whose samples overflow, a basis
-file that is not UTF-8, an unwritable --csv, a negative seed), 3 orbit
-expectation mismatch.  MINK_SEED overrides the default seed (42); an
-explicit --seed flag wins over both.  JSON has no inf or nan, so an
-orbit invariant that overflows is reported as null.
+negative or non-finite --grid, one of over 10^6 samples (N^dim) or one
+whose samples overflow, a basis file that is not UTF-8, an unwritable
+--csv, a negative seed), 3 orbit expectation mismatch.  MINK_SEED
+overrides the default seed (42); an explicit --seed flag wins over both.
+JSON has no inf or nan, so an orbit invariant that overflows is null.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .reportio import (
 from .verify import format_line, run_all
 
 SCHEMA = 1
+_MAX_GRID_SAMPLES = 10**6  # N^dim, checked before anything is allocated
 
 
 def _default_seed() -> int:
@@ -169,6 +170,10 @@ def cmd_orbit(args) -> int:
                 print("error: --grid must be N or N:lo:hi with N >= 0 and finite lo, hi",
                       file=sys.stderr)
                 return 2
+        if n ** entry.basis.dim > _MAX_GRID_SAMPLES:
+            print(f"error: --grid {n} asks for {n}^{entry.basis.dim} orbit samples, "
+                  f"more than {_MAX_GRID_SAMPLES}", file=sys.stderr)
+            return 2
         axes = [np.linspace(lo, hi, n)] * entry.basis.dim
         grid = [tuple(t) for t in
                 np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)]

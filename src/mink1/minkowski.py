@@ -114,16 +114,28 @@ def causal_character(v) -> str:
     return _VECTOR_BY_SIGN[sign_of(inner(v, v), STRUCT_TOL * m * m)]
 
 
-def so12_check(X) -> bool:
+def so12_check(X):
     """True iff X is an infinitesimal isometry: X^T eta + eta X = 0.
 
-    Componentwise: zero diagonal, X12 = X21, X13 = X31, X23 = -X32.
+    Componentwise, within STRUCT_TOL: zero diagonal, X12 = X21, X13 = X31,
+    X23 = -X32; a non-finite entry fails, without a warning.  A stack
+    X[..., 3, 3] gives the bool array of its matrices' verdicts; any other
+    shape reads False.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape != (3, 3) or not np.all(np.isfinite(X)):
+    if X.shape[-2:] != (3, 3):
         return False
-    return all(abs(d) <= STRUCT_TOL for d in (
-        X[0, 0], X[1, 1], X[2, 2], X[0, 1] - X[1, 0], X[0, 2] - X[2, 0], X[1, 2] + X[2, 1]))
+    if X.ndim == 2:  # Python floats, which never warn
+        return _so12_entries(*X.ravel().tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _so12_entries(*X.reshape(-1, 9).T).reshape(X.shape[:-2])
+
+
+def _so12_entries(x11, x12, x13, x21, x22, x23, x31, x32, x33):
+    """`so12_check`'s six comparisons, on the entries of one matrix or of a stack."""
+    return ((abs(x11) <= STRUCT_TOL) & (abs(x22) <= STRUCT_TOL) & (abs(x33) <= STRUCT_TOL)
+            & (abs(x12 - x21) <= STRUCT_TOL) & (abs(x13 - x31) <= STRUCT_TOL)
+            & (abs(x23 + x32) <= STRUCT_TOL))
 
 
 def generator_class(X) -> str:

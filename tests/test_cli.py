@@ -82,6 +82,17 @@ def test_orbit_bad_grid_exits_2(capsys):
             assert "overflow" in err
 
 
+def test_orbit_grid_over_the_sample_cap_exits_2(capsys):
+    # N^dim samples beyond 10^6 are refused before any is allocated: the
+    # first asks for 8e9, about 60 GiB of parameter grid
+    for id_, grid in (("N-ii", "2000"), ("N-ii", "101:-1:1"), ("P-a", "1001")):
+        code, out, err = run(capsys, "orbit", "--id", id_, "--point", "1,2,3",
+                             "--grid", grid, "--json")
+        assert code == 2, (id_, grid)
+        assert out == ""
+        assert err.startswith("error: --grid ") and "Traceback" not in err
+
+
 def test_nonfinite_params_exit_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

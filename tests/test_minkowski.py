@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,6 +137,54 @@ def test_so12_membership():
     E12[0, 1] = 1.0
     assert not so12_check(E12)
     assert not so12_check(np.eye(3))
+
+
+def test_so12_check_on_stacks_matches_each_matrix():
+    over = np.nextafter(STRUCT_TOL, 1.0)
+    mats = [BOOST, ROTATION, NULL_ROTATION, 2.5 * BOOST - ROTATION, np.eye(3)]
+    expected = [True, True, True, True, False]
+    entries = [(i, j) for i in range(3) for j in range(3)]
+    # a lone entry at the cut, on the diagonal or on one side of a mirrored
+    # pair, is within it; the next float above is not
+    for i, j in entries:
+        for d, ok in ((STRUCT_TOL, True), (-STRUCT_TOL, True), (over, False), (-over, False)):
+            X = np.zeros((3, 3))
+            X[i, j] = d
+            mats.append(X)
+            expected.append(ok)
+    # the rule compares differences, not entries: X12 = 1 against an
+    # X21 of 1 + 2^-30 (about 0.93e-9) or 1 + 2^-29 (about 1.86e-9)
+    for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
+        for d, ok in ((2.0 ** -30, True), (2.0 ** -29, False)):
+            X = BOOST + NULL_ROTATION
+            X[i, j] += d
+            mats.append(X)
+            expected.append(ok)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in entries:
+            X = ROTATION.copy()
+            X[i, j] = bad
+            mats.append(X)
+            expected.append(False)
+        # non-finite on both sides of a pair: inf - inf and inf + -inf
+        for (i, j), sign in (((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), -1.0)):
+            X = np.zeros((3, 3))
+            X[i, j], X[j, i] = bad, sign * bad
+            mats.append(X)
+            expected.append(False)
+    stack = np.array(mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = so12_check(stack)
+        alone = [so12_check(X) for X in stack]
+        assert so12_check(stack[None]).tolist() == [verdicts.tolist()]
+        empty = so12_check(np.zeros((0, 3, 3)))
+    assert verdicts.dtype == bool and verdicts.shape == (len(mats),)
+    assert all(type(v) is bool for v in alone)
+    assert verdicts.tolist() == alone == expected
+    assert empty.shape == (0,) and empty.dtype == bool
+    for shape in ((), (3,), (9,), (2, 2), (3, 4), (4, 3), (5, 3, 2)):
+        assert so12_check(np.zeros(shape)) is False, shape
 
 
 def test_motion_validation():
