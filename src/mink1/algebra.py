@@ -7,12 +7,14 @@ classification is a numerical decision on them: a rank, by singular values
 with a relative cutoff, or membership of c in a span, by its distance after
 orthogonal projection on `SubalgebraSpec.row_space` over max(1, |c|),
 against STRUCT_TOL for closure, ideals and containment.  Linear parts are
-validated where they enter, by one `so12_check` per stack; internal steps
+validated where they enter, by one `so12_check` per stack, and
+translations by one finiteness check per stack; internal steps
 pass coordinate rows on without validating them again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +36,7 @@ class AlgebraElement:
         if X.shape != (3, 3) or v.shape != (3,):
             raise ValueError("AlgebraElement needs a 3x3 matrix and a 3-vector")
         _require_so12(X)
+        _require_finite(v)
         X.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -69,6 +72,12 @@ def _require_so12(X) -> None:
         raise ValueError("linear part violates the isometry-algebra membership")
 
 
+def _require_finite(v) -> None:
+    """`AlgebraElement`'s translation rule, for one translation or a stack."""
+    if not all(map(math.isfinite, v.ravel().tolist())):
+        raise ValueError("translation must be finite")
+
+
 def element_from_coords(c) -> AlgebraElement:
     c = np.asarray(c, dtype=float)
     return AlgebraElement(c[:9].reshape(3, 3), c[9:])
@@ -94,12 +103,13 @@ class SubalgebraSpec:
     array `coords_matrix` of a basis's coordinates.
 
     Built from `AlgebraElement`s, or from coordinate rows whose linear
-    parts then pass `AlgebraElement`'s rule as one stack.  Construction
-    verifies linear independence once, on rows scaled to unit max-abs so
-    that a generator's size (a family parameter of 1e300 beside unit
-    entries, say) cannot decide it; a zero row is dependent.  The row
-    space is factored on the first membership question.  Closure under the
-    bracket is a separate, tolerance-based decision (`is_subalgebra`).
+    parts and translations then pass `AlgebraElement`'s rules as one
+    stack.  Construction verifies linear independence once, on rows
+    scaled to unit max-abs so that a generator's size (a family parameter
+    of 1e300 beside unit entries, say) cannot decide it; a zero row is
+    dependent.  The row space is factored on the first membership
+    question.  Closure under the bracket is a separate, tolerance-based
+    decision (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -108,6 +118,7 @@ class SubalgebraSpec:
         if isinstance(basis, np.ndarray):
             rows = np.array(basis, dtype=float).reshape(-1, 12)
             _require_so12(rows[:, :9].reshape(-1, 3, 3))
+            _require_finite(rows[:, 9:])
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)

@@ -2,20 +2,30 @@
 
 Four families act properly (P-a .. P-d) and twelve do not (N-i .. N-xii).
 Each entry bundles a concrete subalgebra basis, ground-truth orbit
-strata (predicate, dimension, causal character, orbit class, stabilizer
-data), a conserved along-orbit invariant where one exists, the orbit
-space, and a nonproperness witness where applicable.
+strata (sign pattern, dimension, causal character, orbit class,
+stabilizer data), a conserved along-orbit invariant where one exists,
+the orbit space, and a nonproperness witness where applicable.
 
-Each stratum is a sign pattern on a few named invariants of the base
-point (a plane's x1 - s*x2 + b, the origin's max|p|, <p, p>, and the
-P-b and N-i axis, diagonal and branch invariants below): its predicate
-holds when `minkowski.sign_of` of each invariant it names, against that
+Each stratum is a sign pattern, held as data: a tuple of (invariant,
+allowed signs) terms on a few named invariants of the base point (a
+plane's x1 - s*x2 + b, the origin's max|p|, <p, p>, and the P-b and N-i
+axis, diagonal and branch invariants below).  Its predicate holds when
+`minkowski.sign_of` of each invariant it names, against that
 invariant's cut, lies in the allowed set ({0} on an equality, {-1, +1}
 off it).  Equalities use the absolute cut 1e-9, so measure-zero strata
 are targetable exactly from rational inputs; <p, p> uses
 1e-9 * max(1, |p|^2) and N-i's |x1| - |x2| uses 0.  A value exactly at
 its cut reads as on the equality.  The patterns of an entry are
 pairwise disjoint and cover R^3.
+
+The same pattern draws the samples of an open stratum: unless a
+stratum names its own samplers, it samples generic points of
+[-3, 3)^3, redrawn until each invariant's sign against the cut 0.05
+lies in its allowed set, so every sample sits at least 0.05 on the
+allowed side of each equality.  Only the measure-zero strata, P-b's
+cylinder (0.1 off the axis) and P-d's cylinder (also |x3| < 2) sample
+their own way.  `verify` reads its generic points' margins from the
+same patterns.
 """
 
 from __future__ import annotations
@@ -77,16 +87,36 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class Stratum:
-    """One row of an entry's expected-orbit table."""
+    """One row of an entry's expected-orbit table.
+
+    `pattern` is the stratum as data, ((invariant, allowed signs), ...),
+    each invariant mapping a point to (value, cut) for `sign_of`; no
+    terms means every point.  Each sampler returns one point of the
+    stratum; given none, the stratum gets the default sampler of the
+    module docstring.
+    """
 
     name: str
-    predicate: Callable[[np.ndarray], bool]
+    pattern: tuple
     dim: int
     causal: str
     orbit_class: str
     stabilizer_dim: int
     stabilizer_class: str
-    samplers: tuple
+    samplers: tuple = ()
+
+    def __post_init__(self):
+        if not self.samplers:
+            object.__setattr__(self, "samplers",
+                               (_rejecting(partial(_clears_margin, self.pattern)),))
+
+    def predicate(self, p) -> bool:
+        """Whether `sign_of` of every invariant of the pattern at p lies in
+        its allowed signs."""
+        for invariant, signs in self.pattern:
+            if sign_of(*invariant(p)) not in signs:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -98,11 +128,11 @@ class CatalogEntry:
     orbit_space: str
     strata: tuple
     family: str
-    param_domain: str
-    invariant_name: Optional[str]
-    invariant: Optional[Callable[[np.ndarray], float]]
-    witness_point: Optional[np.ndarray]
-    witness_generator: Optional[AlgebraElement]
+    param_domain: str = "none"
+    invariant_name: Optional[str] = None
+    invariant: Optional[Callable[[np.ndarray], float]] = None
+    witness_point: Optional[np.ndarray] = None
+    witness_generator: Optional[AlgebraElement] = None
 
 
 def expected_orbit(entry: CatalogEntry, p) -> Stratum:
@@ -172,18 +202,6 @@ _ON, _OFF = frozenset({0}), frozenset({-1, 1})
 _NEG, _POS = frozenset({-1}), frozenset({1})
 
 
-def _pattern(*terms):
-    """Stratum predicate: for every (invariant, signs) term, `sign_of` of
-    the invariant at p lies in signs.  No terms: every point."""
-    def predicate(p):
-        for invariant, signs in terms:
-            if sign_of(*invariant(p)) not in signs:
-                return False
-        return True
-
-    return predicate
-
-
 # ---------------------------------------------------------------------------
 # samplers: each returns one point of the stratum it belongs to
 
@@ -193,23 +211,30 @@ def _u(rng):
     return float(rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0]))
 
 
-def _generic3(rng):
-    return rng.uniform(-3.0, 3.0, 3)
-
-
 def _origin(rng):
     return np.zeros(3)
 
 
 def _rejecting(cond):
-    """Sampler of generic points, redrawn until `cond` accepts one."""
+    """Sampler of generic points of [-3, 3)^3, redrawn until `cond` accepts one."""
     def sample(rng):
         while True:
-            p = _generic3(rng)
+            p = rng.uniform(-3.0, 3.0, 3)
             if cond(p):
                 return p
 
     return sample
+
+
+# how far a default sample sits on the allowed side of each equality
+_SAMPLE_MARGIN = 0.05
+
+
+def _clears_margin(pattern, p):
+    """Whether every invariant of the pattern reads at p, against the cut
+    _SAMPLE_MARGIN, a sign the pattern allows."""
+    return all(sign_of(invariant(p)[0], _SAMPLE_MARGIN) in signs
+               for invariant, signs in pattern)
 
 
 def _cone_sampler(side, avoid_plane=False):
@@ -230,13 +255,12 @@ def _cone_sampler(side, avoid_plane=False):
 # shared strata
 
 
-def _plane_strata(s, b, plane_row, off_row, sample_off=None):
+def _plane_strata(s, b, plane_row, off_row, off_samplers=()):
     """The plane x1 - s*x2 + b = 0 and its complement, as two strata.
 
     A row is (name, dim, causal, orbit class, stabilizer dim, stabilizer
     class).  The plane stratum samples exactly on the plane; unless
-    `sample_off` is given, the complement samples generic points at
-    least 0.05 off it.
+    `off_samplers` are given, the complement has the default sampler.
     """
     plane = _plane(s, b)
 
@@ -245,9 +269,8 @@ def _plane_strata(s, b, plane_row, off_row, sample_off=None):
         return np.array([a, s * a + b, c])
 
     return (
-        Stratum(plane_row[0], _pattern((plane, _ON)), *plane_row[1:], (sample_plane,)),
-        Stratum(off_row[0], _pattern((plane, _OFF)), *off_row[1:],
-                (sample_off or _rejecting(lambda p: abs(plane(p)[0]) > 0.05),)),
+        Stratum(plane_row[0], ((plane, _ON),), *plane_row[1:], (sample_plane,)),
+        Stratum(off_row[0], ((plane, _OFF),), *off_row[1:], off_samplers),
     )
 
 
@@ -272,17 +295,13 @@ def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
     if plane not in planes:
         raise CatalogError(f"P-a plane must be one of {sorted(planes)}, got {plane!r}")
     els, causal, inv_name, inv = planes[plane]
-    strata = (
-        Stratum("translated-plane", _pattern(), 2, causal, PRINCIPAL, 0, TRIVIAL,
-                (_generic3,)),
-    )
+    strata = (Stratum("translated-plane", (), 2, causal, PRINCIPAL, 0, TRIVIAL),)
     return CatalogEntry(
         id="P-a", params={"plane": plane}, basis=_spec(*els), proper=True,
         orbit_space=REAL_LINE, strata=strata,
         family="pure translations along a fixed 2-plane",
         param_domain="plane in {spacelike, timelike, degenerate}",
         invariant_name=inv_name, invariant=inv,
-        witness_point=None, witness_generator=None,
     )
 
 
@@ -291,34 +310,27 @@ def _build_P_b() -> CatalogEntry:
         return np.array([_u(rng), 0.0, 0.0])
 
     strata = (
-        Stratum("timelike-axis", _pattern((_pb_axis, _ON)), 1, TIMELIKE, SINGULAR, 1,
+        Stratum("timelike-axis", ((_pb_axis, _ON),), 1, TIMELIKE, SINGULAR, 1,
                 COMPACT, (sample_axis,)),
-        Stratum("cylinder", _pattern((_pb_axis, _OFF)), 2, LORENTZIAN, PRINCIPAL, 0,
+        Stratum("cylinder", ((_pb_axis, _OFF),), 2, LORENTZIAN, PRINCIPAL, 0,
                 TRIVIAL, (_rejecting(lambda p: _pb_axis(p)[0] >= 0.1),)),
     )
     return CatalogEntry(
         id="P-b", params={}, basis=_spec(_el(ROTATION, 0 * E1), _el(0 * BOOST, E1)),
         proper=True, orbit_space=HALF_LINE, strata=strata,
         family="rotations about a timelike axis times translations along it",
-        param_domain="none",
         invariant_name="x2^2+x3^2", invariant=lambda q: float(q[1] ** 2 + q[2] ** 2),
-        witness_point=None, witness_generator=None,
     )
 
 
 def _build_P_c() -> CatalogEntry:
-    strata = (
-        Stratum("spacelike-plane", _pattern(), 2, RIEMANNIAN, PRINCIPAL, 1,
-                COMPACT, (_generic3,)),
-    )
+    strata = (Stratum("spacelike-plane", (), 2, RIEMANNIAN, PRINCIPAL, 1, COMPACT),)
     return CatalogEntry(
         id="P-c", params={}, basis=_spec(_el(ROTATION, 0 * E1), _el(0 * BOOST, E2),
                                          _el(0 * BOOST, E3)),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="Euclidean motions of the spacelike planes x1 = const",
-        param_domain="none",
         invariant_name="x1", invariant=lambda q: float(q[0]),
-        witness_point=None, witness_generator=None,
     )
 
 
@@ -347,7 +359,7 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
 
     strata = _plane_strata(
         s, 0.0, ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL),
-        ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), sample_cyl)
+        ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), (sample_cyl,))
     return CatalogEntry(
         id="P-d", params={"sign": s, "beta": beta},
         basis=_spec(_el(BOOST, beta * E3), _el(0 * BOOST, nu)),
@@ -355,7 +367,6 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
         family="boosts coupled to spacelike-axis translations, with a null translation",
         param_domain="sign in {+1, -1}; beta != 0",
         invariant_name="(x1-s*x2)*exp(s*x3/beta)", invariant=invariant,
-        witness_point=None, witness_generator=None,
     )
 
 
@@ -374,38 +385,31 @@ def _build_N_i() -> CatalogEntry:
     half_samplers = tuple(_half(sx, sy) for sx in (1.0, -1.0) for sy in (1.0, -1.0))
     generic = (_ni_axis, _OFF), (_ni_diagonals, _OFF)
     strata = (
-        Stratum("spacelike-axis", _pattern((_ni_axis, _ON)), 1, SPACELIKE, SINGULAR, 1,
+        Stratum("spacelike-axis", ((_ni_axis, _ON),), 1, SPACELIKE, SINGULAR, 1,
                 NONCOMPACT, (sample_axis,)),
-        Stratum("degenerate-half-plane", _pattern((_ni_axis, _OFF), (_ni_diagonals, _ON)),
+        Stratum("degenerate-half-plane", ((_ni_axis, _OFF), (_ni_diagonals, _ON)),
                 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL, half_samplers),
-        Stratum("cylinder-branch-spacelike", _pattern(*generic, (_ni_branch, _POS)), 2,
-                RIEMANNIAN, PRINCIPAL, 0, TRIVIAL,
-                (_rejecting(lambda p: abs(p[0]) > abs(p[1]) + 0.05),)),
-        Stratum("cylinder-branch-lorentzian", _pattern(*generic, (_ni_branch, _NEG)), 2,
-                LORENTZIAN, PRINCIPAL, 0, TRIVIAL,
-                (_rejecting(lambda p: abs(p[1]) > abs(p[0]) + 0.05),)),
+        Stratum("cylinder-branch-spacelike", (*generic, (_ni_branch, _POS)), 2,
+                RIEMANNIAN, PRINCIPAL, 0, TRIVIAL),
+        Stratum("cylinder-branch-lorentzian", (*generic, (_ni_branch, _NEG)), 2,
+                LORENTZIAN, PRINCIPAL, 0, TRIVIAL),
     )
     return CatalogEntry(
         id="N-i", params={}, basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, E3)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts times translations along the boost axis",
-        param_domain="none",
         invariant_name="x1^2-x2^2", invariant=lambda q: float(q[0] ** 2 - q[1] ** 2),
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )
 
 
 def _build_N_ii() -> CatalogEntry:
-    strata = (
-        Stratum("lorentzian-plane", _pattern(), 2, LORENTZIAN, PRINCIPAL, 1,
-                NONCOMPACT, (_generic3,)),
-    )
+    strata = (Stratum("lorentzian-plane", (), 2, LORENTZIAN, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-ii", params={},
         basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, E1), _el(0 * BOOST, E2)),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="full motion group of the timelike planes x3 = const",
-        param_domain="none",
         invariant_name="x3", invariant=lambda q: float(q[2]),
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )
@@ -424,8 +428,6 @@ def _null_plane_entry(id_, s):
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="boosts with translations filling a degenerate plane "
                f"(null direction e1{'+' if s > 0 else '-'}e2)",
-        param_domain="none",
-        invariant_name=None, invariant=None,
         witness_point=wp, witness_generator=wg,
     )
 
@@ -441,7 +443,6 @@ def _null_line_entry(id_, s):
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts with a single null translation direction "
                f"(e1{'+' if s > 0 else '-'}e2)",
-        param_domain="none",
         invariant_name="x3", invariant=lambda q: float(q[2]),
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )
@@ -471,17 +472,13 @@ def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
 
 
 def _build_N_viii() -> CatalogEntry:
-    strata = (
-        Stratum("degenerate-plane", _pattern(), 2, DEGENERATE, PRINCIPAL, 1,
-                NONCOMPACT, (_generic3,)),
-    )
+    strata = (Stratum("degenerate-plane", (), 2, DEGENERATE, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-viii", params={},
         basis=_spec(_el(NULL_ROTATION, 0 * E1), _el(0 * BOOST, NULL_PLUS),
                     _el(0 * BOOST, E3)),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="null rotations with translations foliating by degenerate planes",
-        param_domain="none",
         invariant_name="x1-x2", invariant=lambda q: float(q[0] - q[1]),
         witness_point=np.zeros(3), witness_generator=_el(NULL_ROTATION, 0 * E1),
     )
@@ -500,25 +497,22 @@ def _build_N_ix() -> CatalogEntry:
         return np.array([a, a, _u(rng)])
 
     strata = (
-        Stratum("origin", _pattern((_sup_norm, _ON)), 0, ZERO_VECTOR, SINGULAR, 2,
+        Stratum("origin", ((_sup_norm, _ON),), 0, ZERO_VECTOR, SINGULAR, 2,
                 NONCOMPACT, (_origin,)),
-        Stratum("null-line", _pattern((_sup_norm, _OFF), (line, _ON)), 1, NULL, SINGULAR,
+        Stratum("null-line", ((_sup_norm, _OFF), (line, _ON)), 1, NULL, SINGULAR,
                 1, NONCOMPACT, (sample_line_z0, sample_line_z)),
-        Stratum("timelike-region", _pattern(*off_line, (_cone, _NEG)), 2, RIEMANNIAN,
-                PRINCIPAL, 0, TRIVIAL,
-                (_rejecting(lambda p: inner(p, p) < -0.05 and abs(p[0] - p[1]) > 0.05),)),
-        Stratum("light-cone-sector", _pattern(*off_line, (_cone, _ON)), 2, DEGENERATE,
+        Stratum("timelike-region", (*off_line, (_cone, _NEG)), 2, RIEMANNIAN,
+                PRINCIPAL, 0, TRIVIAL),
+        Stratum("light-cone-sector", (*off_line, (_cone, _ON)), 2, DEGENERATE,
                 PRINCIPAL, 0, TRIVIAL, (_cone_sampler(1.0, True), _cone_sampler(-1.0, True))),
-        Stratum("spacelike-region", _pattern(*off_line, (_cone, _POS)), 2, LORENTZIAN,
-                PRINCIPAL, 0, TRIVIAL,
-                (_rejecting(lambda p: inner(p, p) > 0.05 and abs(p[0] - p[1]) > 0.05),)),
+        Stratum("spacelike-region", (*off_line, (_cone, _POS)), 2, LORENTZIAN,
+                PRINCIPAL, 0, TRIVIAL),
     )
     return CatalogEntry(
         id="N-ix", params={},
         basis=_spec(_el(BOOST, 0 * E1), _el(NULL_ROTATION, 0 * E1)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the solvable boost/null-rotation group acting linearly",
-        param_domain="none",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )
@@ -547,7 +541,6 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
         family="solvable linear group extended by one null translation direction; "
                "the boost generator carries a spacelike translation of size beta",
         param_domain="alpha != 0 (kernel scale, normalized away); beta real",
-        invariant_name=None, invariant=None,
         witness_point=np.zeros(3), witness_generator=wg,
     )
 
@@ -562,8 +555,6 @@ def _build_N_xi() -> CatalogEntry:
                     _el(0 * BOOST, NULL_PLUS), _el(0 * BOOST, E3)),
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="solvable linear group with a full degenerate plane of translations",
-        param_domain="none",
-        invariant_name=None, invariant=None,
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )
 
@@ -571,15 +562,14 @@ def _build_N_xi() -> CatalogEntry:
 def _build_N_xii() -> CatalogEntry:
     off_origin = (_sup_norm, _OFF)
     strata = (
-        Stratum("origin", _pattern((_sup_norm, _ON)), 0, ZERO_VECTOR, SINGULAR, 3,
+        Stratum("origin", ((_sup_norm, _ON),), 0, ZERO_VECTOR, SINGULAR, 3,
                 NONCOMPACT, (_origin,)),
-        Stratum("light-cone", _pattern(off_origin, (_cone, _ON)), 2, DEGENERATE,
+        Stratum("light-cone", (off_origin, (_cone, _ON)), 2, DEGENERATE,
                 EXCEPTIONAL, 1, NONCOMPACT, (_cone_sampler(1.0), _cone_sampler(-1.0))),
-        Stratum("pseudo-hyperbolic-sheet", _pattern(off_origin, (_cone, _NEG)), 2,
-                RIEMANNIAN, PRINCIPAL, 1, COMPACT,
-                (_rejecting(lambda p: inner(p, p) < -0.05),)),
-        Stratum("pseudo-sphere", _pattern(off_origin, (_cone, _POS)), 2, LORENTZIAN,
-                PRINCIPAL, 1, NONCOMPACT, (_rejecting(lambda p: inner(p, p) > 0.05),)),
+        Stratum("pseudo-hyperbolic-sheet", (off_origin, (_cone, _NEG)), 2,
+                RIEMANNIAN, PRINCIPAL, 1, COMPACT),
+        Stratum("pseudo-sphere", (off_origin, (_cone, _POS)), 2, LORENTZIAN,
+                PRINCIPAL, 1, NONCOMPACT),
     )
     return CatalogEntry(
         id="N-xii", params={},
@@ -587,7 +577,6 @@ def _build_N_xii() -> CatalogEntry:
                     _el(NULL_ROTATION, 0 * E1)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the full linear isometry group (identity component)",
-        param_domain="none",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
         witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
     )

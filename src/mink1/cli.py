@@ -153,7 +153,6 @@ def cmd_orbit(args) -> int:
         else {"name": entry.invariant_name, "value": _finite_or_none(rep.invariant_value)},
         "evidence": rep.evidence,
     }
-    grid = []
     if args.grid or args.csv:
         n, lo, hi = 5, -2.0, 2.0
         if args.grid:
@@ -175,8 +174,7 @@ def cmd_orbit(args) -> int:
                   f"more than {_MAX_GRID_SAMPLES}", file=sys.stderr)
             return 2
         axes = [np.linspace(lo, hi, n)] * entry.basis.dim
-        grid = [tuple(t) for t in
-                np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)]
+        grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 samples = sample_orbit(entry, point, grid)

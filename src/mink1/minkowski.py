@@ -162,7 +162,7 @@ def check_motions(A, a) -> None:
     # tolerances scale with ||A||^2: the isometry residual grows like
     # that under roundoff, and witness boosts reach entries ~ e^20
     peak = np.abs(A).max(axis=(1, 2))
-    scale2 = np.array([max(1.0, x ** 2) for x in peak.tolist()])
+    scale2 = np.maximum(1.0, peak * peak)
     res = np.abs(A.transpose(0, 2, 1) @ ETA @ A - ETA).max(axis=(1, 2))
     bad = res > MOTION_TOL * scale2
     if bad.any():

@@ -139,19 +139,19 @@ def finite_tangent(el: AlgebraElement, p) -> np.ndarray:
 def sample_orbit(entry: CatalogEntry, p, grid) -> np.ndarray:
     """Orbit points exp(t1 xi1) exp(t2 xi2) ... p over a parameter grid.
 
-    ``grid`` is a sequence of tuples, one coordinate per basis element.
-    The empty grid yields the base point itself.  Each flow runs over the
-    whole grid as one stack, and the stacks compose row by row, so every
-    sample has the bits of its own chain of motions.
+    ``grid`` is an (N, dim) array, or a sequence of N tuples, with one
+    coordinate per basis element.  The empty grid yields the base point
+    itself.  Each flow runs over the whole grid as one stack, and the
+    stacks compose row by row, so every sample has the bits of its own
+    chain of motions.
     """
     p = np.asarray(p, dtype=float)
-    grid = list(grid)
-    if not grid:
+    ts = np.asarray(grid, dtype=float)
+    if not ts.size:
         return p.reshape(1, 3)
-    if any(len(tup) != entry.basis.dim for tup in grid):
+    if ts.ndim != 2 or ts.shape[1] != entry.basis.dim:
         raise ValueError("grid tuples must match the basis dimension")
-    ts = np.array(grid, dtype=float).T
-    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts)), p)
+    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts.T)), p)
 
 
 def eq1_norm(alpha: float, p) -> float:

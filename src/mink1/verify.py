@@ -46,6 +46,7 @@ from .minkowski import (
 from .orbits import (
     analyze_points,
     eq1_norm,
+    finite_tangent,
     orbit_causal,
     orbit_normal,
     orbit_reports,
@@ -82,24 +83,15 @@ def entry_variants(id_):
         yield build(id_, **params)
 
 
-def _stratum_margins(entry, p):
-    """Distances of p to every defining equality of the entry's strata."""
-    x, y, z = p
-    vals = [abs(x - y), abs(x + y), max(abs(x), abs(y)), abs(inner(p, p))]
-    if entry.id == "N-vii":
-        vals.append(abs(y - x - entry.params["beta"]))
-    if entry.id == "P-b":
-        vals.append(max(abs(y), abs(z)))
-    return vals
-
-
 def _generic_points(entry, rng, n):
-    """n random points of [-3, 3]^3 more than 1e-4 from every stratum
-    equality."""
+    """n random points of [-3, 3]^3 more than 1e-4 from every equality of
+    the entry's stratum patterns: each distinct invariant they name has
+    |value| > 1e-4."""
+    invariants = tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
     pts = []
     while len(pts) < n:
         p = rng.uniform(-3.0, 3.0, 3)
-        if min(_stratum_margins(entry, p)) > 1e-4:
+        if all(abs(inv(p)[0]) > 1e-4 for inv in invariants):
             pts.append(p)
     return pts
 
@@ -278,7 +270,7 @@ def check_orbit_inventories(seed: int = 42) -> CheckResult:
                 continue
             tol = 1e-12 if id_ == "P-c" else 1e-8
             axes = [np.linspace(-1.2, 1.2, 3)] * entry.basis.dim
-            grid = [tuple(t) for t in np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)]
+            grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)
             for p in (_generic_points(entry, rng, 2) + _stratum_points(entry, rng, 1))[:6]:
                 ref = entry.invariant(p)
                 qs = sample_orbit(entry, p, grid)
@@ -329,9 +321,7 @@ def check_eq1_dichotomy(seed: int = 42) -> CheckResult:
     for _ in range(50):
         alpha = rng.uniform(-3.0, 3.0)
         p = rng.uniform(-3.0, 3.0, 3)
-        el = AlgebraElement(alpha * BOOST + NULL_ROTATION, np.zeros(3))
-        h = 1e-5
-        w = (apply(exp_element(el, h), p) - apply(exp_element(el, -h), p)) / (2 * h)
+        w = finite_tangent(AlgebraElement(alpha * BOOST + NULL_ROTATION, np.zeros(3)), p)
         err = abs(inner(w, w) - eq1_norm(alpha, p))
         worst = max(worst, err)
         if err > 1e-7:

@@ -325,3 +325,15 @@ def test_spec_from_rows_matches_spec_from_elements():
             SubalgebraSpec(bad)
         with pytest.raises(ValueError, match=message):
             SubalgebraSpec(tuple(AlgebraElement(r[:9].reshape(3, 3), r[9:]) for r in bad))
+
+
+def test_nonfinite_translation_is_rejected_in_both_forms():
+    # each form names the translation, and no SVD sees the value
+    good = el(BOOST, Z3).coords
+    for bad in (np.inf, -np.inf, np.nan):
+        v = np.array([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="translation must be finite"):
+            SubalgebraSpec((AlgebraElement(BOOST, v),))
+        for rows in (np.r_[good[:9], v][None], np.vstack([good, np.r_[Z33.ravel(), v]])):
+            with pytest.raises(ValueError, match="translation must be finite"):
+                SubalgebraSpec(rows)

@@ -1,3 +1,6 @@
+from itertools import chain, count
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from mink1.minkowski import (
     STRUCT_TOL,
     ZERO,
     generator_class,
+    sign_of,
 )
 from mink1.orbits import orbit_dimension, stabilizer_algebra
 from mink1.sampling import rng_from_seed
@@ -245,3 +249,32 @@ def test_predicates_at_tolerance_edges():
                 assert expected_orbit(entry, base + 2.0 * cut * d).name == outside, (id_, base, d)
                 checked.add(id_)
     assert checked == set(CATALOG_IDS)
+
+
+def test_patterns_drive_samples_and_margins():
+    """Every sample of an open stratum clears each equality of its pattern by
+    0.05 on the allowed side; every generic point of verify clears every
+    equality of its entry's patterns by more than 1e-4, even when the draws
+    start with the samples of the measure-zero strata."""
+    rng = rng_from_seed(29)
+    open_strata = 0
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            on_equalities = []
+            for stratum in entry.strata:
+                if any(signs == {0} for _, signs in stratum.pattern):
+                    on_equalities += [sampler(rng) for sampler in stratum.samplers]
+                    continue
+                open_strata += 1
+                for sampler in stratum.samplers:
+                    for _ in range(200):
+                        p = sampler(rng)
+                        for invariant, signs in stratum.pattern:
+                            assert sign_of(invariant(p)[0], 0.05) in signs, (
+                                id_, entry.params, stratum.name, p)
+            draws = chain(on_equalities, (rng.uniform(-3.0, 3.0, 3) for _ in count()))
+            for p in _generic_points(entry, SimpleNamespace(uniform=lambda *_: next(draws)), 50):
+                for stratum in entry.strata:
+                    for invariant, _ in stratum.pattern:
+                        assert abs(invariant(p)[0]) > 1e-4, (id_, entry.params, p)
+    assert open_strata >= 20
