@@ -24,6 +24,7 @@ from .classify import (
     Classification,
     Rejection,
     classify,
+    classify_stack,
     signature,
     standardize_linear,
 )

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minkowski import ETA, STRUCT_TOL, generator_class, numeric_rank, sign_of, so12_check
+from .minkowski import ETA, STRUCT_TOL, generator_class, numeric_rank, so12_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +78,28 @@ def _require_finite(v) -> None:
         raise ValueError("translation must be finite")
 
 
+def _independent_row_space(rows) -> np.ndarray:
+    """`SubalgebraSpec`'s independence rule for a basis rows[n, 12] or each
+    of a stack rows[B, n, 12]: the singular values of `_row_space`'s SVD
+    decide the rank (a zero row is dependent), and its row space is
+    returned."""
+    peak = abs(rows).max(axis=-1, keepdims=True)
+    if peak.all():
+        _, s, space = np.linalg.svd(rows / peak, full_matrices=False)
+        if not np.any(numeric_rank(s) < rows.shape[-2]):
+            space.setflags(write=False)
+            return space
+    raise ValueError("basis is not linearly independent")
+
+
+def _require_rows(rows) -> np.ndarray:
+    """The rows form's rules (linear parts, translations, independence),
+    applied once to a basis or to a stack of bases; returns the row space."""
+    _require_so12(rows[..., :9].reshape(-1, 3, 3))
+    _require_finite(rows[..., 9:])
+    return _independent_row_space(rows)
+
+
 def element_from_coords(c) -> AlgebraElement:
     c = np.asarray(c, dtype=float)
     return AlgebraElement(c[:9].reshape(3, 3), c[9:])
@@ -88,14 +110,16 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.X @ b.X - b.X @ a.X, a.X @ b.v - b.X @ a.v)
 
 
-def _brackets(spec_a: SubalgebraSpec, spec_b: SubalgebraSpec, i, j) -> np.ndarray:
-    """Coordinate rows of the brackets [a_i[k], b_j[k]] of basis elements,
-    as one stacked product; each is checked as `bracket` checks it."""
-    (X, u), (Y, v) = spec_a.parts, spec_b.parts
-    X, u, Y, v = X[i], u[i], Y[j], v[j]
+def _brackets(parts_a, parts_b, i, j) -> np.ndarray:
+    """Coordinate rows of the brackets [a_i[k], b_j[k]] of basis elements
+    given by their parts (X[..., n, 3, 3], u[..., n, 3]), as one stacked
+    product over any leading stack axes; `bracket`'s membership check on
+    their linear parts is left to the caller."""
+    (X, u), (Y, v) = parts_a, parts_b
+    X, u, Y, v = X[..., i, :, :], u[..., i, :], Y[..., j, :, :], v[..., j, :]
     Z = X @ Y - Y @ X
-    _require_so12(Z)
-    return np.concatenate((Z.reshape(-1, 9), (X @ v[..., None] - Y @ u[..., None])[..., 0]), axis=1)
+    return np.concatenate((Z.reshape(Z.shape[:-2] + (9,)),
+                           (X @ v[..., None] - Y @ u[..., None])[..., 0]), axis=-1)
 
 
 class SubalgebraSpec:
@@ -107,9 +131,10 @@ class SubalgebraSpec:
     stack.  Construction verifies linear independence once, on rows
     scaled to unit max-abs so that a generator's size (a family parameter
     of 1e300 beside unit entries, say) cannot decide it; a zero row is
-    dependent.  The row space is factored on the first membership
-    question.  Closure under the bracket is a separate, tolerance-based
-    decision (`is_subalgebra`).
+    dependent.  The SVD that decides it also gives `row_space`, the
+    orthonormal rows every membership question projects on.  Closure
+    under the bracket is a separate, tolerance-based decision
+    (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -117,15 +142,11 @@ class SubalgebraSpec:
     def __init__(self, basis):
         if isinstance(basis, np.ndarray):
             rows = np.array(basis, dtype=float).reshape(-1, 12)
-            _require_so12(rows[:, :9].reshape(-1, 3, 3))
-            _require_finite(rows[:, 9:])
+            self.row_space = _require_rows(rows)
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-        peak = abs(rows).max(axis=1, keepdims=True)
-        if len(rows) and (not peak.all() or numeric_rank(
-                np.linalg.svd(rows / peak, compute_uv=False)) < len(rows)):
-            raise ValueError("basis is not linearly independent")
+            self.row_space = _independent_row_space(rows)
         rows.setflags(write=False)
         self.coords_matrix = rows
 
@@ -143,16 +164,15 @@ class SubalgebraSpec:
         """The rows as read-only stacks (X[n, 3, 3], v[n, 3]), views of them."""
         return self.coords_matrix[:, :9].reshape(-1, 3, 3), self.coords_matrix[:, 9:]
 
-    @cached_property
-    def row_space(self) -> np.ndarray:
-        """`_row_space` of the rows, taken on the first membership question."""
-        return _row_space(self.coords_matrix)
+
+_TINY = np.finfo(float).tiny
 
 
 def _row_space(rows) -> np.ndarray:
-    """Orthonormal rows spanning independent coordinate rows: one SVD of
-    them scaled to unit max-abs (read-only)."""
-    space = np.linalg.svd(rows / abs(rows).max(axis=1, keepdims=True), full_matrices=False)[2]
+    """Orthonormal rows spanning independent coordinate rows rows[..., n, 12]
+    (one basis or a stack): one SVD of them scaled to unit max-abs
+    (read-only)."""
+    space = np.linalg.svd(rows / abs(rows).max(axis=-1, keepdims=True), full_matrices=False)[2]
     space.setflags(write=False)
     return space
 
@@ -161,13 +181,15 @@ def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
     """Each coordinate row's distance |r| from the span of the orthonormal
     rows `space`, or |r| / max(1, |c|) when relative, evaluated as |r/m| m
     or |r/m| / max(1/m, |c/m|) on the row scaled to unit max-abs m, so no
-    norm overflows."""
-    peak = np.maximum(abs(rows).max(axis=1), np.finfo(float).tiny)
-    unit = rows / peak[:, None]
-    dist = np.linalg.norm(unit - unit @ space.T @ space, axis=1)
+    norm overflows.  Stacks rows[..., k, 12] and space[..., n, 12] pair up
+    basis by basis."""
+    peak = np.maximum(abs(rows).max(axis=-1), _TINY)
+    unit = rows / peak[..., None]
+    off = unit - unit @ space.swapaxes(-1, -2) @ space
+    dist = np.sqrt((off * off).sum(axis=-1))
     if not relative:
         return dist * peak
-    return dist / np.maximum(1.0 / peak, np.linalg.norm(unit, axis=1))
+    return dist / np.maximum(1.0 / peak, np.sqrt((unit * unit).sum(axis=-1)))
 
 
 def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
@@ -184,8 +206,8 @@ def closure_residual(spec: SubalgebraSpec) -> float:
     single element has no bracket, and is closed without an SVD."""
     if spec.dim < 2:
         return 0.0
-    r = np.arange(spec.dim)  # the pairs i < j, row by row
-    brackets = _brackets(spec, spec, *np.nonzero(np.less.outer(r, r)))
+    brackets = _brackets(spec.parts, spec.parts, *np.triu_indices(spec.dim, 1))
+    _require_so12(brackets[:, :9].reshape(-1, 3, 3))
     return float(_span_residuals(spec.row_space, brackets).max())
 
 
@@ -195,47 +217,57 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
-    brackets = _brackets(ambient, sub, *divmod(np.arange(ambient.dim * sub.dim), sub.dim))
+    pairs = divmod(np.arange(ambient.dim * sub.dim), sub.dim)
+    brackets = _brackets(ambient.parts, sub.parts, *pairs)
+    _require_so12(brackets[:, :9].reshape(-1, 3, 3))
     return bool((_span_residuals(sub.row_space, brackets) <= STRUCT_TOL).all())
 
 
 def _linear_split(rows):
-    """Both halves of the span of coordinate rows, from one SVD of their linear parts.
+    """Both halves of the span of each basis of a stack rows[B, n, 12].
 
-    Returns ``(dim_l, lb, dim_ker, kb)``: lb is an orthonormal basis of
-    { X : (X, v) in span(basis) } (the right singular vectors) and kb one
-    of { v : (0, v) in span(basis) }, found by rank-reducing the
-    translation combinations whose coefficients (the left null space)
-    kill every linear part.
+    Returns ``(dim_l, lvh, lifts, dim_ker, kvh)``: integer arrays of the
+    dimensions; right singular vectors lvh[B, n, 9] and kvh[B, 3, 3] whose
+    leading dim_l and dim_ker rows are orthonormal bases of
+    { X : (X, v) in span } and of { v : (0, v) in span }; and lifts[B, k, 3],
+    the translations of the span's elements whose linear parts are the
+    leading rows of lvh (zero beyond dim_l).  The linear parts take one
+    batched SVD, which also gives the lifts; the kernel comes from
+    rank-reducing the translation combinations whose coefficients (the
+    left null space) kill every linear part, one batched SVD per linear
+    dimension.
     """
-    if not len(rows):
-        return 0, [], 0, []
-    u, s, vh = np.linalg.svd(rows[:, :9])
-    dim_l = numeric_rank(s)
-    lb = list(vh[:dim_l].reshape(-1, 3, 3))
-    if dim_l == len(rows):
-        return dim_l, lb, 0, []
-    _, s, vh = np.linalg.svd(u[:, dim_l:].T @ rows[:, 9:])
-    dim_ker = numeric_rank(s)
-    return dim_l, lb, dim_ker, list(vh[:dim_ker])
+    B, n = rows.shape[:2]
+    u, s, lvh = np.linalg.svd(rows[..., :9], full_matrices=False)
+    dim_l, dim_ker = numeric_rank(s), np.zeros(B, dtype=int)
+    lifts, kvh = np.zeros((B, n, 3)), np.zeros((B, 3, 3))
+    ranks = set(dim_l.tolist())
+    for d in ranks:
+        at = np.flatnonzero(dim_l == d) if len(ranks) > 1 else slice(None)
+        lifts[at, :d] = (u[at, :, :d] / s[at, None, :d]).swapaxes(1, 2) @ rows[at, :, 9:]
+        if d < n:
+            _, sk, kvh[at] = np.linalg.svd(u[at, :, d:].swapaxes(1, 2) @ rows[at, :, 9:])
+            dim_ker[at] = numeric_rank(sk)
+    return dim_l, lvh, lifts, dim_ker, kvh
 
 
 def linear_part(spec: SubalgebraSpec):
     """Dimension and a basis of { X : (X, v) in span(basis) }."""
-    dim_l, lb, _, _ = _linear_split(spec.coords_matrix)
-    return dim_l, lb
+    dim_l, lvh, *_ = _linear_split(spec.coords_matrix[None])
+    return int(dim_l[0]), list(lvh[0, :dim_l[0]].reshape(-1, 3, 3))
 
 
 def kernel_of_l(spec: SubalgebraSpec):
     """Dimension and a basis of { v : (0, v) in span(basis) }."""
-    _, _, dim_ker, kb = _linear_split(spec.coords_matrix)
-    return dim_ker, kb
+    *_, dim_ker, kvh = _linear_split(spec.coords_matrix[None])
+    return int(dim_ker[0]), list(kvh[0, :dim_ker[0]])
 
 
 def _conjugated(A, X, v):
-    """(A X A^-1, A v) for (X, v), or per row of stacks X[k, 3, 3], v[k, 3]:
-    the parts of `adjoint` by (A, a) that do not depend on a."""
-    Ai = ETA @ A.T @ ETA
+    """(A X A^-1, A v) for (X, v), or per row of stacks X[..., 3, 3],
+    v[..., 3] (and A[..., 3, 3]): the parts of `adjoint` by (A, a) that do
+    not depend on a."""
+    Ai = ETA @ A.swapaxes(-1, -2) @ ETA
     return A @ X @ Ai, (A @ v[..., None])[..., 0]
 
 
@@ -252,18 +284,6 @@ def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     """`adjoint` of every basis element, as one stacked product."""
     Y, Av = _conjugated(m.A, *spec.parts)
     return SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av - Y @ m.a]))
-
-
-def _first_linear_index(spec: SubalgebraSpec):
-    """Index of the first basis element whose linear part is nonzero (its
-    sup-norm above STRUCT_TOL), or None.
-
-    The classifier keys its orientation conventions to this element, so
-    the basis order supplied by the caller is part of the contract.
-    """
-    nonzero = np.flatnonzero(sign_of(np.abs(spec.parts[0]).max(axis=(1, 2), initial=0.0),
-                                     STRUCT_TOL))
-    return int(nonzero[0]) if len(nonzero) else None
 
 
 __all__ = [

@@ -1,31 +1,36 @@
 """Classification of subalgebras into the sixteen-family catalog.
 
-One pass: the conjugation invariants (dimensions, linear-part type,
-kernel causal type, eigenvalue sign data) come from one SVD of the
-stacked linear parts, which also yields the bases the later steps reuse
--> a linear conjugation standardizes the linear part onto the reference
-generators -> a translation conjugation removes every removable
-translation component -> an exact match on the signature tuple,
-certified by the span residual between the conjugated basis and the
-catalog basis.  The basis is conjugated once: the standardized and the
-moved rows share the linear parts Ci X C, checked once as a stack, and
-differ only in translation.  Both stay coordinate rows: conjugation and
-retranslation are invertible, so they keep the input's independence.
+The classifier runs on a stack R[B, n, 12] of bases of one dimension
+(`classify_stack`); `classify` is the same code on a stack of one.
+Each step runs once per stack: power-of-two normalization -> the
+conjugation invariants (one stacked bracket product, one batched SVD of
+the linear parts) -> per signature group, stacked frames standardizing
+the linear part onto the reference generators -> one stacked solve
+removing every removable translation -> an exact match on the signature
+tuple, certified by the two-way span residual between the conjugated
+basis and the catalog basis.
 
-Every outcome is a Classification or a Rejection.  A basis whose
-numbers defeat a step (a bracket or conjugate outside the absolute
-membership tolerances, a failed standardization, a conjugator that is
-not an isometry, typically for bases rescaled far from unit size) is
-rejected as unmatched with that step's message; classify does not raise.
+Normalization divides each basis's translation block by the power of two
+of max|v| / max|X| (undoing a dilation of space), then each row by the
+power of two of its max-abs entry.  Powers of two are exact, so a basis
+scaled or dilated by 2^k gives bit-identical rows and the same answer;
+beta (P-d, N-vii, N-x) and the conjugator's translation are scaled back,
+so the certificate holds in the input's frame.
 
-Two normalization conventions are part of the contract:
+Every outcome is a Classification or a Rejection, one per basis, in
+order.  A basis whose numbers defeat a step (a bracket or conjugate
+outside the membership tolerances, a failed standardization, a
+conjugator that is not an isometry) is rejected as unmatched with that
+step's message while the other bases go on; valid bases never raise.
+
+Two conventions are part of the contract:
 
 * The boost-family twins (null direction e1+e2 versus e1-e2) are
   separated by the sign of the boost eigenvalue on the kernel's null
   line, measured on the *first supplied generator with a linear part*.
-  The two members of each twin pair are conjugate to each other by the
-  half-turn rotation, so no basis-free invariant separates them; the
-  orientation of the supplied generator is what the returned id tracks.
+  The twins are conjugate by the half-turn rotation, so no basis-free
+  invariant separates them; the returned id tracks the orientation of
+  the supplied generator.
 * The null-rotation family's translation parameter is removable by a
   translation conjugation, so classify always reports it as 0.
 """
@@ -40,14 +45,13 @@ import numpy as np
 
 from . import catalog
 from .algebra import (
+    _TINY,
     SubalgebraSpec,
-    _conjugated,
-    _first_linear_index,
+    _brackets,
     _linear_split,
-    _require_so12,
+    _require_rows,
     _row_space,
     _span_residuals,
-    closure_residual,
 )
 from .minkowski import (
     BOOST,
@@ -66,10 +70,10 @@ from .minkowski import (
     TIMELIKE,
     ZERO,
     Motion,
-    causal_of_span,
+    causal_of_svd,
     generator_class,
-    inner,
     sign_of,
+    so12_check,
 )
 
 REASON_NOT_SUBALGEBRA = "not-a-subalgebra"
@@ -129,69 +133,118 @@ _REFERENCE = {
 # position (a single generator is its own class)
 _SPANNED = {ZERO: (), TWO_DIM_SOLVABLE: (HYPERBOLIC, PARABOLIC),
             FULL: (HYPERBOLIC, ELLIPTIC, PARABOLIC)}
+_SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
+_INVERSE = np.outer(_SIGNS, _SIGNS)  # C^-1 = ETA C^T ETA = C^T * _INVERSE for isometries
+_PAIRS = [np.triu_indices(n, 1) for n in range(7)]  # the pairs i < j of n <= 6 rows
+_NOT_SO12 = "linear part violates the isometry-algebra membership"
+_NO_GAP = np.iinfo(np.int32).min
+_E1 = np.eye(3)[0]
+_NEXT, _LAST, _MIRROR = np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1.0, -1.0, -1.0])
+
+
+def _ip(u, w):  # <u, w> per row of stacks of vectors
+    return (u * _SIGNS * w).sum(axis=-1)
+
+
+def _mv(A, x):  # A x per row of stacks of matrices and vectors
+    return (A @ x[..., None])[..., 0]
+
+
+def _cross(a, b):  # a x b per row of stacks of vectors
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
+def _note(detail, bad, message) -> None:
+    """Give each row of the mask `bad` not failed yet its message (a string,
+    or a function of the row index)."""
+    for k in np.flatnonzero(bad) if bad.any() else ():
+        if detail[k] is None:
+            detail[k] = message(k) if callable(message) else message
 
 
 # ---------------------------------------------------------------------------
-# frames: columns form an eta-orthonormal basis, so the matrix lies in the
-# identity component and conjugation by it moves distinguished lines onto
-# the reference positions
+# stacked frames: the columns of each C[k] form an eta-orthonormal basis in
+# the identity component, moving distinguished lines onto the reference
+# positions.  A row's failure goes to `detail`; callers run under
+# np.errstate, so a failed row's NaNs stay silent until it is dropped.
 
 
-def _kernel_vector(M):
-    """The last right-singular vector of M, its (near-)kernel direction."""
-    return np.linalg.svd(M)[2][-1]
+def _frame(u1, u2, detail):
+    """Columns u1 (unit timelike), u2 (unit spacelike, eta-orthogonal to u1)
+    and eta (u1 x u2), unit: eta-orthogonal to both, and of determinant
+    <u1 x u2, u1 x u2> > 0."""
+    z = _cross(u1, u2)
+    n = _ip(z, z)
+    _note(detail, ~(n > 0), "completion direction is not spacelike")
+    return np.array([u1, u2, z * _SIGNS / np.sqrt(n)[:, None]]).transpose(1, 2, 0)
 
 
-def _null_combination(rows):
-    """The null direction of a degenerate plane spanned by `rows`: the
-    combination along the Gram eigenvector of least |eigenvalue|."""
-    rows = np.stack(rows)
-    w, vecs = np.linalg.eigh(rows @ ETA @ rows.T)
-    return vecs[:, int(np.argmin(np.abs(w)))] @ rows
-
-
-def _frame(u1, u2):
-    """Frame with columns u1 (unit timelike), u2 (unit spacelike, eta-
-    orthogonal to u1) and the unit spacelike vector eta-orthogonal to both,
-    signed for determinant +1."""
-    w = _kernel_vector(np.stack([ETA @ u1, ETA @ u2]))
-    n = inner(w, w)
-    if n <= 0:
-        raise ValueError("completion direction is not spacelike")
-    C = np.column_stack([u1, u2, w / np.sqrt(n)])
-    if np.linalg.det(C) < 0:
-        C[:, 2] = -C[:, 2]
-    return C
-
-
-def _frame_from_timelike(v, s=None):
-    """Frame whose first column is the future unit vector along the
-    timelike v and whose second lies in span{v, s}; s defaults to the
-    coordinate axis least aligned with v."""
-    q = inner(v, v)
-    if q >= 0:
-        raise ValueError("axis is not timelike")
-    u1 = v / np.sqrt(-q)
-    if u1[0] < 0:
-        u1 = -u1
+def _frame_from_timelike(v, s, detail):
+    """First column the future unit vector along the timelike v, second in
+    span{v, s}; s None is the coordinate axis least aligned with v."""
+    q = _ip(v, v)
+    _note(detail, ~(q < 0), "axis is not timelike")
+    u1 = v / np.sqrt(-q)[:, None]
+    u1 = np.where(u1[:, :1] < 0, -u1, u1)
     if s is None:
-        s = min(np.eye(3), key=lambda e: abs(inner(e, u1)))
-    u2 = s + inner(s, u1) * u1
-    n = inner(u2, u2)
-    if n <= 0:
-        raise ValueError(f"second frame vector u2 is not spacelike (<u2, u2> = {n:.3e})")
-    return _frame(u1, u2 / np.sqrt(n))
+        s = np.eye(3)[abs(u1).argmin(axis=1)]
+    u2 = s + _ip(s, u1)[:, None] * u1
+    n = _ip(u2, u2)
+    _note(detail, ~(n > 0),
+          lambda k: f"second frame vector u2 is not spacelike (<u2, u2> = {n[k]:.3e})")
+    return _frame(u1, u2 / np.sqrt(n)[:, None], detail)
 
 
-def _frame_from_null(n):
-    """Frame sending e1+e2 onto the future null vector n / n1 and e1-e2
-    onto its partner m = (n1, -n2, -n3), scaled to <n, m> = -2."""
-    if abs(n[0]) < 1e-12:
-        raise ValueError("direction is not null")
-    n = n / n[0]
-    m = np.array([n[0], -n[1], -n[2]])
-    m = m * (-2.0 / inner(n, m))
-    return _frame(0.5 * (n + m), 0.5 * (n - m))
+def _frame_from_null(n, detail):
+    """e1+e2 onto the future null n / n1, e1-e2 onto m = (n1, -n2, -n3)
+    scaled to <n, m> = -2."""
+    _note(detail, ~(abs(n[:, 0]) >= 1e-12), "direction is not null")
+    n = n / n[:, :1]
+    m = n * _MIRROR
+    m = m * (-2.0 / _ip(n, m))[:, None]
+    return _frame(0.5 * (n + m), 0.5 * (n - m), detail)
+
+
+def _frame_from_boost_plane(X, detail):
+    """For hyperbolic X with spacelike axis a: w, the timelike projection of
+    e1 on the Lorentzian plane eta-orthogonal to a, onto e1 and X w onto
+    e2.  X acts there as lam * BOOST, lam = |X w| / |w| > 0, so the positive
+    null eigendirection lam w + X w lands on e1+e2."""
+    a = _axis(X)
+    w = _E1 + a[:, :1] / _ip(a, a)[:, None] * a
+    return _frame_from_timelike(w, _mv(X, w), detail)
+
+
+def _axis(X):
+    """The kernel direction (X23, X13, -X12) of each X in so(1,2), from the
+    entries averaged with their mirror images."""
+    return 0.5 * np.array([X[:, 1, 2] - X[:, 2, 1], X[:, 0, 2] + X[:, 2, 0],
+                           -X[:, 0, 1] - X[:, 1, 0]]).T
+
+
+_FRAMES = {
+    ELLIPTIC: lambda X, detail: _frame_from_timelike(_axis(X), None, detail),
+    HYPERBOLIC: _frame_from_boost_plane,
+    PARABOLIC: lambda X, detail: _frame_from_null(_axis(X), detail),
+}
+
+
+def _standardize(X, kind):
+    """`standardize_linear` per matrix of a stack X[m, 3, 3] of generator
+    class `kind`: C[m], lam[m] and each row's failure message or None."""
+    detail = np.empty(len(X), dtype=object)
+    if kind == ZERO:
+        detail[:] = "cannot standardize the zero matrix"
+        return np.tile(np.eye(3), (len(X), 1, 1)), np.zeros(len(X)), detail
+    ref, (i, j) = _REFERENCE[kind]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = _FRAMES[kind](X, detail)
+        Y = C.swapaxes(1, 2) * _INVERSE @ X @ C
+        lam = Y[:, i, j]
+        res = abs(Y - lam[:, None, None] * ref).max(axis=(1, 2))
+    _note(detail, ~(res <= 1e-8 * np.maximum(1.0, abs(lam))),
+          lambda k: f"standardization failed (residual {res[k]:.3e})")
+    return C, lam, detail
 
 
 def standardize_linear(X):
@@ -206,150 +259,161 @@ def standardize_linear(X):
     must match lam * reference to 1e-8 relative to max(1, |lam|).
     """
     X = np.asarray(X, dtype=float)
-    kind = generator_class(X)
-    if kind == ZERO:
-        raise ValueError("cannot standardize the zero matrix")
-    if kind == ELLIPTIC:
-        C = _frame_from_timelike(_kernel_vector(X))
-    elif kind == HYPERBOLIC:
-        w, vecs = np.linalg.eig(X)
-        w = np.real(w)
-        vecs = np.real(vecs)
-        i_plus = int(np.argmax(w))
-        i_minus = int(np.argmin(w))
-        n_plus = vecs[:, i_plus]
-        n_minus = vecs[:, i_minus]
-        if n_plus[0] < 0:
-            n_plus = -n_plus
-        if n_minus[0] < 0:
-            n_minus = -n_minus
-        # balance the pair, then scale it to <n+, n-> = -2
-        s = np.sqrt(n_minus[0] / n_plus[0])
-        n_plus = n_plus * s
-        n_minus = n_minus / s
-        c = -inner(n_plus, n_minus)
-        n_plus = n_plus * np.sqrt(2.0 / c)
-        n_minus = n_minus * np.sqrt(2.0 / c)
-        C = _frame(0.5 * (n_plus + n_minus), 0.5 * (n_plus - n_minus))
-    else:
-        C = _frame_from_null(_kernel_vector(X))
-    ref, pos = _REFERENCE[kind]
-    Ci = ETA @ C.T @ ETA
-    Y = Ci @ X @ C
-    lam = Y[pos]
-    res = float(np.max(np.abs(Y - lam * ref)))
-    if res > 1e-8 * max(1.0, abs(lam)):
-        raise ValueError(f"standardization failed (residual {res:.3e})")
-    return C, float(lam)
+    C, lam, detail = _standardize(X[None], generator_class(X))
+    if detail[0] is not None:
+        raise ValueError(detail[0])
+    return C[0], float(lam[0])
 
 
-def _standardize_borel(l_basis):
-    """Conjugation taking a 2-dimensional linear span onto span{BOOST,
-    NULL_ROTATION}, through its unique nilpotent direction."""
-    X1, X2 = l_basis
-    G = np.array(
-        [
-            [np.trace(X1 @ X1), np.trace(X1 @ X2)],
-            [np.trace(X1 @ X2), np.trace(X2 @ X2)],
-        ]
-    )
-    w, vecs = np.linalg.eigh(G)
-    c = vecs[:, int(np.argmin(np.abs(w)))]
-    N0 = c[0] * X1 + c[1] * X2
-    flat = N0.ravel()
-    lead = flat[np.argmax(np.abs(flat))]
-    if lead < 0:
-        N0 = -N0
-    C, _ = standardize_linear(N0)
-    return C
+def _null_combination(rows):
+    """The null direction of each degenerate plane spanned by rows[m, 2, 3],
+    along the Gram eigenvector of least |eigenvalue|."""
+    w, vecs = np.linalg.eigh(rows @ ETA @ rows.swapaxes(1, 2))
+    return np.einsum("ka,kai->ki", vecs[np.arange(len(w)), :, abs(w).argmin(axis=1)], rows)
 
 
-def _frame_for_plane(kb, kind):
-    """Conjugation whose inverse carries a translation 2-plane onto its
-    reference position (spacelike -> span{e2,e3}, timelike ->
-    span{e1,e2}, degenerate -> span{e1+e2, e3})."""
-    if kind == RIEMANNIAN:  # the plane normal is timelike
-        return _frame_from_timelike(_kernel_vector(np.stack([ETA @ k for k in kb])))
-    if kind == LORENTZIAN:  # the negative Gram direction is timelike
-        rows = np.stack(kb)
-        _, vecs = np.linalg.eigh(rows @ ETA @ rows.T)
-        return _frame_from_timelike(vecs[:, 0] @ rows, vecs[:, 1] @ rows)
-    return _frame_from_null(_null_combination(kb))
+def _frames(sig, lvh, kvh, X0):
+    """Per basis of a signature group: C[m] whose inverse standardizes the
+    linear part (the translation plane, at dim_l = 0), and each row's
+    failure message; a failed row's C is the identity."""
+    m, kb = len(X0), kvh[:, :2]
+    if sig.dim_l == 1:
+        C, _, detail = _standardize(X0, sig.linear_type)
+    elif sig.dim_l == 2:  # through the unique nilpotent direction of the span
+        L = lvh[:, :2].reshape(m, 2, 3, 3)
+        w, vecs = np.linalg.eigh(np.einsum("kaij,kbji->kab", L, L))
+        N0 = np.einsum("ka,kaij->kij", vecs[np.arange(m), :, abs(w).argmin(axis=1)], L)
+        lead = N0.reshape(m, 9)[np.arange(m), abs(N0).reshape(m, 9).argmax(axis=1)]
+        C, _, detail = _standardize(np.where(lead < 0, -1.0, 1.0)[:, None, None] * N0, PARABOLIC)
+    elif sig.dim_l == 3:
+        C, detail = np.tile(np.eye(3), (m, 1, 1)), np.empty(m, dtype=object)
+    else:  # dim_l = 0: the translation plane onto its reference position
+        detail = np.empty(m, dtype=object)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if sig.ker_causal == RIEMANNIAN:  # the plane normal is timelike
+                C = _frame_from_timelike(_cross(kb[:, 0] * _SIGNS, kb[:, 1] * _SIGNS), None,
+                                         detail)
+            elif sig.ker_causal == LORENTZIAN:  # the negative Gram direction is timelike
+                vecs = np.linalg.eigh(kb @ ETA @ kb.swapaxes(1, 2))[1]
+                C = _frame_from_timelike(*(np.einsum("ka,kai->ki", vecs[:, :, i], kb)
+                                           for i in (0, 1)), detail)
+            else:
+                C = _frame_from_null(_null_combination(kb), detail)
+    if any(d is not None for d in detail):
+        C[[d is not None for d in detail]] = np.eye(3)
+    return C, detail
 
 
-def _invariants(spec: SubalgebraSpec):
-    """One pass over a spec: its signature, with what normalization reuses
-    (the linear-part basis lb, the kernel basis kb and, for dim_l = 1, the
-    leading linear generator X0)."""
-    res = closure_residual(spec)
-    if res > STRUCT_TOL:
-        raise NotASubalgebraError(res)
-    dim_l, lb, dim_ker, kb = _linear_split(spec.coords_matrix)
-    ker_causal = causal_of_span(np.stack(kb)) if dim_ker else None
-    X0 = None
-    if dim_l == 0:
-        linear_type = ZERO
-    elif dim_l == 1:
-        k = _first_linear_index(spec)
-        # entries under its absolute cutoff read as ZERO, which then fails
-        # standardization instead of raising here
-        X0 = np.zeros((3, 3)) if k is None else spec.parts[0][k]
-        linear_type = generator_class(X0)
-    elif dim_l == 2:
-        linear_type = TWO_DIM_SOLVABLE
-    else:
-        linear_type = FULL
-    eigen_sign = None
-    n = None
-    if linear_type == HYPERBOLIC and dim_ker == 1 and ker_causal == NULL:
-        n = kb[0]
-    elif linear_type == HYPERBOLIC and dim_ker == 2 and ker_causal == DEGENERATE:
-        n = _null_combination(kb)
-    if n is not None:
-        n = n / np.linalg.norm(n)
-        mu = X0 @ n @ n  # Euclidean Rayleigh quotient, |n| = 1
-        sign = sign_of(mu, STRUCT_TOL * np.max(np.abs(X0)))
-        if sign:
-            eigen_sign = float(sign)
-    sig = InvariantSignature(spec.dim, dim_l, linear_type, dim_ker, ker_causal, eigen_sign)
-    return sig, lb, kb, X0
+# ---------------------------------------------------------------------------
+# invariants
+
+
+def _unit_rows(R):
+    """Each row of R[..., 12] divided by the power of two of its max-abs."""
+    return np.ldexp(R, -np.frexp(abs(R).max(axis=-1, keepdims=True))[1])
+
+
+def _undilated(R):
+    """Unit rows R[B, n, 12] with each basis's translations divided by 2^e,
+    made unit rows again, and e[B]: 2^e is the power of two of max|v| /
+    max|X| over the rows with both parts (a pure translation has a scale,
+    but no length)."""
+    peak_X, peak_v = abs(R[..., :9]).max(axis=-1), abs(R[..., 9:]).max(axis=-1)
+    gap = np.where((peak_X > 0) & (peak_v > 0), np.frexp(peak_v)[1] - np.frexp(peak_X)[1], _NO_GAP)
+    e = gap.max(axis=1, initial=_NO_GAP)
+    e = np.where(e == _NO_GAP, 0, e)
+    return _unit_rows(np.concatenate([R[..., :9], np.ldexp(R[..., 9:], -e[:, None, None])], -1)), e
+
+
+def _closure(R, space):
+    """Per basis of R[B, n, 12] with row spaces space[B, n, 12]: the largest
+    scaled distance of a pairwise bracket from the span, and whether every
+    bracket's linear part lies in so(1,2)."""
+    B, n = R.shape[:2]
+    if n < 2:
+        return np.zeros(B), np.ones(B, dtype=bool)
+    parts = R[..., :9].reshape(B, n, 3, 3), R[..., 9:]
+    brackets = _brackets(parts, parts, *_PAIRS[n])
+    return (_span_residuals(space, brackets).max(axis=1),
+            so12_check(brackets[..., :9].reshape(brackets.shape[:2] + (3, 3))).all(axis=1))
+
+
+def _invariants(R):
+    """The signatures of a normalized, closed stack R[B, n, 12], and what
+    normalization reuses: `_linear_split`'s lvh, lifts, kvh, and the first
+    linear generators X0[B, 3, 3] (zero when none is above STRUCT_TOL)."""
+    B, n = R.shape[:2]
+    X = R[..., :9].reshape(B, n, 3, 3)
+    dim_l, lvh, lifts, dim_ker, kvh = _linear_split(R)
+    ker_causal = causal_of_svd(dim_ker.tolist(), kvh)
+    linear = abs(R[..., :9]).max(axis=-1) > STRUCT_TOL
+    X0 = X[np.arange(B), linear.argmax(axis=1)] * linear.any(axis=1)[:, None, None]
+    kind = generator_class(X0) if (dim_l == 1).any() else None  # a single generator's class
+    linear_type = [kind[k] if d == 1 else {0: ZERO, 2: TWO_DIM_SOLVABLE}.get(d, FULL)
+                   for k, d in enumerate(dim_l.tolist())]
+    # the sign of X0 on the kernel's null line (of its degenerate plane),
+    # which separates the boost-family twins
+    eigen_sign = np.zeros(B)
+    at = np.flatnonzero([t == HYPERBOLIC and (k, c) in ((1, NULL), (2, DEGENERATE))
+                         for t, k, c in zip(linear_type, dim_ker.tolist(), ker_causal)])
+    if len(at):
+        nvec, plane = kvh[at, 0], dim_ker[at] == 2
+        if plane.any():
+            nvec[plane] = _null_combination(kvh[at[plane], :2])
+        mu = np.einsum("ki,kij,kj->k", nvec, X0[at], nvec) / (nvec * nvec).sum(axis=1)
+        eigen_sign[at] = sign_of(mu, STRUCT_TOL * abs(X0[at]).max(axis=(1, 2)))
+    sigs = [InvariantSignature(n, d, t, k, c if k else None, float(s) if s else None)
+            for d, t, k, c, s in zip(dim_l.tolist(), linear_type, dim_ker.tolist(),
+                                     ker_causal, eigen_sign.tolist())]
+    return sigs, (lvh, lifts, kvh, X0)
 
 
 def signature(spec: SubalgebraSpec) -> InvariantSignature:
     """Conjugation invariants of a bracket-closed spec."""
-    return _invariants(spec)[0]
+    R = _unit_rows(spec.coords_matrix[None])
+    residual, in_so12 = _closure(R, spec.row_space[None])
+    if not in_so12[0]:
+        raise ValueError(_NOT_SO12)
+    if residual[0] > STRUCT_TOL:
+        raise NotASubalgebraError(float(residual[0]))
+    return _invariants(_undilated(R)[0])[0][0]
 
 
-def _lift(rows, T):
-    """Translation of the element of the rows' span whose linear part is T."""
-    c, *_ = np.linalg.lstsq(rows[:, :9].T, T.ravel(), rcond=1e-9)
-    return (c @ rows)[9:]
+# ---------------------------------------------------------------------------
+# normal forms
 
 
-def _complete_square(rows, targets):
-    """Translation c removing removable generator translations.
-
-    For each target linear generator T with lifted translation w the
-    conjugation by (I, c) replaces w by w - T c.  The solve minimizes
-    those residuals off the kernel translation subspace (components
-    inside it are absorbed by the kernel); directions the system cannot
-    reach are the genuine family parameters and survive in the returned
-    residual translations.  The span is given by its coordinate rows.
-    """
-    _, _, _, kb = _linear_split(rows)
-    Q = np.eye(3)
-    for k in kb:
-        Q = Q - np.outer(k, k)
-    lifts = [_lift(rows, T) for T in targets]
-    if not lifts:
-        return np.zeros(3), []
-    A = np.vstack([Q @ T for T in targets])
-    b = np.concatenate([Q @ w for w in lifts])
-    # rank-deficient by design: truncate noise directions or the solve
-    # explodes along them
-    c, *_ = np.linalg.lstsq(A, b, rcond=1e-9)
-    remainders = [Q @ (w - T @ c) for T, w in zip(targets, lifts)]
-    return c, remainders
+def _complete_square(C, Ci, targets, lvh, lifts, K):
+    """Translations c[m] removing removable generator translations, and the
+    remainders[m, t, 3], per basis standardized by Ci = C^-1 with kernel
+    translations K[m, d, 3].  Conjugation by (I, c) replaces the lifted
+    translation w of a target T by w - T c; the solve minimizes those off
+    the kernel (which absorbs the rest), and what it cannot reach is the
+    family parameters."""
+    m = len(C)
+    if not targets:
+        return np.zeros((m, 3)), np.zeros((m, 0, 3))
+    T = np.array(targets)
+    # the lift of T: the input span's element with linear part C T Ci, from
+    # its own factorization, moved by Ci
+    P = (C[:, None] @ T @ Ci[:, None]).reshape(m, len(T), 9)
+    W = _mv(Ci[:, None], P @ lvh[:, :lifts.shape[1]].swapaxes(1, 2) @ lifts)
+    # Q: the orthogonal projection off the kernel translations
+    if K.shape[1] == 2:  # off a plane: onto its normal line
+        n = _cross(K[:, 0], K[:, 1])
+        Q = n[:, :, None] * n[:, None] / (n * n).sum(axis=1)[:, None, None]
+    else:  # off a line, or off nothing
+        k = K[:, 0] if K.shape[1] else np.zeros((m, 3))
+        norm2 = np.maximum((k * k).sum(axis=1), _TINY)[:, None, None]
+        Q = np.eye(3) - k[:, :, None] * k[:, None] / norm2
+    Q = Q[:, None]
+    # minimum-norm least squares by one SVD: rank-deficient by design, so
+    # values at most 1e-9 of the largest (lstsq's rcond) are dropped
+    u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
+    keep = s > 1e-9 * s[:, :1]
+    y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
+    c = _mv(vh.swapaxes(1, 2), np.where(keep, y / np.where(keep, s, 1.0), 0.0))
+    return c, _mv(Q, W - _mv(T, c[:, None]))
 
 
 @lru_cache(maxsize=None)
@@ -359,47 +423,137 @@ def _constant_target(id_, items) -> SubalgebraSpec:
     return catalog.build(id_, **dict(items)).basis
 
 
+# (dim_l, linear type, dim_ker, kernel causal type) -> catalog id; a pair
+# of twins is split by the eigenvalue sign (+, -), and N-v/N-vi become P-d
+# at beta != 0
+_MATCH = {
+    (0, ZERO, 2, RIEMANNIAN): "P-a", (0, ZERO, 2, LORENTZIAN): "P-a",
+    (0, ZERO, 2, DEGENERATE): "P-a",
+    (1, ELLIPTIC, 1, TIMELIKE): "P-b", (1, ELLIPTIC, 2, RIEMANNIAN): "P-c",
+    (1, HYPERBOLIC, 1, SPACELIKE): "N-i", (1, HYPERBOLIC, 1, NULL): ("N-v", "N-vi"),
+    (1, HYPERBOLIC, 2, LORENTZIAN): "N-ii", (1, HYPERBOLIC, 2, DEGENERATE): ("N-iii", "N-iv"),
+    (1, PARABOLIC, 1, NULL): "N-vii", (1, PARABOLIC, 2, DEGENERATE): "N-viii",
+    (2, TWO_DIM_SOLVABLE, 0, None): "N-ix", (2, TWO_DIM_SOLVABLE, 1, NULL): "N-x",
+    (2, TWO_DIM_SOLVABLE, 2, DEGENERATE): "N-xi", (3, FULL, 0, None): "N-xii",
+}
+_PLANES = {RIEMANNIAN: "spacelike", LORENTZIAN: "timelike", DEGENERATE: "degenerate"}
+
+
 def _match_table(sig: InvariantSignature, beta: float):
     """Signature tuple -> (catalog id, params); None when unmatched."""
-    d, t, k, kc, es = sig.dim_l, sig.linear_type, sig.dim_ker_l, sig.ker_causal, sig.eigen_sign
-    if d == 0 and k == 2:
-        plane = {RIEMANNIAN: "spacelike", LORENTZIAN: "timelike", DEGENERATE: "degenerate"}[kc]
-        return "P-a", {"plane": plane}
-    if d == 1 and t == ELLIPTIC:
-        if k == 1 and kc == TIMELIKE:
-            return "P-b", {}
-        if k == 2 and kc == RIEMANNIAN:
-            return "P-c", {}
-        return None
-    if d == 1 and t == HYPERBOLIC:
-        if k == 1 and kc == SPACELIKE:
-            return "N-i", {}
-        if k == 1 and kc == NULL and es is not None:
-            if beta != 0.0:
-                return "P-d", {"sign": es, "beta": beta}
-            return ("N-v", {}) if es > 0 else ("N-vi", {})
-        if k == 2 and kc == LORENTZIAN:
-            return "N-ii", {}
-        if k == 2 and kc == DEGENERATE and es is not None:
-            return ("N-iii", {}) if es > 0 else ("N-iv", {})
-        return None
-    if d == 1 and t == PARABOLIC:
-        if k == 1 and kc == NULL:
-            return "N-vii", {"beta": 0.0}
-        if k == 2 and kc == DEGENERATE:
-            return "N-viii", {}
-        return None
-    if d == 2:
-        if k == 0:
-            return "N-ix", {}
-        if k == 1 and kc == NULL:
-            return "N-x", {"alpha": 1.0, "beta": beta}
-        if k == 2 and kc == DEGENERATE:
-            return "N-xi", {}
-        return None
-    if d == 3 and k == 0:
-        return "N-xii", {}
-    return None
+    id_ = _MATCH.get((sig.dim_l, sig.linear_type, sig.dim_ker_l, sig.ker_causal))
+    if isinstance(id_, tuple):
+        if sig.eigen_sign is None:
+            return None
+        if id_[0] == "N-v" and beta != 0.0:
+            return "P-d", {"sign": sig.eigen_sign, "beta": beta}
+        id_ = id_[sig.eigen_sign < 0]
+    params = {"P-a": {"plane": _PLANES.get(sig.ker_causal)}, "N-vii": {"beta": 0.0},
+              "N-x": {"alpha": 1.0, "beta": beta}}
+    return None if id_ is None else (id_, params.get(id_, {}))
+
+
+def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
+    """The results for the bases R[m, n, 12] of one signature group, each
+    step once for the group; a basis failing a step is rejected."""
+    m, n = R.shape[:2]
+    C, detail = _frames(sig, lvh, kvh, X0)
+    Ci = C.swapaxes(1, 2) * _INVERSE
+    Y, Av = Ci[:, None] @ R[..., :9].reshape(m, n, 3, 3) @ C[:, None], _mv(Ci[:, None], R[..., 9:])
+    # the standardized linear parts, checked once: they are those of
+    # every later conjugate
+    _note(detail, ~so12_check(Y).all(axis=1), _NOT_SO12)
+    targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
+    c, remainders = _complete_square(C, Ci, targets, lvh, lifts,
+                                     kvh[:, :sig.dim_ker_l] @ Ci.swapaxes(1, 2))
+    beta = (remainders[:, 0, 2] if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE)
+            else np.zeros(m)).tolist()
+    shift = np.ldexp(c, e[:, None])  # back to the input's length scale
+    found = []
+    for k in [k for k, d in enumerate(detail) if d is None]:
+        hit = _match_table(sig, beta[k] if abs(beta[k]) > STRUCT_TOL else 0.0)
+        try:
+            conj = Motion(Ci[k], shift[k])
+            if hit is not None:
+                id_, params = hit
+                target = (catalog.build(id_, **params).basis if params.get("beta", 0.0)
+                          else _constant_target(id_, tuple(params.items())))
+        except ValueError as exc:  # a conjugator off the group, a CatalogError
+            detail[k] = str(exc)
+            continue
+        if hit is None:
+            detail[k] = "signature matches no catalog family"
+            continue
+        if "beta" in hit[1]:
+            hit[1]["beta"] = float(np.ldexp(hit[1]["beta"], e[k]))
+        found.append((k, hit, conj, target))
+    out = [None] * m
+    if found:
+        moved = np.concatenate([Y.reshape(m, n, 9), Av - _mv(Y, c[:, None])], axis=2)
+        moved = moved[[k for k, *_ in found]] if len(found) < m else moved
+        T = np.array([target.coords_matrix for *_, target in found])
+        space = np.array([target.row_space for *_, target in found])
+        # both ways at once: moved in span(T), and T in span(moved)
+        spaces, rows = np.concatenate([space, _row_space(moved)]), np.concatenate([moved, T])
+        residual = np.maximum(*_span_residuals(spaces, rows).max(axis=1).reshape(2, -1))
+        for (k, (id_, params), conj, _), res in zip(found, residual.tolist()):
+            if res > SPAN_MATCH_TOL:
+                detail[k] = f"normalized basis does not span the {id_} basis (residual {res:.3e})"
+            else:
+                out[k] = Classification(id_, params, conj, res, replace(sig, params=params.copy()))
+    return [r or Rejection(REASON_UNMATCHED, d, sig) for r, d in zip(out, detail)]
+
+
+_NOT_COHOMOGENEITY_ONE = (
+    (lambda s: s.dim_g < 2, "the algebra has dimension < 2, so every orbit has codimension >= 2"),
+    (lambda s: s.dim_l == 3 and s.dim_ker_l > 0,
+     "full linear part with translations acts transitively"),
+    (lambda s: s.dim_ker_l == 3, "a full translation space acts transitively"),
+    (lambda s: s.dim_l == 0 and s.dim_ker_l != 2,
+     "a pure translation group needs a 2-dimensional translation space"),
+)
+
+
+def _classify(R, space) -> list:
+    """One Classification or Rejection per basis of a validated stack
+    R[B, n, 12] with row spaces space[B, n, 12], in order."""
+    out = [None] * len(R)
+    R = _unit_rows(R)  # the same span, rows of one size: membership decides alike at any scale
+    residual, in_so12 = _closure(R, space)
+    for k in range(len(R)):
+        if not in_so12[k]:  # a bracket fell outside the membership tolerance
+            out[k] = Rejection(REASON_UNMATCHED, _NOT_SO12)
+        elif residual[k] > STRUCT_TOL:
+            out[k] = Rejection(REASON_NOT_SUBALGEBRA, str(NotASubalgebraError(residual[k])))
+    live = [k for k, r in enumerate(out) if r is None]
+    if not live:
+        return out
+    R, e = _undilated(R)
+    sigs, split = _invariants(R[live] if len(live) < len(R) else R)
+    groups = {}
+    for i, sig in enumerate(sigs):
+        why = next((why for applies, why in _NOT_COHOMOGENEITY_ONE if applies(sig)), None)
+        if why:
+            out[live[i]] = Rejection(REASON_NOT_COHOMOGENEITY_ONE, why, sig)
+        else:
+            groups.setdefault(sig, []).append(i)
+    for sig, at in groups.items():
+        rows = [live[i] for i in at]
+        # one group of every basis is taken whole, without copies
+        pick, at = (slice(None), slice(None)) if len(rows) == len(R) else (rows, at)
+        for k, res in zip(rows, _normal_forms(sig, R[pick], e[pick], *(a[at] for a in split))):
+            out[k] = res
+    return out
+
+
+def classify_stack(rows) -> list:
+    """`classify` for each basis of a stack rows[B, n, 12] of one dimension,
+    in order.  The rows pass `SubalgebraSpec`'s rows-form rules once, as a
+    stack, raising its ValueErrors; it never raises on valid rows."""
+    R = np.array(rows, dtype=float)
+    if R.ndim != 3 or R.shape[2] != 12:
+        raise ValueError("classify_stack needs coordinate rows of shape (B, n, 12)")
+    return _classify(R, _require_rows(R))
 
 
 def classify(spec: SubalgebraSpec):
@@ -412,64 +566,4 @@ def classify(spec: SubalgebraSpec):
     computed signature attached when it was reached).  It never raises
     on a valid spec.
     """
-    try:
-        sig, lb, kb, X0 = _invariants(spec)
-    except NotASubalgebraError as exc:
-        return Rejection(REASON_NOT_SUBALGEBRA, str(exc))
-    except ValueError as exc:  # a bracket fell outside the membership tolerance
-        return Rejection(REASON_UNMATCHED, str(exc))
-
-    for applies, why in (
-            (sig.dim_g < 2, "the algebra has dimension < 2, so every orbit has codimension >= 2"),
-            (sig.dim_l == 3 and sig.dim_ker_l > 0,
-             "full linear part with translations acts transitively"),
-            (sig.dim_ker_l == 3, "a full translation space acts transitively"),
-            (sig.dim_l == 0 and sig.dim_ker_l != 2,
-             "a pure translation group needs a 2-dimensional translation space")):
-        if applies:
-            return Rejection(REASON_NOT_COHOMOGENEITY_ONE, why, sig)
-
-    # standardize -> conjugate -> normalize -> match: a numerical failure
-    # at any step (catalog.CatalogError included) rejects the basis
-    try:
-        if sig.dim_l == 0:
-            C = _frame_for_plane(kb, sig.ker_causal)
-        elif sig.dim_l == 1:
-            C, _ = standardize_linear(X0)
-        elif sig.dim_l == 2:
-            C = _standardize_borel(lb)
-        else:
-            C = np.eye(3)
-        Ci = ETA @ C.T @ ETA
-        Y, Av = _conjugated(Ci, *spec.parts)
-        # the standardized linear parts, checked once: they are those of
-        # every later conjugate
-        _require_so12(Y)
-        targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
-        c, remainders = _complete_square(np.hstack([Y.reshape(-1, 9), Av]), targets)
-        conj = Motion(Ci, c)
-        beta = 0.0
-        if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE):
-            beta = float(remainders[0][2])
-        if not sign_of(beta, STRUCT_TOL):
-            beta = 0.0
-        hit = _match_table(sig, beta)
-        if hit is None:
-            return Rejection(REASON_UNMATCHED, "signature matches no catalog family", sig)
-        id_, params = hit
-        target = (_constant_target(id_, tuple(params.items())) if params.get("beta", 0.0) == 0.0
-                  else catalog.build(id_, **params).basis)
-        moved = np.hstack([Y.reshape(-1, 9), Av - Y @ c])
-        residual = float(max(_span_residuals(target.row_space, moved).max(),
-                             _span_residuals(_row_space(moved), target.coords_matrix).max()))
-    except ValueError as exc:
-        return Rejection(REASON_UNMATCHED, str(exc), sig)
-
-    if residual > SPAN_MATCH_TOL:
-        return Rejection(
-            REASON_UNMATCHED,
-            f"normalized basis does not span the {id_} basis (residual {residual:.3e})",
-            sig,
-        )
-    return Classification(id=id_, params=params, conjugator=conj, residual=residual,
-                          signature=replace(sig, params=dict(params)))
+    return _classify(spec.coords_matrix[None], spec.row_space[None])[0]

@@ -126,16 +126,19 @@ def so12_check(X):
     if X.shape[-2:] != (3, 3):
         return False
     if X.ndim == 2:  # Python floats, which never warn
-        return _so12_entries(*X.ravel().tolist())
+        x11, x12, x13, x21, x22, x23, x31, x32, x33 = X.ravel().tolist()
+        return (abs(x11) <= STRUCT_TOL and abs(x22) <= STRUCT_TOL and abs(x33) <= STRUCT_TOL
+                and abs(x12 - x21) <= STRUCT_TOL and abs(x13 - x31) <= STRUCT_TOL
+                and abs(x23 + x32) <= STRUCT_TOL)
+    # the same six values for a stack: x11 - 0 x11, ..., x12 - x21, x13 - x31, x23 + x32
+    flat = X.reshape(-1, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _so12_entries(*X.reshape(-1, 9).T).reshape(X.shape[:-2])
+        dev = abs(flat[:, _SO12_A] - flat[:, _SO12_B] * _SO12_SIGN)
+    return (dev <= STRUCT_TOL).all(axis=1).reshape(X.shape[:-2])
 
 
-def _so12_entries(x11, x12, x13, x21, x22, x23, x31, x32, x33):
-    """`so12_check`'s six comparisons, on the entries of one matrix or of a stack."""
-    return ((abs(x11) <= STRUCT_TOL) & (abs(x22) <= STRUCT_TOL) & (abs(x33) <= STRUCT_TOL)
-            & (abs(x12 - x21) <= STRUCT_TOL) & (abs(x13 - x31) <= STRUCT_TOL)
-            & (abs(x23 + x32) <= STRUCT_TOL))
+_SO12_A, _SO12_B = np.array([0, 4, 8, 1, 2, 5]), np.array([0, 4, 8, 3, 6, 7])
+_SO12_SIGN = np.array([0.0, 0.0, 0.0, 1.0, 1.0, -1.0])
 
 
 def generator_class(X) -> str:

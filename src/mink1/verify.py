@@ -18,12 +18,13 @@ from .classify import (
     Classification,
     Rejection,
     classify,
+    classify_stack,
 )
 from .algebra import (
     AlgebraElement,
     SubalgebraSpec,
+    _conjugated,
     adjoint,
-    adjoint_spec,
     bracket,
     closure_residual,
     span_residual,
@@ -358,8 +359,8 @@ def normalized_params(id_: str, params: dict) -> dict:
 
 def check_classifier_round_trip(seed: int = 42) -> CheckResult:
     """classify(Ad_g(build(id))) returns id and normalized parameters for
-    all 16 ids, each conjugated by 50 random motions; the documented
-    probes are rejected with their reasons."""
+    all 16 ids, each conjugated by 50 random motions and classified as one
+    stack; the documented probes are rejected with their reasons."""
     rng = rng_from_seed(seed)
     problems = []
     worst = 0.0
@@ -367,10 +368,12 @@ def check_classifier_round_trip(seed: int = 42) -> CheckResult:
         for params in _ROUND_TRIP_VARIANTS.get(id_, ({},)):
             entry = build(id_, **params)
             expect = normalized_params(id_, entry.params)
-            for _ in range(50):
-                g = random_motion(rng)
-                moved = adjoint_spec(g, entry.basis)
-                res = classify(moved)
+            motions = [random_motion(rng) for _ in range(50)]
+            A, a = np.array([g.A for g in motions]), np.array([g.a for g in motions])
+            Y, Av = _conjugated(A[:, None], *entry.basis.parts)
+            moved = np.concatenate([Y.reshape(50, -1, 9), Av - (Y @ a[:, None, :, None])[..., 0]],
+                                   axis=2)
+            for res in classify_stack(moved):
                 if not isinstance(res, Classification):
                     problems.append(f"{id_}{params}: rejected ({res.reason}: {res.detail})")
                     break

@@ -207,9 +207,9 @@ def test_classify_rejection_exit_code(tmp_path, capsys):
     assert json.loads(out)["payload"]["reason"] == "not-a-subalgebra"
 
 
-def test_classify_rescaled_basis_is_rejected_not_raised(tmp_path, capsys):
-    # a conjugated P-b basis at 1e-6 scale: the conjugator the fixed
-    # tolerances produce is not an isometry, which rejects the basis
+def test_classify_rescaled_basis_is_classified(tmp_path, capsys):
+    # a conjugated P-b basis at 1e-6 scale, which the fixed tolerances once
+    # rejected: normalized by powers of two, it classifies
     from mink1.algebra import adjoint_spec
     from mink1.catalog import build
     from mink1.sampling import random_motion, rng_from_seed
@@ -219,8 +219,8 @@ def test_classify_rescaled_basis_is_rejected_not_raised(tmp_path, capsys):
     path.write_text("".join(" ".join(repr(1e-6 * float(x)) for x in e.coords) + "\n"
                             for e in spec.basis))
     code, out, _ = run(capsys, "classify", "--basis", str(path))
-    assert code == 1
-    assert out.startswith("rejected: unmatched")
+    assert code == 0
+    assert out.startswith("classified: P-b")
 
 
 def test_classify_parse_error_reports_position(tmp_path, capsys):
