@@ -134,7 +134,6 @@ _REFERENCE = {
 _SPANNED = {ZERO: (), TWO_DIM_SOLVABLE: (HYPERBOLIC, PARABOLIC),
             FULL: (HYPERBOLIC, ELLIPTIC, PARABOLIC)}
 _SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
-_INVERSE = np.outer(_SIGNS, _SIGNS)  # C^-1 = ETA C^T ETA = C^T * _INVERSE for isometries
 _PAIRS = [np.triu_indices(n, 1) for n in range(7)]  # the pairs i < j of n <= 6 rows
 _NOT_SO12 = "linear part violates the isometry-algebra membership"
 _NO_GAP = np.iinfo(np.int32).min
@@ -239,7 +238,7 @@ def _standardize(X, kind):
     ref, (i, j) = _REFERENCE[kind]
     with np.errstate(divide="ignore", invalid="ignore"):
         C = _FRAMES[kind](X, detail)
-        Y = C.swapaxes(1, 2) * _INVERSE @ X @ C
+        Y = ETA @ C.swapaxes(1, 2) @ ETA @ X @ C
         lam = Y[:, i, j]
         res = abs(Y - lam[:, None, None] * ref).max(axis=(1, 2))
     _note(detail, ~(res <= 1e-8 * np.maximum(1.0, abs(lam))),
@@ -458,7 +457,7 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     step once for the group; a basis failing a step is rejected."""
     m, n = R.shape[:2]
     C, detail = _frames(sig, lvh, kvh, X0)
-    Ci = C.swapaxes(1, 2) * _INVERSE
+    Ci = ETA @ C.swapaxes(1, 2) @ ETA
     Y, Av = Ci[:, None] @ R[..., :9].reshape(m, n, 3, 3) @ C[:, None], _mv(Ci[:, None], R[..., 9:])
     # the standardized linear parts, checked once: they are those of
     # every later conjugate
