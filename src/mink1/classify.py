@@ -23,14 +23,14 @@ outside the membership tolerances, a failed standardization, a
 conjugator that is not an isometry) is rejected as unmatched with that
 step's message while the other bases go on; valid bases never raise.
 
-Two conventions are part of the contract:
+Two normalization conventions are part of the contract:
 
 * The boost-family twins (null direction e1+e2 versus e1-e2) are
   separated by the sign of the boost eigenvalue on the kernel's null
   line, measured on the *first supplied generator with a linear part*.
-  The twins are conjugate by the half-turn rotation, so no basis-free
-  invariant separates them; the returned id tracks the orientation of
-  the supplied generator.
+  The two members of each twin pair are conjugate to each other by the
+  half-turn rotation, so no basis-free invariant separates them; the
+  orientation of the supplied generator is what the returned id tracks.
 * The null-rotation family's translation parameter is removable by a
   translation conjugation, so classify always reports it as 0.
 """
@@ -170,8 +170,8 @@ def _note(detail, bad, message) -> None:
 
 def _frame(u1, u2, detail):
     """Columns u1 (unit timelike), u2 (unit spacelike, eta-orthogonal to u1)
-    and eta (u1 x u2), unit: eta-orthogonal to both, and of determinant
-    <u1 x u2, u1 x u2> > 0."""
+    and eta (u1 x u2) made unit: eta-orthogonal to both, and giving the
+    positive determinant <u1 x u2, u1 x u2>^(1/2)."""
     z = _cross(u1, u2)
     n = _ip(z, z)
     _note(detail, ~(n > 0), "completion direction is not spacelike")
