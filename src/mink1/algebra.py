@@ -78,26 +78,24 @@ def _require_finite(v) -> None:
         raise ValueError("translation must be finite")
 
 
-def _independent_row_space(rows) -> np.ndarray:
-    """`SubalgebraSpec`'s independence rule for a basis rows[n, 12] or each
-    of a stack rows[B, n, 12]: the singular values of `_row_space`'s SVD
-    decide the rank (a zero row is dependent), and its row space is
-    returned."""
-    peak = abs(rows).max(axis=-1, keepdims=True)
-    if peak.all():
-        _, s, space = np.linalg.svd(rows / peak, full_matrices=False)
-        if not np.any(numeric_rank(s) < rows.shape[-2]):
-            space.setflags(write=False)
-            return space
-    raise ValueError("basis is not linearly independent")
+def _require_independent(rows) -> None:
+    """`SubalgebraSpec`'s independence rule, for a basis rows[n, 12] or for
+    each basis of a stack rows[B, n, 12]: one values-only SVD of the rows
+    scaled to unit max-abs; a zero row is dependent."""
+    if not rows.size:
+        return
+    n, peak = rows.shape[-2], abs(rows).max(axis=-1, keepdims=True)
+    rank = numeric_rank(np.linalg.svd(rows / peak, compute_uv=False)) if peak.all() else 0
+    if rank < n if rows.ndim == 2 else np.min(rank) < n:
+        raise ValueError("basis is not linearly independent")
 
 
-def _require_rows(rows) -> np.ndarray:
+def _require_rows(rows) -> None:
     """The rows form's rules (linear parts, translations, independence),
-    applied once to a basis or to a stack of bases; returns the row space."""
+    applied once to a basis or to a stack of bases."""
     _require_so12(rows[..., :9].reshape(-1, 3, 3))
     _require_finite(rows[..., 9:])
-    return _independent_row_space(rows)
+    _require_independent(rows)
 
 
 def element_from_coords(c) -> AlgebraElement:
@@ -131,10 +129,9 @@ class SubalgebraSpec:
     stack.  Construction verifies linear independence once, on rows
     scaled to unit max-abs so that a generator's size (a family parameter
     of 1e300 beside unit entries, say) cannot decide it; a zero row is
-    dependent.  The SVD that decides it also gives `row_space`, the
-    orthonormal rows every membership question projects on.  Closure
-    under the bracket is a separate, tolerance-based decision
-    (`is_subalgebra`).
+    dependent.  The row space is factored on the first membership
+    question.  Closure under the bracket is a separate, tolerance-based
+    decision (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -142,11 +139,11 @@ class SubalgebraSpec:
     def __init__(self, basis):
         if isinstance(basis, np.ndarray):
             rows = np.array(basis, dtype=float).reshape(-1, 12)
-            self.row_space = _require_rows(rows)
+            _require_rows(rows)
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-            self.row_space = _independent_row_space(rows)
+            _require_independent(rows)
         rows.setflags(write=False)
         self.coords_matrix = rows
 
@@ -163,6 +160,11 @@ class SubalgebraSpec:
     def parts(self) -> tuple:
         """The rows as read-only stacks (X[n, 3, 3], v[n, 3]), views of them."""
         return self.coords_matrix[:, :9].reshape(-1, 3, 3), self.coords_matrix[:, 9:]
+
+    @cached_property
+    def row_space(self) -> np.ndarray:
+        """`_row_space` of the rows, taken on the first membership question."""
+        return _row_space(self.coords_matrix)
 
 
 _TINY = np.finfo(float).tiny

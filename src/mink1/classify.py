@@ -317,7 +317,8 @@ def _undilated(R):
     made unit rows again, and e[B]: 2^e is the power of two of max|v| /
     max|X| over the rows with both parts (a pure translation has a scale,
     but no length)."""
-    peak_X, peak_v = abs(R[..., :9]).max(axis=-1), abs(R[..., 9:]).max(axis=-1)
+    size = abs(R)
+    peak_X, peak_v = size[..., :9].max(axis=-1), size[..., 9:].max(axis=-1)
     gap = np.where((peak_X > 0) & (peak_v > 0), np.frexp(peak_v)[1] - np.frexp(peak_X)[1], _NO_GAP)
     e = gap.max(axis=1, initial=_NO_GAP)
     e = np.where(e == _NO_GAP, 0, e)
@@ -552,7 +553,8 @@ def classify_stack(rows) -> list:
     R = np.array(rows, dtype=float)
     if R.ndim != 3 or R.shape[2] != 12:
         raise ValueError("classify_stack needs coordinate rows of shape (B, n, 12)")
-    return _classify(R, _require_rows(R))
+    _require_rows(R)
+    return _classify(R, _row_space(R))
 
 
 def classify(spec: SubalgebraSpec):

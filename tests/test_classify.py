@@ -456,7 +456,7 @@ def _conjugated_variants(seed):
                                                                           entry.basis)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(-40, 20), st.integers(-8, 6))
 def test_classification_is_unchanged_under_basis_scaling(seed, k2, k10):
     for id_, expect, spec in _conjugated_variants(seed):
@@ -478,7 +478,7 @@ def _dilated(spec, k):
     return SubalgebraSpec(np.hstack([rows[:, :9], np.ldexp(rows[:, 9:], k)]))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(-40, 20))
 def test_dilation_keeps_the_family_and_scales_beta_exactly(seed, k):
     cases = list(_conjugated_variants(seed))
