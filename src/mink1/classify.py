@@ -347,7 +347,8 @@ def _invariants(R):
     dim_l, lvh, lifts, dim_ker, kvh = _linear_split(R)
     ker_causal = causal_of_svd(dim_ker.tolist(), kvh)
     linear = abs(R[..., :9]).max(axis=-1) > STRUCT_TOL
-    X0 = X[np.arange(B), linear.argmax(axis=1)] * linear.any(axis=1)[:, None, None]
+    X0 = (X[np.arange(B), linear.argmax(axis=1)] * linear.any(axis=1)[:, None, None] if n
+          else np.zeros((B, 3, 3)))
     kind = generator_class(X0) if (dim_l == 1).any() else None  # a single generator's class
     linear_type = [kind[k] if d == 1 else {0: ZERO, 2: TWO_DIM_SOLVABLE}.get(d, FULL)
                    for k, d in enumerate(dim_l.tolist())]

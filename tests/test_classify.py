@@ -445,6 +445,9 @@ def test_classify_stack_rejects_each_way_and_validates_once():
     with pytest.raises(ValueError):
         classify_stack(good)
     assert classify_stack(np.zeros((0, 2, 12))) == []
+    # an empty basis is a stack of one with no rows
+    res = classify(SubalgebraSpec(np.zeros((0, 12))))
+    assert isinstance(res, Rejection) and res.reason == REASON_NOT_COHOMOGENEITY_ONE
 
 
 def _conjugated_variants(seed):
