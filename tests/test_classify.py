@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mink1.algebra import AlgebraElement, SubalgebraSpec, adjoint_spec
 from mink1.catalog import CATALOG_IDS, build
@@ -10,6 +12,7 @@ from mink1.classify import (
     REASON_UNMATCHED,
     Rejection,
     classify,
+    classify_stack,
     signature,
     standardize_linear,
 )
@@ -361,11 +364,6 @@ def test_classify_unmatched_open_orbit_extension():
 
 # ---------------------------------------------------------------------------
 # the stacked entry and power-of-two normalization
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from mink1.classify import classify_stack
 
 def _row(X, v):
     return np.concatenate([np.ravel(X), v])
