@@ -32,12 +32,6 @@ from .minkowski import (
 
 # central-difference step of `finite_tangent`
 TANGENT_STEP = 1e-5
-# Step of the flows `shape_operator` differentiates along, deliberately
-# coarse.  The operator is defective, so noise eps in its near-zero
-# entries splits the double eigenvalue by sqrt(eps); a coarse step keeps
-# the roundoff noise floor near 1e-14, while the truncation error lies
-# along the operator's image direction and cannot split the eigenvalues.
-SHAPE_STEP = 1e-2
 
 
 def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
@@ -167,80 +161,41 @@ def eq1_norm(alpha: float, p) -> float:
     return float(alpha * alpha * (x * x - y * y) + 2.0 * alpha * z * (x - y) + (x - y) ** 2)
 
 
-def _unit_spacelike_normal(spec: SubalgebraSpec, q, ref: Optional[np.ndarray]):
-    """Minkowski-unit spacelike normal at an orbit point, oriented to `ref`."""
-    n = orbit_normal(spec, q)
-    nn = inner(n, n)
-    if nn <= 1e-12:
-        raise ValueError("orbit normal is not spacelike here")
-    n = n / np.sqrt(nn)
-    if ref is not None and inner(n, ref) < 0.0:
-        n = -n
-    return n
-
-
 def shape_operator(entry: CatalogEntry, p):
-    """Finite-difference shape operator of a boost-screw family orbit.
+    """Shape operator of a boost-screw family orbit, in closed form.
 
-    Valid on the Lorentzian stratum (x1 != sign*x2).  The unit spacelike
-    normal field is differentiated along the two tangent flows by
-    central differences and expressed in the null tangent basis
-    v1 (transverse null direction) and v2 (the null translation
-    direction), normalized to <v1, v2> = -1.  Returns the 2x2 matrix and
-    the diagnosis "non-diagonalizable" or "diagonalizable": the former
-    when the eigenvalues coincide to 1e-6 and the eigenspace of the
-    common eigenvalue is one-dimensional at rank tolerance 1e-6.  The
-    flows are stepped by SHAPE_STEP.
+    Valid on the Lorentzian stratum (x1 != sign*x2).  The flow of a basis
+    element (X, v) is an isometry preserving the orbit, so it carries the
+    unit normal n by exp(tX): the Killing field p -> X p + v has covariant
+    derivative X, and S(X p + v) = -X n exactly.  S is written in the null
+    tangent basis v1 (transverse null direction), v2 (the null translation
+    direction), normalized to <v1, v2> = -1, where a tangent vector w has
+    coordinates (-<w, v2>, -<w, v1>).  Returns the 2x2 matrix and the
+    diagnosis "non-diagonalizable" when the eigenvalues coincide and the
+    common eigenvalue's eigenspace is one-dimensional, both to 1e-6 max|S|,
+    else "diagonalizable".
     """
     if entry.id != "P-d":
         raise ValueError("shape_operator is defined for the P-d family")
-    p = np.asarray(p, dtype=float)
-    s = entry.params["sign"]
-    if abs(p[0] - s * p[1]) < 1e-6:
-        raise ValueError("degenerate-plane stratum: no unit spacelike normal")
     spec = entry.basis
-    xi = tangent_basis(spec, p)  # rows: boost field, null translation
-    n0 = _unit_spacelike_normal(spec, p, None)
-
-    derivs = []
-    for el in spec.basis:
-        qp = apply(exp_element(el, SHAPE_STEP), p)
-        qm = apply(exp_element(el, -SHAPE_STEP), p)
-        np_ = _unit_spacelike_normal(spec, qp, n0)
-        nm = _unit_spacelike_normal(spec, qm, n0)
-        dn = (np_ - nm) / (2.0 * SHAPE_STEP)
-        dn = dn - inner(dn, n0) * n0  # project out the normal component
-        derivs.append(-dn)
-    derivs = np.stack(derivs)  # row i = S(xi_i)
-
-    # null basis of the tangent plane: v2 along the translation direction,
-    # v1 the other null direction, scaled so <v1, v2> = -1, both future
-    v2 = xi[1]
-    g11 = inner(xi[0], xi[0])
-    g12 = inner(xi[0], v2)
-    v1 = xi[0] - (g11 / (2.0 * g12)) * v2
-    if v1[0] < 0:
-        v1 = -v1
-    v1 = v1 / (-inner(v1, v2))
-    # S(v1), S(v2) from linearity: v = a xi0 + b xi1
-    B = np.stack([xi[0], v2]).T  # 3x2
-    Smat = np.zeros((2, 2))
-    for j, v in enumerate((v1, v2)):
-        ab, *_ = np.linalg.lstsq(B, v, rcond=None)
-        Sv = ab[0] * derivs[0] + ab[1] * derivs[1]
-        cd, *_ = np.linalg.lstsq(np.stack([v1, v2]).T, Sv, rcond=None)
-        Smat[:, j] = cd
+    n = orbit_normal(spec, p)
+    nn = inner(n, n)  # n is Euclidean-unit: (x1 - s x2)^2 / (2 beta^2) near the plane
+    if nn <= 1e-12:
+        raise ValueError("degenerate-plane stratum: no unit spacelike normal")
+    n = n / np.sqrt(nn)
+    xi0, v2 = tangent_basis(spec, p)  # boost field, null translation
+    g12 = inner(xi0, v2)
+    c = inner(xi0, xi0) / (2.0 * g12)
+    v1 = (xi0 - c * v2) / -g12
+    X0, X1 = spec.parts[0]
+    Sv = ((X0 - c * X1) @ n / g12, -X1 @ n)  # S(v1), S(v2)
+    Smat = np.array([[-inner(w, v2) for w in Sv], [-inner(w, v1) for w in Sv]])
     lam = np.linalg.eigvals(Smat)
-    lam = np.real_if_close(lam, tol=1e3)
-    common = np.mean(np.real(lam))
-    coincide = abs(lam[0] - lam[1]) <= 1e-6 * max(1.0, np.max(np.abs(Smat)))
-    sv = np.linalg.svd(Smat - common * np.eye(2), compute_uv=False)
-    one_dim_eigenspace = sv[0] > 1e-6 >= sv[1]
-    if coincide and one_dim_eigenspace:
-        diagnosis = "non-diagonalizable"
-    else:
-        diagnosis = "diagonalizable"
-    return Smat, diagnosis
+    cut = 1e-6 * np.max(np.abs(Smat))
+    sv = np.linalg.svd(Smat - lam.real.mean() * np.eye(2), compute_uv=False)
+    if abs(lam[0] - lam[1]) <= cut and sv[0] > cut >= sv[1]:
+        return Smat, "non-diagonalizable"
+    return Smat, "diagonalizable"
 
 
 _STENCIL = np.array(

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from mink1.minkowski import (
     BOOST,
+    DEGENERATE,
     E1,
     E2,
     E3,
     ETA,
+    LORENTZIAN,
     NULL,
     NULL_ROTATION,
+    RIEMANNIAN,
     ROTATION,
     SPACELIKE,
     TIMELIKE,
@@ -22,6 +25,7 @@ from mink1.minkowski import (
     Motion,
     apply,
     causal_character,
+    causal_of_span,
     check_motions,
     compose,
     exp_element,
@@ -67,6 +71,24 @@ def test_causal_character_basics():
     # a sup-norm exactly at STRUCT_TOL reads as zero, like every sign_of cut
     assert causal_character(STRUCT_TOL * E1) == ZERO_VECTOR
     assert causal_character(np.nextafter(STRUCT_TOL, 1.0) * E1) == TIMELIKE
+
+
+def test_causal_of_span():
+    # a line is classified as its vector
+    assert causal_of_span([E1]) == TIMELIKE
+    assert causal_of_span([E3]) == SPACELIKE
+    assert causal_of_span([E1 + E2]) == NULL
+    assert causal_of_span([np.zeros(3)]) == ZERO_VECTOR
+    # a plane by the signature of its induced Gram matrix
+    assert causal_of_span([E1, E2]) == LORENTZIAN
+    assert causal_of_span([E2, E3]) == RIEMANNIAN
+    assert causal_of_span([E1 + E2, E3]) == DEGENERATE
+    # a dependent pair spans the line of either vector
+    assert causal_of_span([E1, -2.0 * E1]) == TIMELIKE
+    assert causal_of_span([E1 + E2, 3.0 * (E1 + E2)]) == NULL
+    # the character depends on the span, not on the scale of its basis
+    assert causal_of_span([1e6 * E2, 1e6 * E3]) == RIEMANNIAN
+    assert causal_of_span([1e-6 * E1, 1e-6 * E2]) == LORENTZIAN
 
 
 def test_sign_of():

@@ -158,6 +158,67 @@ def test_shape_operator_reference_point():
     assert diag2 == "non-diagonalizable"
 
 
+def _c4_points(seed):
+    """(sign, beta, p): nine points per P-d variant of C4, off the degenerate plane by 0.3."""
+    rng = rng_from_seed(seed)
+    out = []
+    for sign in (1.0, -1.0):
+        for beta in (0.5, 1.0, 2.0):
+            kept = 0
+            while kept < 9:
+                p = rng.uniform(-2.0, 2.0, 3)
+                if abs(p[0] - sign * p[1]) >= 0.3:
+                    out.append((sign, beta, p))
+                    kept += 1
+    return out
+
+
+def test_shape_operator_is_exact_and_dilation_covariant():
+    S, diag = shape_operator(build("P-d", sign=1.0, beta=1.0), [1.0, 0.0, 0.0])
+    assert diag == "non-diagonalizable"
+    assert np.max(np.abs(S - np.array([[0.0, 0.0], [1.0, 0.0]]))) < 1e-12
+    # p -> 2^k p, beta -> 2^k beta maps orbits to orbits and scales S by 2^-k
+    for sign, beta, p in _c4_points(1):
+        S0, diag0 = shape_operator(build("P-d", sign=sign, beta=beta), p)
+        assert diag0 == "non-diagonalizable"
+        for k in range(-20, 21):
+            lam = 2.0 ** k
+            S, diag = shape_operator(build("P-d", sign=sign, beta=lam * beta), lam * p)
+            assert diag == diag0, (sign, beta, p, k)
+            assert np.max(np.abs(lam * S - S0)) <= 1e-12 * np.max(np.abs(S0)), (sign, beta, p, k)
+
+
+def test_shape_operator_matches_finite_difference_oracle():
+    """Central differences of the unit normal along each basis flow give
+    dn/dt = X n, so S(X p + v) = -X n; and `shape_operator` writes S in the
+    null tangent basis, where w has coordinates (-<w, v2>, -<w, v1>)."""
+    h = 1e-3
+
+    def unit_normal(spec, q, ref):
+        n = orbit_normal(spec, q)
+        n = n / np.sqrt(inner(n, n))
+        return -n if ref is not None and inner(n, ref) < 0.0 else n
+
+    worst = 0.0
+    for sign, beta, p in _c4_points(1):
+        entry = build("P-d", sign=sign, beta=beta)
+        spec = entry.basis
+        n = unit_normal(spec, p, None)
+        xi = tangent_basis(spec, p)
+        v2 = xi[1]
+        v1 = xi[0] - inner(xi[0], xi[0]) / (2.0 * inner(xi[0], v2)) * v2
+        v1 = v1 / -inner(v1, v2)
+        S, _ = shape_operator(entry, p)
+        for el, w in zip(spec.basis, xi):
+            qp, qm = apply(exp_element(el, np.array([h, -h])), p)
+            dn = (unit_normal(spec, qp, n) - unit_normal(spec, qm, n)) / (2.0 * h)
+            worst = max(worst, float(np.max(np.abs(dn - el.X @ n))))
+            coords = np.array([-inner(w, v2), -inner(w, v1)])
+            image = np.array([inner(dn, v2), inner(dn, v1)])  # coordinates of S(w) = -dn
+            worst = max(worst, float(np.max(np.abs(S @ coords - image))))
+    assert worst < 1e-5
+
+
 def test_shape_operator_rejects_degenerate_stratum():
     entry = build("P-d", sign=1.0, beta=1.0)
     with pytest.raises(ValueError):
