@@ -39,7 +39,7 @@ def test_criterion_3_recovery_formulas():
 
 
 def test_criterion_4_shape_operator():
-    # double eigenvalue 0 (|lambda| < 1e-5) with one-dimensional
+    # double eigenvalue 0 (|lambda| < 1e-12) with one-dimensional
     # eigenspace at 20 sampled points per parameter value; on the
     # degenerate stratum the normal is the null direction to 1e-8
     _run(verify.check_shape_operator)

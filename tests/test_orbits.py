@@ -151,9 +151,9 @@ def test_shape_operator_reference_point():
     S, diag = shape_operator(entry, [1.0, 0.0, 0.0])
     # in the null tangent basis the operator is the elementary nilpotent
     assert diag == "non-diagonalizable"
-    assert np.max(np.abs(S - np.array([[0.0, 0.0], [1.0, 0.0]]))) < 1e-4
+    assert np.max(np.abs(S - np.array([[0.0, 0.0], [1.0, 0.0]]))) < 1e-12
     lam = np.linalg.eigvals(S)
-    assert np.max(np.abs(lam)) < 1e-5
+    assert np.max(np.abs(lam)) < 1e-12
     S2, diag2 = shape_operator(entry, [0.0, 1.0, 0.0])
     assert diag2 == "non-diagonalizable"
 
@@ -174,9 +174,6 @@ def _c4_points(seed):
 
 
 def test_shape_operator_is_exact_and_dilation_covariant():
-    S, diag = shape_operator(build("P-d", sign=1.0, beta=1.0), [1.0, 0.0, 0.0])
-    assert diag == "non-diagonalizable"
-    assert np.max(np.abs(S - np.array([[0.0, 0.0], [1.0, 0.0]]))) < 1e-12
     # p -> 2^k p, beta -> 2^k beta maps orbits to orbits and scales S by 2^-k
     for sign, beta, p in _c4_points(1):
         S0, diag0 = shape_operator(build("P-d", sign=sign, beta=beta), p)
