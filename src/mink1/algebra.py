@@ -69,7 +69,7 @@ def _require_so12(X) -> None:
     """`AlgebraElement`'s membership rule, for one linear part or a stack."""
     ok = so12_check(X)
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError("linear part violates the isometry-algebra membership")
+        raise ValueError(_NOT_SO12)
 
 
 def _require_finite(v) -> None:
@@ -168,6 +168,8 @@ class SubalgebraSpec:
 
 
 _TINY = np.finfo(float).tiny
+_PAIRS = [np.triu_indices(n, 1) for n in range(13)]  # the pairs i < j of n <= 12 rows
+_NOT_SO12 = "linear part violates the isometry-algebra membership"
 
 
 def _row_space(rows) -> np.ndarray:
@@ -203,14 +205,26 @@ def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
     return bool(_span_residuals(spec.row_space, el.coords[None])[0] <= STRUCT_TOL)
 
 
+def _closure(R, space):
+    """Per basis of R[B, n, 12] with row spaces space[B, n, 12]: the largest
+    scaled distance of a pairwise bracket from the span, and whether every
+    bracket's linear part lies in so(1,2)."""
+    B, n = R.shape[:2]
+    if n < 2:
+        return np.zeros(B), np.ones(B, dtype=bool)
+    parts = R[..., :9].reshape(B, n, 3, 3), R[..., 9:]
+    brackets = _brackets(parts, parts, *_PAIRS[n])
+    return (_span_residuals(space, brackets).max(axis=1),
+            so12_check(brackets[..., :9].reshape(brackets.shape[:2] + (3, 3))).all(axis=1))
+
+
 def closure_residual(spec: SubalgebraSpec) -> float:
-    """Largest (scaled) distance of a pairwise bracket from the span; a
-    single element has no bracket, and is closed without an SVD."""
-    if spec.dim < 2:
-        return 0.0
-    brackets = _brackets(spec.parts, spec.parts, *np.triu_indices(spec.dim, 1))
-    _require_so12(brackets[:, :9].reshape(-1, 3, 3))
-    return float(_span_residuals(spec.row_space, brackets).max())
+    """Largest (scaled) distance of a pairwise bracket from the span:
+    `_closure` on a stack of one, raising `bracket`'s membership error."""
+    residual, in_so12 = _closure(spec.coords_matrix[None], spec.row_space[None])
+    if not in_so12[0]:
+        raise ValueError(_NOT_SO12)
+    return float(residual[0])
 
 
 def is_subalgebra(spec: SubalgebraSpec) -> bool:
@@ -265,12 +279,16 @@ def kernel_of_l(spec: SubalgebraSpec):
     return int(dim_ker[0]), list(kvh[0, :dim_ker[0]])
 
 
-def _conjugated(A, X, v):
-    """(A X A^-1, A v) for (X, v), or per row of stacks X[..., 3, 3],
-    v[..., 3] (and A[..., 3, 3]): the parts of `adjoint` by (A, a) that do
-    not depend on a."""
-    Ai = ETA @ A.swapaxes(-1, -2) @ ETA
-    return A @ X @ Ai, (A @ v[..., None])[..., 0]
+def _adjoint_rows(A, a, X, v) -> np.ndarray:
+    """Coordinate rows of Ad_(A, a)(X, v) = (A X A^-1, A v - (A X A^-1) a),
+    A^-1 = eta A^T eta, for one element or a basis's parts X[n, 3, 3],
+    v[n, 3]: rows[..., 12] for one motion, rows[N, ..., 12] for a stack
+    (A[N, 3, 3], a[N, 3]) of motions, each conjugating all of them."""
+    lead = (1,) * (X.ndim - 2)
+    A, a = A.reshape(A.shape[:-2] + lead + (3, 3)), a.reshape(a.shape[:-1] + lead + (3,))
+    Y = A @ X @ (ETA @ A.swapaxes(-1, -2) @ ETA)
+    return np.concatenate([Y.reshape(Y.shape[:-2] + (9,)),
+                           (A @ v[..., None])[..., 0] - (Y @ a[..., None])[..., 0]], axis=-1)
 
 
 def adjoint(m, el: AlgebraElement) -> AlgebraElement:
@@ -278,14 +296,12 @@ def adjoint(m, el: AlgebraElement) -> AlgebraElement:
 
     Ad_{(A,a)}(X, v) = (A X A^-1, A v - (A X A^-1) a).
     """
-    Y, Av = _conjugated(m.A, el.X, el.v)
-    return AlgebraElement(Y, Av - Y @ m.a)
+    return element_from_coords(_adjoint_rows(m.A, m.a, el.X, el.v))
 
 
 def adjoint_spec(m, spec: SubalgebraSpec) -> SubalgebraSpec:
     """`adjoint` of every basis element, as one stacked product."""
-    Y, Av = _conjugated(m.A, *spec.parts)
-    return SubalgebraSpec(np.hstack([Y.reshape(-1, 9), Av - Y @ m.a]))
+    return SubalgebraSpec(_adjoint_rows(m.A, m.a, *spec.parts))
 
 
 __all__ = [

@@ -37,6 +37,7 @@ Two normalization conventions are part of the contract:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -45,9 +46,10 @@ import numpy as np
 
 from . import catalog
 from .algebra import (
+    _NOT_SO12,
     _TINY,
     SubalgebraSpec,
-    _brackets,
+    _closure,
     _linear_split,
     _require_rows,
     _row_space,
@@ -72,6 +74,7 @@ from .minkowski import (
     Motion,
     causal_of_svd,
     generator_class,
+    numeric_rank,
     sign_of,
     so12_check,
 )
@@ -134,8 +137,6 @@ _REFERENCE = {
 _SPANNED = {ZERO: (), TWO_DIM_SOLVABLE: (HYPERBOLIC, PARABOLIC),
             FULL: (HYPERBOLIC, ELLIPTIC, PARABOLIC)}
 _SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
-_PAIRS = [np.triu_indices(n, 1) for n in range(7)]  # the pairs i < j of n <= 6 rows
-_NOT_SO12 = "linear part violates the isometry-algebra membership"
 _NO_GAP = np.iinfo(np.int32).min
 _E1 = np.eye(3)[0]
 _NEXT, _LAST, _MIRROR = np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1.0, -1.0, -1.0])
@@ -325,19 +326,6 @@ def _undilated(R):
     return _unit_rows(np.concatenate([R[..., :9], np.ldexp(R[..., 9:], -e[:, None, None])], -1)), e
 
 
-def _closure(R, space):
-    """Per basis of R[B, n, 12] with row spaces space[B, n, 12]: the largest
-    scaled distance of a pairwise bracket from the span, and whether every
-    bracket's linear part lies in so(1,2)."""
-    B, n = R.shape[:2]
-    if n < 2:
-        return np.zeros(B), np.ones(B, dtype=bool)
-    parts = R[..., :9].reshape(B, n, 3, 3), R[..., 9:]
-    brackets = _brackets(parts, parts, *_PAIRS[n])
-    return (_span_residuals(space, brackets).max(axis=1),
-            so12_check(brackets[..., :9].reshape(brackets.shape[:2] + (3, 3))).all(axis=1))
-
-
 def _invariants(R):
     """The signatures of a normalized, closed stack R[B, n, 12], and what
     normalization reuses: `_linear_split`'s lvh, lifts, kvh, and the first
@@ -409,9 +397,9 @@ def _complete_square(C, Ci, targets, lvh, lifts, K):
         Q = np.eye(3) - k[:, :, None] * k[:, None] / norm2
     Q = Q[:, None]
     # minimum-norm least squares by one SVD: rank-deficient by design, so
-    # values at most 1e-9 of the largest (lstsq's rcond) are dropped
+    # the values beyond the numeric rank (lstsq's rcond, 1e-9) are dropped
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
-    keep = s > 1e-9 * s[:, :1]
+    keep = np.arange(s.shape[1]) < numeric_rank(s)[:, None]
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
     c = _mv(vh.swapaxes(1, 2), np.where(keep, y / np.where(keep, s, 1.0), 0.0))
     return c, _mv(Q, W - _mv(T, c[:, None]))
@@ -472,21 +460,24 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     shift = np.ldexp(c, e[:, None])  # back to the input's length scale
     found = []
     for k in [k for k, d in enumerate(detail) if d is None]:
-        hit = _match_table(sig, beta[k] if abs(beta[k]) > STRUCT_TOL else 0.0)
+        hit = _match_table(sig, beta[k] if sign_of(beta[k], STRUCT_TOL) else 0.0)
         try:
             conj = Motion(Ci[k], shift[k])
             if hit is not None:
                 id_, params = hit
                 target = (catalog.build(id_, **params).basis if params.get("beta", 0.0)
                           else _constant_target(id_, tuple(params.items())))
+                if "beta" in params:  # back to the input's length scale
+                    params["beta"] = math.ldexp(params["beta"], int(e[k]))
         except ValueError as exc:  # a conjugator off the group, a CatalogError
             detail[k] = str(exc)
+            continue
+        except OverflowError:
+            detail[k] = f"beta = {params['beta']:.3e} * 2^{e[k]} overflows at the input's scale"
             continue
         if hit is None:
             detail[k] = "signature matches no catalog family"
             continue
-        if "beta" in hit[1]:
-            hit[1]["beta"] = float(np.ldexp(hit[1]["beta"], e[k]))
         found.append((k, hit, conj, target))
     out = [None] * m
     if found:

@@ -272,45 +272,41 @@ def _exp_coeffs(kappa: float):
     )
 
 
-def _closed_exp_pair(M: np.ndarray):
-    """(exp(M), V(M)) by the cubic-recursion closed form M^3 = kappa M.
+def _closed_exp_pair(M: np.ndarray, w: np.ndarray):
+    """(exp(M), V(M) w) per row of stacks M[N, 3, 3], w[N, 3], by the
+    cubic-recursion closed form M^3 = kappa M.
 
-    For a stack M[N, 3, 3] the coefficients are still taken one kappa at
-    a time with `math`: numpy's vectorized sin and cosh can differ in the
-    last bit."""
+    The coefficients are taken one kappa at a time with `math`: numpy's
+    vectorized sin and cosh can differ in the last bit."""
     M2 = M @ M
     kappa = 0.5 * np.trace(M2, axis1=-2, axis2=-1)
-    if kappa.ndim:
-        c1, c2, c3 = np.array([_exp_coeffs(k) for k in kappa.tolist()]).T[..., None, None]
-    else:
-        c1, c2, c3 = _exp_coeffs(float(kappa))
+    c1, c2, c3 = np.array([_exp_coeffs(k) for k in kappa.tolist()]).T[..., None, None]
     eye = np.eye(3)
-    return eye + c1 * M + c2 * M2, eye + c2 * M + c3 * M2
+    return eye + c1 * M + c2 * M2, ((eye + c2 * M + c3 * M2) @ w[..., None])[..., 0]
 
 
 def _series_exp_pair(M: np.ndarray, w: np.ndarray):
-    """Scaling-and-squaring Taylor exponential of [[M, w], [0, 0]].
+    """Scaling-and-squaring Taylor exponential of [[M, w], [0, 0]] per row
+    of stacks M[N, 3, 3], w[N, 3].
 
     The corner of the 4x4 exponential is V(M) w, so this returns the
     same (linear part, translation) pair as the closed form and serves
-    as its independent cross-check: H is halved until its inf-norm is at
-    most 0.5, summed to 20 Taylor terms, and squared back.
-    """
-    H = np.zeros((4, 4))
-    H[:3, :3] = M
-    H[:3, 3] = w
-    s = 0
-    while np.linalg.norm(H, np.inf) > 0.5 and s < 64:
-        H = H / 2.0
-        s += 1
-    T = np.eye(4)
-    term = np.eye(4)
+    as its independent cross-check: each H is halved s times, s the least
+    s >= 0 (at most 64) with inf-norm * 2^-s <= 0.5, the 20 Taylor terms
+    are summed for the whole stack, and each row is squared back s times."""
+    H = np.concatenate([np.concatenate([M, w[..., None]], -1), np.zeros((len(M), 1, 4))], -2)
+    mant, e = np.frexp(abs(H).sum(axis=-1).max(axis=-1))  # inf-norm = mant * 2^e
+    s = np.clip(e + (mant > 0.5) + 64 * np.isinf(mant), 0, 64)
+    # one halving at a time: a subnormal entry rounds at each step
+    for k in range(s.max(initial=0)):
+        H[s > k] *= 0.5
+    T = term = np.eye(4)
     for k in range(1, 21):
         term = term @ H / k
         T = T + term
-    for _ in range(s):
-        T = T @ T
-    return T[:3, :3], T[:3, 3]
+    for k in range(s.max(initial=0)):
+        T[s > k] = T[s > k] @ T[s > k]
+    return T[:, :3, :3].copy(), T[:, :3, 3].copy()
 
 
 def exp_element(el, t: float = 1.0, method: str = "closed"):
@@ -319,26 +315,23 @@ def exp_element(el, t: float = 1.0, method: str = "closed"):
     Returns the Motion (exp(tX), V(tX) (t v)).  ``method="closed"`` uses
     the cubic closed form (trig / hyperbolic / polynomial depending on
     the class of X); ``method="series"`` runs scaling-and-squaring on the
-    4x4 homogeneous embedding, one t at a time.  Both paths agree to high
-    accuracy and the test suite holds them against each other.  An array
-    of times t[N] gives the stack `Motions` (A[N, 3, 3], a[N, 3]),
-    validated once; each row equals the Motion of its t alone, bit for bit.
+    4x4 homogeneous embedding.  Both paths agree to high accuracy and the
+    test suite holds them against each other.  An array of times t[N]
+    gives the stack `Motions` (A[N, 3, 3], a[N, 3]), validated once; a
+    single t is a stack of one, and each row equals its t alone, bit for bit.
     """
     X = np.asarray(el.X, dtype=float)
     v = np.asarray(el.v, dtype=float)
     if not so12_check(X):
         raise ValueError("linear part is not an infinitesimal isometry")
     t = np.asarray(t, dtype=float)
-    M = t[..., None, None] * X
-    w = t[..., None] * v
-    if method == "closed":
-        A, V = _closed_exp_pair(M)
-        return _validated(A, (V @ w[..., None])[..., 0])
-    if method == "series":
-        pairs = [_series_exp_pair(m, x) for m, x in zip(M.reshape(-1, 3, 3), w.reshape(-1, 3))]
-        return _validated(np.reshape([A for A, _ in pairs], M.shape),
-                          np.reshape([a for _, a in pairs], w.shape))
-    raise ValueError(f"unknown exponential method: {method!r}")
+    M = t.reshape(-1, 1, 1) * X
+    w = t.reshape(-1, 1) * v
+    pair = {"closed": _closed_exp_pair, "series": _series_exp_pair}.get(method)
+    if pair is None:
+        raise ValueError(f"unknown exponential method: {method!r}")
+    A, a = pair(M, w)
+    return _validated(A.reshape(t.shape + (3, 3)), a.reshape(t.shape + (3,)))
 
 
 def causal_of_span(vectors) -> str:

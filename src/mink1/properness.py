@@ -74,7 +74,11 @@ def make_witness(entry: CatalogEntry) -> NonpropernessWitness:
         raise WitnessError(f"{entry.id}: witness generator has no linear growth")
     cert = []
     prev = -np.inf
-    flow = exp_element(g, np.arange(1.0, WITNESS_STEPS + 1))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            flow = exp_element(g, np.arange(1.0, WITNESS_STEPS + 1))
+    except ValueError as exc:  # motions the flow cannot hold: it overflows
+        raise WitnessError(f"{entry.id}: the flow exp(n g), n <= {WITNESS_STEPS}, fails: {exc}")
     moved = np.abs(apply(flow, p) - p).max(axis=1)
     for n, res, norm in zip(range(1, WITNESS_STEPS + 1), moved.tolist(),
                             linear_growth_norm(flow.A).tolist()):

@@ -24,8 +24,7 @@ def random_so12_matrix(rng) -> np.ndarray:
     coefficients uniform in [-1, 1]."""
     c = rng.uniform(-1.0, 1.0, 3)
     X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
-    A, _ = _closed_exp_pair(X)
-    return A
+    return _closed_exp_pair(X[None], np.zeros((1, 3)))[0][0]
 
 
 def random_motion(rng) -> Motion:

@@ -23,7 +23,7 @@ from .classify import (
 from .algebra import (
     AlgebraElement,
     SubalgebraSpec,
-    _conjugated,
+    _adjoint_rows,
     adjoint,
     bracket,
     closure_residual,
@@ -372,10 +372,7 @@ def check_classifier_round_trip(seed: int = 42) -> CheckResult:
             expect = normalized_params(id_, entry.params)
             motions = [random_motion(rng) for _ in range(50)]
             A, a = np.array([g.A for g in motions]), np.array([g.a for g in motions])
-            Y, Av = _conjugated(A[:, None], *entry.basis.parts)
-            moved = np.concatenate([Y.reshape(50, -1, 9), Av - (Y @ a[:, None, :, None])[..., 0]],
-                                   axis=2)
-            for res in classify_stack(moved):
+            for res in classify_stack(_adjoint_rows(A, a, *entry.basis.parts)):
                 if not isinstance(res, Classification):
                     problems.append(f"{id_}{params}: rejected ({res.reason}: {res.detail})")
                     break

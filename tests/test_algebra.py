@@ -207,6 +207,24 @@ def test_adjoint_matches_conjugated_flow():
         assert np.max(np.abs((mp.a - mm.a) / (2 * h) - ad.v)) < 1e-6
 
 
+def test_stacked_conjugation_equals_one_motion_at_a_time():
+    # verify's C7 conjugates a basis by 50 motions as one stack
+    from mink1.algebra import _adjoint_rows
+    from mink1.catalog import build
+
+    rng = rng_from_seed(6)
+    for id_ in ("P-d", "N-x", "N-xii"):
+        spec = build(id_).basis
+        motions = [random_motion(rng) for _ in range(50)]
+        rows = _adjoint_rows(np.array([g.A for g in motions]), np.array([g.a for g in motions]),
+                             *spec.parts)
+        assert rows.shape == (50, spec.dim, 12)
+        for g, moved in zip(motions, rows):
+            assert np.array_equal(moved, adjoint_spec(g, spec).coords_matrix)
+            for e, row in zip(spec.basis, moved):
+                assert np.array_equal(row, adjoint(g, e).coords)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000))
 def test_span_contains_brackets_of_catalog_bases(seed):

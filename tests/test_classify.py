@@ -514,3 +514,13 @@ def test_large_nvii_parameter_classifies():
     res = classify(build("N-vii", beta=1e12).basis)
     assert isinstance(res, Classification), res
     assert res.id == "N-vii" and res.params == {"beta": 0.0}
+
+
+def test_beta_that_overflows_at_the_input_scale_is_rejected():
+    # undilation divides the translations by 2^1064; the P-d beta it reads
+    # does not fit back into a float
+    spec = SubalgebraSpec(np.array([[0, 1e-320, 0, 1e-320, 0, 0, 0, 0, 0, 0, 0, 1],
+                                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0]], dtype=float))
+    res = classify(spec)
+    assert isinstance(res, Rejection) and res.reason == REASON_UNMATCHED, res
+    assert "beta" in res.detail

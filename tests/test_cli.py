@@ -182,6 +182,14 @@ def test_properness_command(capsys):
     assert json.loads(out)["payload"]["verdict"] == "proper"
 
 
+def test_properness_overflowing_witness_flow_fails_the_verdict(capsys):
+    # N-vii's 20-step witness flow overflows at these translation parameters
+    for beta in ("1e308", "1e306", "-1e308"):
+        code, out, err = run(capsys, "properness", "--id", "N-vii", "--params", f"beta={beta}")
+        assert code == 1, beta
+        assert "witness failed: N-vii" in out and "Traceback" not in err
+
+
 def test_classify_command(tmp_path, capsys):
     path = tmp_path / "basis.alg"
     path.write_text(
@@ -205,6 +213,14 @@ def test_classify_rejection_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--basis", str(path), "--json")
     assert code == 1
     assert json.loads(out)["payload"]["reason"] == "not-a-subalgebra"
+
+
+def test_classify_overflowing_beta_is_rejected(tmp_path, capsys):
+    path = tmp_path / "huge_beta.alg"
+    path.write_text("0 1e-320 0 1e-320 0 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 0 0 1 1 0\n")
+    code, out, _ = run(capsys, "classify", "--basis", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["payload"]["status"] == "rejected"
 
 
 def test_classify_rescaled_basis_is_classified(tmp_path, capsys):

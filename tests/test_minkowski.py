@@ -336,6 +336,61 @@ def test_stacked_flow_rows_equal_single_flows():
                         assert np.array_equal(A[k], m.A) and np.array_equal(a[k], m.a)
 
 
+def _series_reference(M, w):
+    """Scaling and squaring one matrix at a time: H is halved while its
+    inf-norm exceeds 0.5 (at most 64 times), summed to 20 Taylor terms and
+    squared back."""
+    H = np.zeros((4, 4))
+    H[:3, :3] = M
+    H[:3, 3] = w
+    s = 0
+    while np.linalg.norm(H, np.inf) > 0.5 and s < 64:
+        H = H / 2.0
+        s += 1
+    T = np.eye(4)
+    term = np.eye(4)
+    for k in range(1, 21):
+        term = term @ H / k
+        T = T + term
+    for _ in range(s):
+        T = T @ T
+    return T[:3, :3], T[:3, 3]
+
+
+def test_stacked_series_equals_the_per_matrix_loop():
+    # inf-norms of H = [[tX, tv], [0, 0]] exactly at 0, 0.5, 0.75, 1, 2 and
+    # 2^20, where the halving count's rule could be off by one, and rows
+    # of one stack needing different counts
+    norms = np.array([0.0, 0.5, 0.75, 1.0, 2.0, 2.0**20])
+    cases = [
+        (AlgebraElement(BOOST, np.zeros(3)), np.concatenate([norms[:5], -norms[1:5], [3e-3]])),
+        (AlgebraElement(ROTATION, E3), np.concatenate([norms, -norms])),
+        (AlgebraElement(NULL_ROTATION, E2), np.concatenate([norms[:5], -norms[:5]]) / 2.0),
+        (AlgebraElement(np.zeros((3, 3)), E1), norms),
+        # a subnormal translation rounds at each of the three halvings
+        (AlgebraElement(4.0 * BOOST, 5.0 * 2.0**-1074 * E3), np.array([1.0, 0.25, 0.0])),
+    ]
+    hit = set()
+    for el, ts in cases:
+        A, a = exp_element(el, ts, "series")
+        for k, t in enumerate(ts):
+            M, w = t * el.X, t * el.v
+            hit.add(float(np.linalg.norm(np.hstack([M, w[:, None]]), np.inf)))
+            RA, Ra = _series_reference(M, w)
+            assert np.array_equal(A[k], RA) and np.array_equal(a[k], Ra), (el, t)
+            m = exp_element(el, t, "series")
+            assert np.array_equal(m.A, RA) and np.array_equal(m.a, Ra), (el, t)
+    assert set(norms.tolist()) <= hit
+
+
+def test_series_of_a_non_finite_generator_raises():
+    el = AlgebraElement(ROTATION, np.zeros(3))
+    for t in (np.inf, np.nan, np.array([1.0, np.inf]), 1e308):
+        with pytest.raises(ValueError, match="finite"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            exp_element(el, t, "series")
+
+
 def test_motion_stack_raises_what_its_failing_motion_raises():
     rng = rng_from_seed(8)
     good = [random_motion(rng) for _ in range(5)]
