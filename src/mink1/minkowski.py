@@ -103,21 +103,15 @@ _GENERATOR_CLASSES = np.array([ELLIPTIC, PARABOLIC, HYPERBOLIC, ZERO], dtype=obj
 def causal_character(v) -> str:
     """Classify a vector as timelike / null / spacelike / zero-vector.
 
-    Only the exact zero vector (and a NaN one) is its own class, never
-    "null": a vector carries no scale but its own, so any absolute zero
-    cut would let a rescaling change its class.  A caller whose v holds
-    roundoff decides zero against the scale of its own inputs.  ``v`` is
-    first scaled by the power of two that puts its sup-norm m in
-    [0.5, 1), which is exact, and <v, v> is cut at STRUCT_TOL * m^2, so
-    the character is unchanged by rescaling at any magnitude, where
-    <v, v> would underflow or overflow.
+    The zero vector (sup-norm at most STRUCT_TOL) is its own class, never
+    "null".  The cut on <v, v> scales with the squared sup-norm of ``v``
+    so the trichotomy is stable under rescaling.
     """
     v = np.asarray(v, dtype=float)
-    m, e = math.frexp(float(np.max(np.abs(v))))
-    if not sign_of(m, 0.0):
+    m = float(np.max(np.abs(v)))
+    if not sign_of(m, STRUCT_TOL):
         return ZERO_VECTOR
-    u = np.ldexp(v, -e)
-    return _VECTOR_BY_SIGN[sign_of(inner(u, u), STRUCT_TOL * m * m)]
+    return _VECTOR_BY_SIGN[sign_of(inner(v, v), STRUCT_TOL * m * m)]
 
 
 def so12_check(X):

@@ -67,14 +67,10 @@ def test_causal_character_basics():
     assert causal_character(E1 + E2) == NULL
     assert causal_character(E3) == SPACELIKE
     assert causal_character(np.zeros(3)) == ZERO_VECTOR
-    assert causal_character(-0.0 * E1) == ZERO_VECTOR
-    assert causal_character(np.full(3, np.nan)) == ZERO_VECTOR
-    # only the exact zero vector is zero: no absolute cut, so a vector keeps
-    # its class at any scale, where <v, v> underflows or overflows too
-    for k in (1e-12, STRUCT_TOL, 5e-324, 1e-162, 1e154, 1e300):
-        assert causal_character(k * E1) == TIMELIKE, k
-        assert causal_character(k * (E1 + E2)) == NULL, k
-        assert causal_character(k * E3) == SPACELIKE, k
+    assert causal_character(1e-12 * E1) == ZERO_VECTOR
+    # a sup-norm exactly at STRUCT_TOL reads as zero, like every sign_of cut
+    assert causal_character(STRUCT_TOL * E1) == ZERO_VECTOR
+    assert causal_character(np.nextafter(STRUCT_TOL, 1.0) * E1) == TIMELIKE
 
 
 def test_causal_of_span():
