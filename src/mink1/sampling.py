@@ -21,7 +21,7 @@ def rng_from_seed(seed: int | None) -> np.random.Generator:
 
 def random_so12_matrix(rng) -> np.ndarray:
     """exp of a generator with boost, rotation and null-rotation
-    coefficients uniform in [-1, 1]."""
+    coefficients uniform in [-1, 1], by the closed form on a stack of one."""
     c = rng.uniform(-1.0, 1.0, 3)
     X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
     return _closed_exp_pair(X[None], np.zeros((1, 3)))[0][0]
