@@ -50,16 +50,10 @@ class AlgebraElement:
     def __add__(self, other):
         return AlgebraElement(self.X + other.X, self.v + other.v)
 
-    def __sub__(self, other):
-        return AlgebraElement(self.X - other.X, self.v - other.v)
-
     def __mul__(self, c: float):
         return AlgebraElement(c * self.X, c * self.v)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     def __repr__(self):
         return f"AlgebraElement(X={self.X.tolist()}, v={self.v.tolist()})"
@@ -104,15 +98,15 @@ def element_from_coords(c) -> AlgebraElement:
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """[(X, u), (Y, v)] = ([X, Y], X v - Y u)."""
-    return AlgebraElement(a.X @ b.X - b.X @ a.X, a.X @ b.v - b.X @ a.v)
+    """[(X, u), (Y, v)] = ([X, Y], X v - Y u): `_brackets` on a stack of one."""
+    return element_from_coords(_brackets((a.X[None], a.v[None]), (b.X[None], b.v[None]), 0, 0))
 
 
 def _brackets(parts_a, parts_b, i, j) -> np.ndarray:
     """Coordinate rows of the brackets [a_i[k], b_j[k]] of basis elements
     given by their parts (X[..., n, 3, 3], u[..., n, 3]), as one stacked
-    product over any leading stack axes; `bracket`'s membership check on
-    their linear parts is left to the caller."""
+    product over any leading stack axes; the membership check on their
+    linear parts is left to the caller."""
     (X, u), (Y, v) = parts_a, parts_b
     X, u, Y, v = X[..., i, :, :], u[..., i, :], Y[..., j, :, :], v[..., j, :]
     Z = X @ Y - Y @ X

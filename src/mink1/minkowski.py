@@ -58,17 +58,17 @@ MOTION_TOL = 1e-9
 STRUCT_TOL = 1e-9
 
 
-def numeric_rank(s, rtol: float = STRUCT_TOL):
+def numeric_rank(s):
     """Numerical rank from singular values sorted in decreasing order.
 
-    Counts the values above ``rtol * s[0]`` (Golub & Van Loan, numerical
+    Counts the values above ``STRUCT_TOL * s[0]`` (Golub & Van Loan, numerical
     rank by a relative singular-value cutoff); an empty or all-zero
     input has rank 0.  A 1-D input gives an int; a stack of rows
     ``s[..., k]``, as a batched SVD returns them, gives an integer array
     of the rank of each row.
     """
     s = np.asarray(s)
-    above = s > rtol * s[..., :1]
+    above = s > STRUCT_TOL * s[..., :1]
     if s.ndim == 1:
         return int(np.count_nonzero(above))
     return above.sum(axis=-1)
@@ -103,15 +103,16 @@ _GENERATOR_CLASSES = np.array([ELLIPTIC, PARABOLIC, HYPERBOLIC, ZERO], dtype=obj
 def causal_character(v) -> str:
     """Classify a vector as timelike / null / spacelike / zero-vector.
 
-    The zero vector (sup-norm at most STRUCT_TOL) is its own class, never
-    "null".  The cut on <v, v> scales with the squared sup-norm of ``v``
-    so the trichotomy is stable under rescaling.
+    Only an exact zero (or NaN) vector is the zero vector.  <v, v> is cut at
+    STRUCT_TOL * m^2 on v divided by the power of two that puts its sup-norm
+    m in [0.5, 1), so the trichotomy is the same at every scale.
     """
-    v = np.asarray(v, dtype=float)
-    m = float(np.max(np.abs(v)))
-    if not sign_of(m, STRUCT_TOL):
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    m, e = math.frexp(max(abs(x), abs(y), abs(z)))
+    if not m or math.isnan(x + y + z):
         return ZERO_VECTOR
-    return _VECTOR_BY_SIGN[sign_of(inner(v, v), STRUCT_TOL * m * m)]
+    x, y, z = math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)
+    return _VECTOR_BY_SIGN[sign_of(-x * x + y * y + z * z, STRUCT_TOL * m * m)]
 
 
 def so12_check(X):
@@ -162,19 +163,17 @@ def check_motions(A, a) -> None:
     motion breaks, with that motion's figures, as `Motion` would for it."""
     if not (np.isfinite(A).all() and np.isfinite(a).all()):
         raise ValueError("Motion components must be finite")
-    # tolerances scale with ||A||^2: the isometry residual grows like
+    # the tolerance scales with ||A||^2: the isometry residual grows like
     # that under roundoff, and witness boosts reach entries ~ e^20
-    peak = np.abs(A).max(axis=(1, 2))
-    scale2 = np.maximum(1.0, peak * peak)
+    scale2 = np.maximum(1.0, np.square(np.abs(A).max(axis=(1, 2))))
     res = np.abs(A.transpose(0, 2, 1) @ ETA @ A - ETA).max(axis=(1, 2))
     bad = res > MOTION_TOL * scale2
     if bad.any():
         raise ValueError(f"linear part is not an isometry (residual {res[bad][0]:.3e})")
-    # beyond ~1e6 the determinant of a near-isometry is lost to
-    # cancellation; the residual check above still constrains A there
-    near = peak < 1e6
-    det = np.linalg.det(A[near])
-    if ((det <= 0.0) | (abs(det - 1.0) > 1e-8 * scale2[near])).any():
+    # the residual pins |det A| to 1, and A^-1 = eta A^T eta makes the (0, 0)
+    # cofactor det A[1:, 1:] = A00 det A: a 2x2 sign that holds at every size
+    minor = A[:, 1, 1] * A[:, 2, 2] - A[:, 1, 2] * A[:, 2, 1]
+    if (A[:, 0, 0] * minor <= 0.0).any():
         raise ValueError("linear part must have determinant 1")
     if (A[:, 0, 0] < 1.0 - MOTION_TOL).any():
         raise ValueError("linear part must preserve time orientation (A[0,0] >= 1)")

@@ -10,7 +10,9 @@ from .minkowski import (
     NULL_ROTATION,
     ROTATION,
     Motion,
+    Motions,
     _closed_exp_pair,
+    _validated,
     inner,
 )
 
@@ -19,23 +21,30 @@ def rng_from_seed(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(42 if seed is None else seed)
 
 
-def random_so12_matrix(rng) -> np.ndarray:
-    """exp of a generator with boost, rotation and null-rotation
-    coefficients uniform in [-1, 1], by the closed form on a stack of one."""
-    c = rng.uniform(-1.0, 1.0, 3)
-    X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
-    return _closed_exp_pair(X[None], np.zeros((1, 3)))[0][0]
+def _generators(c) -> np.ndarray:
+    """c1 BOOST + c2 ROTATION + c3 NULL_ROTATION for each row c[..., 3]."""
+    c = c[..., None, None]
+    return c[..., 0, :, :] * BOOST + c[..., 1, :, :] * ROTATION + c[..., 2, :, :] * NULL_ROTATION
+
+
+def random_motions(rng, n: int) -> Motions:
+    """n motions, each drawn as three `_generators` coefficients uniform in
+    [-1, 1], then a translation uniform in [-2, 2]^3; the stack is
+    exponentiated by the closed form and checked once."""
+    draw = rng.uniform((-1, -1, -1, -2, -2, -2), (1, 1, 1, 2, 2, 2), (n, 6))
+    A, _ = _closed_exp_pair(_generators(draw[:, :3]), np.zeros((n, 3)))
+    return _validated(A, draw[:, 3:])
 
 
 def random_motion(rng) -> Motion:
-    """A `random_so12_matrix` with a translation uniform in [-2, 2]^3."""
-    return Motion(random_so12_matrix(rng), rng.uniform(-2.0, 2.0, 3))
+    """`random_motions` on a stack of one."""
+    A, a = random_motions(rng, 1)
+    return Motion(A[0], a[0])
 
 
 def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
-    c = rng.uniform(-scale, scale, 3)
-    X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
-    return AlgebraElement(X, rng.uniform(-scale, scale, 3))
+    return AlgebraElement(_generators(rng.uniform(-scale, scale, 3)),
+                          rng.uniform(-scale, scale, 3))
 
 
 def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:

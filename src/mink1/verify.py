@@ -56,7 +56,7 @@ from .orbits import (
     stabilizer_algebra,
 )
 from .properness import make_witness
-from .sampling import random_algebra_element, random_causal_point, random_motion, rng_from_seed
+from .sampling import random_algebra_element, random_causal_point, random_motions, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -370,9 +370,7 @@ def check_classifier_round_trip(seed: int = 42) -> CheckResult:
         for params in _ROUND_TRIP_VARIANTS.get(id_, ({},)):
             entry = build(id_, **params)
             expect = normalized_params(id_, entry.params)
-            motions = [random_motion(rng) for _ in range(50)]
-            A, a = np.array([g.A for g in motions]), np.array([g.a for g in motions])
-            for res in classify_stack(_adjoint_rows(A, a, *entry.basis.parts)):
+            for res in classify_stack(_adjoint_rows(*random_motions(rng, 50), *entry.basis.parts)):
                 if not isinstance(res, Classification):
                     problems.append(f"{id_}{params}: rejected ({res.reason}: {res.detail})")
                     break

@@ -67,6 +67,15 @@ def test_bracket_antisymmetry_and_self():
         assert np.allclose(bracket(a, b).coords, -bracket(b, a).coords)
 
 
+def test_bracket_is_the_semidirect_formula_bit_for_bit():
+    rng = rng_from_seed(6)
+    for _ in range(500):
+        a, b = (random_algebra_element(rng, 2.0 ** rng.integers(-40, 41)) for _ in range(2))
+        br = bracket(a, b)
+        assert np.array_equal(br.X, a.X @ b.X - b.X @ a.X)
+        assert np.array_equal(br.v, a.X @ b.v - b.X @ a.v)
+
+
 def test_bracket_boost_null_rotation():
     # oracle: direct 3x3 multiplication
     comm = BOOST @ NULL_ROTATION - NULL_ROTATION @ BOOST

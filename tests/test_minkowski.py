@@ -35,9 +35,10 @@ from mink1.minkowski import (
     numeric_rank,
     sign_of,
     so12_check,
+    _closed_exp_pair,
 )
 from mink1.algebra import AlgebraElement
-from mink1.sampling import random_algebra_element, random_motion, rng_from_seed
+from mink1.sampling import random_algebra_element, random_motion, random_motions, rng_from_seed
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -67,10 +68,18 @@ def test_causal_character_basics():
     assert causal_character(E1 + E2) == NULL
     assert causal_character(E3) == SPACELIKE
     assert causal_character(np.zeros(3)) == ZERO_VECTOR
-    assert causal_character(1e-12 * E1) == ZERO_VECTOR
-    # a sup-norm exactly at STRUCT_TOL reads as zero, like every sign_of cut
-    assert causal_character(STRUCT_TOL * E1) == ZERO_VECTOR
-    assert causal_character(np.nextafter(STRUCT_TOL, 1.0) * E1) == TIMELIKE
+    # only an exact zero (or NaN) vector is the zero vector
+    assert causal_character(-0.0 * E1) == ZERO_VECTOR
+    assert causal_character(np.array([1.0, np.nan, 0.0])) == ZERO_VECTOR
+    for scale in (5e-324, 1e-12, 1e-9, 1e300):
+        assert causal_character(scale * E1) == TIMELIKE, scale
+        assert causal_character(scale * (E1 + E2)) == NULL, scale
+        assert causal_character(scale * E3) == SPACELIKE, scale
+
+
+def test_causal_character_has_no_absolute_zero_cut():
+    v = np.array([0.0, 0.0, 1e-9])
+    assert causal_character(v) == causal_character(2.5 * v) == SPACELIKE
 
 
 def test_causal_of_span():
@@ -120,7 +129,7 @@ def test_numeric_rank():
         for k in range(-12, 13):
             s = np.linalg.svd(M * 10.0 ** k, compute_uv=False)
             assert numeric_rank(s) == np.count_nonzero(sv), (sv, k)
-    # a value exactly at the cutoff rtol * s[0] does not count
+    # a value exactly at the cutoff STRUCT_TOL * s[0] does not count
     assert numeric_rank(np.array([4.0, 4.0 * 1e-9])) == 1
     assert type(numeric_rank([3.0, 0.7])) is int
 
@@ -147,7 +156,6 @@ def test_numeric_rank_of_stacked_rows():
     assert ranks[:, :3].max() == 2 and ranks[:, 3].max() == 1 and ranks[:, 4].max() == 0
     assert numeric_rank(np.zeros((4, 0))).tolist() == [0, 0, 0, 0]
     assert numeric_rank(np.array([4.0, np.nextafter(4.0 * 1e-9, 1.0)])) == 2
-    assert numeric_rank(np.array([1.0, 0.1]), rtol=0.1) == 1
 
 
 def test_so12_membership():
@@ -411,3 +419,56 @@ def test_motion_stack_raises_what_its_failing_motion_raises():
                 check_motions(A, a)
             assert str(stacked.value) == str(alone.value), (name, k)
     check_motions(np.stack([m.A for m in good]), np.stack([m.a for m in good]))
+
+
+FLIP = np.diag([1.0, 1.0, -1.0])  # orientation reversing, time preserving
+
+
+def _flow(X, t):
+    return exp_element(AlgebraElement(X, np.zeros(3)), t).A
+
+
+def test_orientation_reversal_is_rejected_at_every_size():
+    for phi in (15.0, 20.0):  # entries 1.6e6 and 2.4e8
+        A = _flow(BOOST, phi) @ FLIP
+        with pytest.raises(ValueError, match="determinant 1"):
+            Motion(A, np.zeros(3))
+        with pytest.raises(ValueError, match="determinant 1"):
+            check_motions(np.stack([np.eye(3), A, np.eye(3)]), np.zeros((3, 3)))
+
+
+def test_composite_flows_keep_their_orientation():
+    """exp(t1 BOOST) exp(t2 ROTATION) exp(t3 NULL_ROTATION) exp(t4 BOOST),
+    |t| <= 60, is a motion unless roundoff fails its isometry residual, and
+    its product with an orientation reversal is not."""
+    rng = rng_from_seed(17)
+    accepted = 0
+    for t in rng.uniform(-60.0, 60.0, (300, 4)):
+        A = _flow(BOOST, t[0]) @ _flow(ROTATION, t[1]) @ _flow(NULL_ROTATION, t[2]) \
+            @ _flow(BOOST, t[3])
+        try:
+            check_motions(A[None], np.zeros((1, 3)))
+        except ValueError as err:
+            assert "not an isometry" in str(err)
+            continue
+        accepted += 1
+        with pytest.raises(ValueError, match="determinant 1"):
+            check_motions((A @ FLIP)[None], np.zeros((1, 3)))
+    assert accepted >= 295
+
+
+def test_stacked_random_motions_equal_the_per_motion_loop():
+    def reference(rng):  # one motion at a time: exp by the closed form, then a Motion
+        c = rng.uniform(-1.0, 1.0, 3)
+        X = c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION
+        return Motion(_closed_exp_pair(X[None], np.zeros((1, 3)))[0][0],
+                      rng.uniform(-2.0, 2.0, 3))
+
+    for seed in (0, 42, 2024):
+        ref_rng, rng = rng_from_seed(seed), rng_from_seed(seed)
+        ref = [reference(ref_rng) for _ in range(50)]
+        A, a = random_motions(rng, 50)
+        assert np.array_equal(A, [m.A for m in ref]) and np.array_equal(a, [m.a for m in ref])
+        one, ref_one = random_motion(rng), reference(ref_rng)
+        assert np.array_equal(one.A, ref_one.A) and np.array_equal(one.a, ref_one.a)
+        assert rng.random() == ref_rng.random()
