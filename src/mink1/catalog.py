@@ -142,7 +142,7 @@ def expected_orbit(entry: CatalogEntry, p) -> Stratum:
     exactly one row matches.
     """
     p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("base point must be finite")
     for s in entry.strata:
         if s.predicate(p):

@@ -72,8 +72,10 @@ from .minkowski import (
     TIMELIKE,
     ZERO,
     Motion,
+    _checked_motion,
     causal_of_svd,
     generator_class,
+    motion_faults,
     numeric_rank,
     sign_of,
     so12_check,
@@ -406,10 +408,26 @@ def _complete_square(C, Ci, targets, lvh, lifts, K):
 
 
 @lru_cache(maxsize=None)
-def _constant_target(id_, items) -> SubalgebraSpec:
-    """The catalog basis of a family whose parameters the classifier does
-    not compute (all but P-d and N-x at beta != 0), built once per process."""
+def _catalog_basis(id_, items) -> SubalgebraSpec:
+    """The catalog basis of a family at the parameters `items`, built once
+    per process."""
     return catalog.build(id_, **dict(items)).basis
+
+
+def _targets(hits):
+    """Rows T[m, n, 12] and row spaces of the catalog bases of the matches
+    hits[m] = (id, params), each a cached `_catalog_basis`; at beta != 0 the
+    unit-beta one with row 0's translation times beta, as `catalog.build`
+    writes beta E3, those rows factored as one stack."""
+    beta = [params.get("beta", 0.0) for _, params in hits]
+    bases = [_catalog_basis(id_, tuple({**params, "beta": 1.0}.items() if b else params.items()))
+             for (id_, params), b in zip(hits, beta)]
+    T, space = np.array([b.coords_matrix for b in bases]), np.array([b.row_space for b in bases])
+    at = [j for j, b in enumerate(beta) if b]
+    if at:
+        T[at, 0, 9:] *= np.array(beta)[at, None]
+        space[at] = _row_space(T[at])
+    return T, space
 
 
 # (dim_l, linear type, dim_ker, kernel causal type) -> catalog id; a pair
@@ -458,41 +476,39 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     beta = (remainders[:, 0, 2] if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE)
             else np.zeros(m)).tolist()
     shift = np.ldexp(c, e[:, None])  # back to the input's length scale
+    faults = motion_faults(Ci, shift)  # the conjugators, checked once
     found = []
     for k in [k for k, d in enumerate(detail) if d is None]:
         hit = _match_table(sig, beta[k] if sign_of(beta[k], STRUCT_TOL) else 0.0)
+        detail[k] = faults[k] or (None if hit else "signature matches no catalog family")
+        if detail[k]:
+            continue
+        id_, params = hit
         try:
-            conj = Motion(Ci[k], shift[k])
-            if hit is not None:
-                id_, params = hit
-                target = (catalog.build(id_, **params).basis if params.get("beta", 0.0)
-                          else _constant_target(id_, tuple(params.items())))
-                if "beta" in params:  # back to the input's length scale
-                    params["beta"] = math.ldexp(params["beta"], int(e[k]))
-        except ValueError as exc:  # a conjugator off the group, a CatalogError
+            if "beta" in params:  # back to the input's length scale
+                b = catalog._finite_param(id_, "beta", params["beta"])
+                params = {**params, "beta": math.ldexp(b, int(e[k]))}
+        except ValueError as exc:  # a CatalogError
             detail[k] = str(exc)
             continue
         except OverflowError:
-            detail[k] = f"beta = {params['beta']:.3e} * 2^{e[k]} overflows at the input's scale"
+            detail[k] = f"beta = {b:.3e} * 2^{e[k]} overflows at the input's scale"
             continue
-        if hit is None:
-            detail[k] = "signature matches no catalog family"
-            continue
-        found.append((k, hit, conj, target))
+        found.append((k, hit, params))
     out = [None] * m
     if found:
         moved = np.concatenate([Y.reshape(m, n, 9), Av - _mv(Y, c[:, None])], axis=2)
         moved = moved[[k for k, *_ in found]] if len(found) < m else moved
-        T = np.array([target.coords_matrix for *_, target in found])
-        space = np.array([target.row_space for *_, target in found])
+        T, space = _targets([hit for _, hit, _ in found])
         # both ways at once: moved in span(T), and T in span(moved)
         spaces, rows = np.concatenate([space, _row_space(moved)]), np.concatenate([moved, T])
         residual = np.maximum(*_span_residuals(spaces, rows).max(axis=1).reshape(2, -1))
-        for (k, (id_, params), conj, _), res in zip(found, residual.tolist()):
+        for (k, (id_, _), params), res in zip(found, residual.tolist()):
             if res > SPAN_MATCH_TOL:
                 detail[k] = f"normalized basis does not span the {id_} basis (residual {res:.3e})"
             else:
-                out[k] = Classification(id_, params, conj, res, replace(sig, params=params.copy()))
+                out[k] = Classification(id_, params, _checked_motion(Ci[k], shift[k]), res,
+                                        replace(sig, params=params.copy()))
     return [r or Rejection(REASON_UNMATCHED, d, sig) for r, d in zip(out, detail)]
 
 

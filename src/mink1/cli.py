@@ -284,7 +284,8 @@ def cmd_properness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(args.seed)
+    timed = run_all(args.seed)
+    results = [r for r, _ in timed]
     payload = {"suite": args.suite}
     checks = [(r.check_id, r.label, r.passed, r.residual) for r in results]
     all_pass = all(r.passed for r in results)
@@ -293,8 +294,8 @@ def cmd_verify(args) -> int:
         payload["details"] = [r.detail for r in results]
         print(to_json(_report(["verify"], args.seed, payload, checks)))
     else:
-        for r in results:
-            print(format_line(r))
+        for r, seconds in timed:  # elapsed time in the text only: the JSON stays byte-identical
+            print(f"{format_line(r)} {seconds:.3f} s")
             if not r.passed:
                 print(f"       {r.detail}")
         print(f"{'all checks passed' if all_pass else 'FAILURES present'}")

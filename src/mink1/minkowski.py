@@ -98,6 +98,12 @@ def inner(u, v) -> float:
 _VECTOR_BY_SIGN = {-1: TIMELIKE, 0: NULL, 1: SPACELIKE}
 # generator classes at index sign(tr X^2) + 1, and ZERO last
 _GENERATOR_CLASSES = np.array([ELLIPTIC, PARABOLIC, HYPERBOLIC, ZERO], dtype=object)
+_ETA_DIAG = np.diag(ETA)[:, None]  # eta U = _ETA_DIAG * U, exactly
+# what `motion_faults` reports for each of its rules, in order
+_MOTION_FAULTS = ("Motion components must be finite",
+                  "linear part is not an isometry (residual {:.3e})",
+                  "linear part must have determinant 1",
+                  "linear part must preserve time orientation (A[0,0] >= 1)")
 
 
 def causal_character(v) -> str:
@@ -157,45 +163,65 @@ def generator_class(X) -> str:
     return _GENERATOR_CLASSES[np.where(zero, 3, sign_of(trace, STRUCT_TOL) + 1)]
 
 
-def check_motions(A, a) -> None:
+def motion_faults(A, a) -> list:
     """The rule every motion is validated by, applied once to a stack
-    (A[N, 3, 3], a[N, 3]).  Raises the ValueError of the first rule some
-    motion breaks, with that motion's figures, as `Motion` would for it."""
-    if not (np.isfinite(A).all() and np.isfinite(a).all()):
-        raise ValueError("Motion components must be finite")
-    # the tolerance scales with ||A||^2: the isometry residual grows like
-    # that under roundoff, and witness boosts reach entries ~ e^20
-    scale2 = np.maximum(1.0, np.square(np.abs(A).max(axis=(1, 2))))
-    res = np.abs(A.transpose(0, 2, 1) @ ETA @ A - ETA).max(axis=(1, 2))
-    bad = res > MOTION_TOL * scale2
-    if bad.any():
-        raise ValueError(f"linear part is not an isometry (residual {res[bad][0]:.3e})")
+    (A[N, 3, 3], a[N, 3]): per motion, None or the message of the first
+    rule it breaks."""
+    peak = abs(A).max(axis=(1, 2))  # NaN or inf with any entry
+    finite = np.isfinite(peak) & np.isfinite(a).all(axis=1)
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, 0.0)
+    # the isometry residual and its tolerance MOTION_TOL max(1, ||A||^2) (roundoff grows
+    # so; witness boosts reach e^20) are taken on U = 2^-e A, exact, ||U|| < 1: no overflow
+    s = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], 0))
+    U, unit = A * s[:, None, None], s * s
+    res = abs(U.transpose(0, 2, 1) @ (_ETA_DIAG * U) - unit[:, None, None] * ETA).max(axis=(1, 2))
     # the residual pins |det A| to 1, and A^-1 = eta A^T eta makes the (0, 0)
     # cofactor det A[1:, 1:] = A00 det A: a 2x2 sign that holds at every size
-    minor = A[:, 1, 1] * A[:, 2, 2] - A[:, 1, 2] * A[:, 2, 1]
-    if (A[:, 0, 0] * minor <= 0.0).any():
-        raise ValueError("linear part must have determinant 1")
-    if (A[:, 0, 0] < 1.0 - MOTION_TOL).any():
-        raise ValueError("linear part must preserve time orientation (A[0,0] >= 1)")
+    minor = U[:, 1, 1] * U[:, 2, 2] - U[:, 1, 2] * U[:, 2, 1]
+    rules = (finite, res <= MOTION_TOL * np.maximum(unit, np.square(peak * s)),
+             U[:, 0, 0] * np.sign(minor) > 0.0, A[:, 0, 0] >= 1.0 - MOTION_TOL)
+    ok = rules[0] & rules[1] & rules[2] & rules[3]
+    faults = [None] * len(A)
+    for k in () if ok.all() else np.flatnonzero(~ok).tolist():
+        why = _MOTION_FAULTS[[r[k] for r in rules].index(False)]
+        faults[k] = why.format(float(res[k]) / float(s[k]) / float(s[k]))  # A's residual
+    return faults
+
+
+def check_motions(A, a) -> None:
+    """Raise the ValueError of the first motion of a stack that
+    `motion_faults` rejects, as `Motion` would for that motion."""
+    for fault in filter(None, motion_faults(A, a)):
+        raise ValueError(fault)
+
+
+def _checked_motion(A, a) -> "Motion":
+    """The `Motion` of a stack's row that `motion_faults` has passed, not
+    checked again: read-only float copies of its parts."""
+    m = object.__new__(Motion)
+    for name, x in (("A", A), ("a", a)):
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
+        object.__setattr__(m, name, x)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class Motion:
-    """An isometry x -> A x + a in the identity component."""
+    """An isometry x -> A x + a in the identity component; `check_motions`
+    decides it as a stack of one."""
 
     A: np.ndarray
     a: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        a = np.array(self.a, dtype=float)
-        if A.shape != (3, 3) or a.shape != (3,):
+        m = _checked_motion(self.A, self.a)
+        if m.A.shape != (3, 3) or m.a.shape != (3,):
             raise ValueError("Motion needs a 3x3 linear part and a 3-vector")
-        check_motions(A[None], a[None])
-        A.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "a", a)
+        check_motions(m.A[None], m.a[None])
+        object.__setattr__(self, "A", m.A)
+        object.__setattr__(self, "a", m.a)
 
     @classmethod
     def identity(cls) -> "Motion":

@@ -130,22 +130,23 @@ def finite_tangent(el: AlgebraElement, p) -> np.ndarray:
     return (plus - minus) / (2.0 * TANGENT_STEP)
 
 
-def sample_orbit(entry: CatalogEntry, p, grid) -> np.ndarray:
+def sample_orbit(entry: CatalogEntry, P, grid) -> np.ndarray:
     """Orbit points exp(t1 xi1) exp(t2 xi2) ... p over a parameter grid.
 
     ``grid`` is an (N, dim) array, or a sequence of N tuples, with one
-    coordinate per basis element.  The empty grid yields the base point
-    itself.  Each flow runs over the whole grid as one stack, and the
-    stacks compose row by row, so every sample has the bits of its own
-    chain of motions.
+    coordinate per basis element; a base point p[3] gives the samples[N, 3],
+    a stack P[M, 3] the samples[M, N, 3].  The empty grid yields the base
+    points themselves.  Each flow runs over the whole grid as one stack,
+    and the stacks compose row by row once for all base points, so every
+    sample has the bits of its own chain of motions and point.
     """
-    p = np.asarray(p, dtype=float)
+    P = np.asarray(P, dtype=float)
     ts = np.asarray(grid, dtype=float)
     if not ts.size:
-        return p.reshape(1, 3)
+        return P[..., None, :]
     if ts.ndim != 2 or ts.shape[1] != entry.basis.dim:
         raise ValueError("grid tuples must match the basis dimension")
-    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts.T)), p)
+    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts.T)), P[..., None, :])
 
 
 def eq1_norm(alpha: float, p) -> float:

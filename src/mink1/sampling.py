@@ -11,6 +11,7 @@ from .minkowski import (
     ROTATION,
     Motion,
     Motions,
+    _checked_motion,
     _closed_exp_pair,
     _validated,
     inner,
@@ -38,13 +39,20 @@ def random_motions(rng, n: int) -> Motions:
 
 def random_motion(rng) -> Motion:
     """`random_motions` on a stack of one."""
-    A, a = random_motions(rng, 1)
-    return Motion(A[0], a[0])
+    return _checked_motion(*(x[0] for x in random_motions(rng, 1)))
+
+
+def random_algebra_elements(rng, shape, scale: float = 1.0):
+    """The parts (X[*shape, 3, 3], v[*shape, 3]) of a stack of elements, each
+    drawn as three `_generators` coefficients, then a translation, uniform in
+    [-scale, scale]; X lies in so(1,2) exactly by construction."""
+    draw = rng.uniform(-scale, scale, np.append(shape, 6))
+    return _generators(draw[..., :3]), draw[..., 3:]
 
 
 def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
-    return AlgebraElement(_generators(rng.uniform(-scale, scale, 3)),
-                          rng.uniform(-scale, scale, 3))
+    """`random_algebra_elements` on a stack of one."""
+    return AlgebraElement(*(x[0] for x in random_algebra_elements(rng, 1, scale)))
 
 
 def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:

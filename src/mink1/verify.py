@@ -8,6 +8,7 @@ by a single seed so reports are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .algebra import (
     AlgebraElement,
     SubalgebraSpec,
     _adjoint_rows,
+    _brackets,
     adjoint,
-    bracket,
     closure_residual,
     span_residual,
 )
@@ -39,6 +40,9 @@ from .minkowski import (
     NULL_ROTATION,
     ROTATION,
     Motion,
+    Motions,
+    _closed_exp_pair,
+    _series_exp_pair,
     apply,
     exp_element,
     inner,
@@ -56,7 +60,7 @@ from .orbits import (
     stabilizer_algebra,
 )
 from .properness import make_witness
-from .sampling import random_algebra_element, random_causal_point, random_motions, rng_from_seed
+from .sampling import random_algebra_elements, random_causal_point, random_motions, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -274,9 +278,9 @@ def check_orbit_inventories(seed: int = 42) -> CheckResult:
             tol = 1e-12 if id_ == "P-c" else 1e-8
             axes = [np.linspace(-1.2, 1.2, 3)] * entry.basis.dim
             grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)
-            for p in (_generic_points(entry, rng, 2) + _stratum_points(entry, rng, 1))[:6]:
+            P = (_generic_points(entry, rng, 2) + _stratum_points(entry, rng, 1))[:6]
+            for p, qs in zip(P, sample_orbit(entry, P, grid)):
                 ref = entry.invariant(p)
-                qs = sample_orbit(entry, p, grid)
                 dev = max(abs(entry.invariant(q) - ref) for q in qs)
                 scale = max(1.0, abs(ref))
                 worst = max(worst, dev / scale)
@@ -415,25 +419,31 @@ def check_exponential_cross_validation(seed: int = 42) -> CheckResult:
     rng = rng_from_seed(seed)
     problems = []
     worst = 0.0
+    # every generator's flow over ts, both ways: one stack of 21-row blocks
     ts = np.linspace(-5.0, 5.0, 21)
-    for id_ in CATALOG_IDS:
-        for entry in entry_variants(id_):
-            for el in entry.basis.basis:
-                dists = motion_distance(exp_element(el, ts), exp_element(el, ts, "series"))
-                for t, d in zip(ts, dists.tolist()):
-                    worst = max(worst, d)
-                    if d > 1e-10:
-                        problems.append(f"{id_}{entry.params}: paths differ by {d:.2e} at t={t}")
-                        break
+    named = [(f"{id_}{entry.params}", el) for id_ in CATALOG_IDS for entry in entry_variants(id_)
+             for el in entry.basis.basis]
+    R = ts[:, None] * np.array([el.coords for _, el in named])[:, None]  # the rows of t (X, v)
+    M, w = R[..., :9].reshape(-1, 3, 3), R[..., 9:].reshape(-1, 3)
+    dists = motion_distance(Motions(*_closed_exp_pair(M, w)), Motions(*_series_exp_pair(M, w)))
+    for (name, _), row in zip(named, dists.reshape(len(named), -1).tolist()):
+        for t, d in zip(ts, row):
+            worst = max(worst, d)
+            if d > 1e-10:
+                problems.append(f"{name}: paths differ by {d:.2e} at t={t}")
+                break
     rot = AlgebraElement(ROTATION, np.zeros(3))
     d = motion_distance(exp_element(rot, 2.0 * np.pi), Motion.identity())
     worst = max(worst, d)
     if d > 1e-9:
         problems.append(f"rotation period residual {d:.2e}")
-    for _ in range(200):
-        a, b, c = (random_algebra_element(rng) for _ in range(3))
-        jac = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
-        r = float(np.linalg.norm(jac.coords))
+    # 200 triples (a, b, c) drawn as one stack; each bracket level runs once
+    # for the three terms [a, [b, c]], [b, [c, a]], [c, [a, b]] of every triple
+    X, v = random_algebra_elements(rng, (200, 3))
+    bc = _brackets((X, v), (X, v), [1, 2, 0], [2, 0, 1])  # [b, c], [c, a], [a, b]
+    terms = _brackets((X, v), (bc[..., :9].reshape(X.shape), bc[..., 9:]), slice(None), slice(None))
+    for jac in terms[:, 0] + terms[:, 1] + terms[:, 2]:
+        r = float(np.linalg.norm(jac))
         worst = max(worst, r)
         if r > 1e-10:
             problems.append(f"Jacobi residual {r:.2e}")
@@ -457,7 +467,13 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 42):
-    return [fn(seed) for fn in ALL_CHECKS]
+    """(CheckResult, elapsed seconds) of each check of `ALL_CHECKS`, read at
+    call time."""
+    out = []
+    for fn in ALL_CHECKS:
+        t0 = perf_counter()
+        out.append((fn(seed), perf_counter() - t0))
+    return out
 
 
 def format_line(r: CheckResult) -> str:

@@ -32,7 +32,12 @@ from mink1.minkowski import (
     exp_element,
     generator_class,
 )
-from mink1.sampling import random_algebra_element, random_motion, rng_from_seed
+from mink1.sampling import (
+    random_algebra_element,
+    random_algebra_elements,
+    random_motion,
+    rng_from_seed,
+)
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -364,3 +369,23 @@ def test_nonfinite_translation_is_rejected_in_both_forms():
         for rows in (np.r_[good[:9], v][None], np.vstack([good, np.r_[Z33.ravel(), v]])):
             with pytest.raises(ValueError, match="translation must be finite"):
                 SubalgebraSpec(rows)
+
+
+def test_stacked_algebra_draw_equals_successive_draws():
+    """The Jacobi check's (200, 3) stack holds the doubles of 600 successive
+    element draws: three generator coefficients, then a translation."""
+    def reference(rng):
+        c = rng.uniform(-1.0, 1.0, 3)
+        return c[0] * BOOST + c[1] * ROTATION + c[2] * NULL_ROTATION, rng.uniform(-1.0, 1.0, 3)
+
+    for seed in (0, 42, 7):
+        ref_rng, rng, one_rng = rng_from_seed(seed), rng_from_seed(seed), rng_from_seed(seed)
+        ref = [reference(ref_rng) for _ in range(600)]
+        X, v = random_algebra_elements(rng, (200, 3))
+        assert X.shape == (200, 3, 3, 3) and v.shape == (200, 3, 3)
+        assert X.tobytes() == np.array([x for x, _ in ref]).tobytes()
+        assert v.tobytes() == np.array([u for _, u in ref]).tobytes()
+        ones = [random_algebra_element(one_rng) for _ in range(600)]
+        assert all(np.array_equal(e.X, x) and np.array_equal(e.v, u)
+                   for e, (x, u) in zip(ones, ref))
+        assert rng.random() == ref_rng.random() == one_rng.random()

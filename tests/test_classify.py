@@ -13,6 +13,7 @@ from mink1.classify import (
     Rejection,
     classify,
     classify_stack,
+    _targets,
     signature,
     standardize_linear,
 )
@@ -524,3 +525,19 @@ def test_beta_that_overflows_at_the_input_scale_is_rejected():
     res = classify(spec)
     assert isinstance(res, Rejection) and res.reason == REASON_UNMATCHED, res
     assert "beta" in res.detail
+
+
+def test_beta_targets_equal_the_built_catalog_bases():
+    """A beta != 0 target is the cached unit-beta basis with row 0's
+    translation times beta: bit for bit `build`'s rows and row space."""
+    sweep = (-1e6, -3.0, -0.75, -2.0 ** -30, 1e-300, 0.5, 1.0, 1.5, 7.25, 1e8)
+    groups = (  # a signature group's targets share one dimension
+        [("P-d", {"sign": s, "beta": b}) for s in (1.0, -1.0) for b in sweep]
+        + [("N-vii", {"beta": 0.0}), ("P-a", {"plane": "timelike"}), ("N-v", {})],
+        [("N-x", {"alpha": 1.0, "beta": b}) for b in sweep + (0.0,)] + [("N-ii", {})])
+    for hits in groups:
+        T, space = _targets(hits)
+        for (id_, params), rows, rs in zip(hits, T, space):
+            basis = build(id_, **params).basis
+            assert rows.tobytes() == basis.coords_matrix.tobytes(), (id_, params)
+            assert rs.tobytes() == basis.row_space.tobytes(), (id_, params)

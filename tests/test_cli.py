@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -267,6 +268,12 @@ def test_verify_all_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 8
     assert all(l.startswith("[PASS]") for l in lines)
+    # each check's elapsed seconds close its text line, and never reach the JSON
+    assert all(re.search(r"\(max residual [^)]*\) \d+\.\d{3} s$", l) for l in lines)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--json")
+    assert code == 0
+    assert all(set(c) == {"id", "label", "pass", "residual"} for c in json.loads(out)["checks"])
+    assert not re.search(r"\d s\b", out)
 
 
 def test_seed_env_override(capsys, monkeypatch):

@@ -32,12 +32,15 @@ from mink1.minkowski import (
     inner,
     invert,
     motion_distance,
+    motion_faults,
     numeric_rank,
     sign_of,
     so12_check,
     _closed_exp_pair,
 )
 from mink1.algebra import AlgebraElement
+from mink1.catalog import NONPROPER_IDS, build
+from mink1.properness import make_witness
 from mink1.sampling import random_algebra_element, random_motion, random_motions, rng_from_seed
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -472,3 +475,49 @@ def test_stacked_random_motions_equal_the_per_motion_loop():
         one, ref_one = random_motion(rng), reference(ref_rng)
         assert np.array_equal(one.A, ref_one.A) and np.array_equal(one.a, ref_one.a)
         assert rng.random() == ref_rng.random()
+
+
+def test_motion_faults_per_row_equal_the_per_motion_outcomes():
+    """One call judges a mixed stack row by row, as `Motion` judges each row
+    alone; `check_motions` raises the first failing row's message."""
+    rng = rng_from_seed(9)
+    rows = [(m.A, m.a) for m in (random_motion(rng) for _ in range(4))] + [
+        (np.eye(3), np.array([0.0, np.inf, 0.0])),  # non-finite
+        (np.diag([np.nan, 1.0, 1.0]), np.zeros(3)),
+        (1.1 * np.eye(3), np.zeros(3)),  # not an isometry
+        (1e200 * np.eye(3), np.zeros(3)),
+        (_flow(BOOST, 15.0) @ FLIP, np.zeros(3)),  # orientation reversed
+        (np.diag([-1.0, -1.0, 1.0]), np.zeros(3)),  # time reversed
+    ]
+    for trial in range(5):
+        order = rng.permutation(len(rows))
+        A, a = np.array([rows[k][0] for k in order]), np.array([rows[k][1] for k in order])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            faults = motion_faults(A, a)
+            for Ak, ak, fault in zip(A, a, faults):
+                try:
+                    Motion(Ak, ak)
+                    want = None
+                except ValueError as exc:
+                    want = str(exc)
+                assert fault == want
+            with pytest.raises(ValueError) as first:
+                check_motions(A, a)
+        assert str(first.value) == next(f for f in faults if f)
+    assert motion_faults(A[order.argsort()][:4], a[order.argsort()][:4]) == [None] * 4
+
+
+def test_overflowing_entries_are_not_an_isometry():
+    """A^T eta A and its tolerance both overflow at 1e200 I; judged on A over
+    the power of two of its peak, the residual is finite and fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="linear part is not an isometry"):
+            Motion(1e200 * np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="linear part is not an isometry"):
+            check_motions(np.stack([np.eye(3), 1e300 * ETA]), np.zeros((2, 3)))
+    # every witness flow, whose boosts reach entries ~ e^20, is still a motion
+    for id_ in NONPROPER_IDS:
+        w = make_witness(build(id_))
+        assert motion_faults(*exp_element(w.generator, np.arange(1.0, 21.0))) == [None] * 20

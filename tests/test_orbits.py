@@ -429,3 +429,16 @@ def test_sample_orbit_equals_the_per_tuple_flow_loop():
                     m = compose(m, exp_element(el, float(t)))
                 want.append(apply(m, p))
             assert np.array_equal(sample_orbit(entry, p, grid), np.stack(want)), entry.id
+
+
+def test_sample_orbit_of_stacked_points_equals_the_single_point_calls():
+    rng = rng_from_seed(43)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            P = rng.uniform(-2.0, 2.0, (5, 3))
+            grid = rng.uniform(-1.5, 1.5, (7, entry.basis.dim))
+            Q = sample_orbit(entry, P, grid)
+            assert Q.shape == (5, 7, 3)
+            for p, q in zip(P, Q):
+                assert q.tobytes() == sample_orbit(entry, p, grid).tobytes(), entry.id
+            assert np.array_equal(sample_orbit(entry, P, []), P[:, None])
