@@ -16,7 +16,10 @@ off it).  Equalities use the absolute cut 1e-9, so measure-zero strata
 are targetable exactly from rational inputs; <p, p> uses
 1e-9 * max(1, |p|^2) and N-i's |x1| - |x2| uses 0.  A value exactly at
 its cut reads as on the equality.  The patterns of an entry are
-pairwise disjoint and cover R^3.
+pairwise disjoint and cover R^3.  Every invariant, and each entry's
+conserved one, maps a point p[3] to a value or a stack P[N, 3] to its
+rows' values, bit for bit the same; `expected_orbits` evaluates each
+invariant once for a whole stack.
 
 The same pattern draws the samples of an open stratum: unless a
 stratum names its own samplers, it samples generic points of
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,10 +93,10 @@ class Stratum:
     """One row of an entry's expected-orbit table.
 
     `pattern` is the stratum as data, ((invariant, allowed signs), ...),
-    each invariant mapping a point to (value, cut) for `sign_of`; no
-    terms means every point.  Each sampler returns one point of the
-    stratum; given none, the stratum gets the default sampler of the
-    module docstring.
+    each invariant mapping a point p[3], or a stack P[N, 3] row by row,
+    to (value, cut) for `sign_of`; no terms means every point.  Each
+    sampler returns one point of the stratum; given none, the stratum gets
+    the default sampler of the module docstring.
     """
 
     name: str
@@ -130,71 +133,100 @@ class CatalogEntry:
     family: str
     param_domain: str = "none"
     invariant_name: Optional[str] = None
-    invariant: Optional[Callable[[np.ndarray], float]] = None
+    # p[3] -> value, P[N, 3] -> values[N]
+    invariant: Optional[Callable[[np.ndarray], float | np.ndarray]] = None
     witness_point: Optional[np.ndarray] = None
     witness_generator: Optional[AlgebraElement] = None
 
 
-def expected_orbit(entry: CatalogEntry, p) -> Stratum:
-    """The stratum whose predicate matches the base point.
+def expected_orbits(entry: CatalogEntry, P) -> list:
+    """The stratum whose predicate matches each point of a stack P[N, 3].
 
     Strata of an entry are pairwise disjoint and cover all of R^3, so
-    exactly one row matches.
+    exactly one row matches.  Each invariant the patterns name is taken
+    once, on the whole stack, and the patterns are matched once per
+    distinct combination of signs.
     """
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    if not np.isfinite(P).all():
         raise ValueError("base point must be finite")
-    for s in entry.strata:
-        if s.predicate(p):
-            return s
-    raise AssertionError(f"strata of {entry.id} do not cover {p!r}")
+    invariants = tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
+    # each point's signs, one per invariant (none for an entry of one stratum)
+    rows = list(zip(*(sign_of(*inv(P)).tolist() for inv in invariants))) or [()] * len(P)
+    matched = {}
+    for row in set(rows):
+        signs = dict(zip(invariants, row))
+        matched[row] = next((s for s in entry.strata
+                             if all(signs[inv] in allowed for inv, allowed in s.pattern)), None)
+        if matched[row] is None:
+            raise AssertionError(f"strata of {entry.id} do not cover {P[rows.index(row)]!r}")
+    return [matched[row] for row in rows]
+
+
+def expected_orbit(entry: CatalogEntry, p) -> Stratum:
+    """`expected_orbits` of a single base point."""
+    return expected_orbits(entry, np.reshape(p, (1, 3)))[0]
 
 
 def _el(X, v) -> AlgebraElement:
     return AlgebraElement(np.asarray(X, float), np.asarray(v, float))
 
 
+# the parameter-free generators and their spans are immutable, so each is built once
+_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL = (
+    _el(X, 0 * E1) for X in (BOOST, ROTATION, NULL_ROTATION))
+_T_E1, _T_E2, _T_E3, _T_NULL_PLUS, _T_NULL_MINUS = (
+    _el(0 * BOOST, v) for v in (E1, E2, E3, NULL_PLUS, NULL_MINUS))
+
+
+@cache
 def _spec(*els) -> SubalgebraSpec:
-    return SubalgebraSpec(tuple(els))
+    """The span of constant generators (a parameter's span is built anew)."""
+    return SubalgebraSpec(els)
 
 
 # ---------------------------------------------------------------------------
-# invariants: each maps a point to (value, cut) for `sign_of`
+# invariants: each maps a point, or a stack row by row, to (value, cut) for `sign_of`
 
 
 def _plane(s, b):
     """x1 - s*x2 + b, the defining equality of a plane."""
-    return lambda p: (p[0] - s * p[1] + b, STRUCT_TOL)
+    return lambda p: (p[..., 0] - s * p[..., 1] + b, STRUCT_TOL)
 
 
 def _sup_norm(p):
     """max|p|, zero only at the origin."""
-    return max(abs(p[0]), abs(p[1]), abs(p[2])), STRUCT_TOL
+    return abs(p).max(axis=-1), STRUCT_TOL
 
 
 def _cone(p):
     """<p, p>, cut relative to max(1, |p|^2)."""
-    return inner(p, p), STRUCT_TOL * max(1.0, float(np.dot(p, p)))
+    return inner(p, p), STRUCT_TOL * np.maximum(1.0, (p[..., None, :] @ p[..., None])[..., 0, 0])
 
 
 def _pb_axis(p):
     """max(|x2|, |x3|), zero on the timelike axis."""
-    return max(abs(p[1]), abs(p[2])), STRUCT_TOL
+    return np.maximum(abs(p[..., 1]), abs(p[..., 2])), STRUCT_TOL
 
 
 def _ni_axis(p):
     """max(|x1|, |x2|), zero on the spacelike axis."""
-    return max(abs(p[0]), abs(p[1])), STRUCT_TOL
+    return np.maximum(abs(p[..., 0]), abs(p[..., 1])), STRUCT_TOL
 
 
 def _ni_diagonals(p):
     """min(|x1 - x2|, |x1 + x2|), zero on the two null half-plane pairs."""
-    return min(abs(p[0] - p[1]), abs(p[0] + p[1])), STRUCT_TOL
+    return np.minimum(abs(p[..., 0] - p[..., 1]), abs(p[..., 0] + p[..., 1])), STRUCT_TOL
 
 
 def _ni_branch(p):
     """|x1| - |x2| with cut 0: which cylinder branch p is on."""
-    return abs(p[0]) - abs(p[1]), 0.0
+    return abs(p[..., 0]) - abs(p[..., 1]), 0.0
+
+
+def _coordinate(k):
+    """The conserved invariant x_{k+1}: a number at p[3], a column of P[N, 3]."""
+    return lambda q: np.take(q, k, axis=-1)
 
 
 # sign sets of a pattern: on an equality, off it, and the sides of <p, p>
@@ -285,12 +317,12 @@ _OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
 
 def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
     planes = {
-        "spacelike": ((_el(0 * BOOST, E2), _el(0 * BOOST, E3)), RIEMANNIAN,
-                      "x1", lambda q: float(q[0])),
-        "timelike": ((_el(0 * BOOST, E1), _el(0 * BOOST, E2)), LORENTZIAN,
-                     "x3", lambda q: float(q[2])),
-        "degenerate": ((_el(0 * BOOST, NULL_PLUS), _el(0 * BOOST, E3)), DEGENERATE,
-                       "x1-x2", lambda q: float(q[0] - q[1])),
+        "spacelike": ((_T_E2, _T_E3), RIEMANNIAN,
+                      "x1", _coordinate(0)),
+        "timelike": ((_T_E1, _T_E2), LORENTZIAN,
+                     "x3", _coordinate(2)),
+        "degenerate": ((_T_NULL_PLUS, _T_E3), DEGENERATE,
+                       "x1-x2", lambda q: q[..., 0] - q[..., 1]),
     }
     if plane not in planes:
         raise CatalogError(f"P-a plane must be one of {sorted(planes)}, got {plane!r}")
@@ -316,21 +348,20 @@ def _build_P_b() -> CatalogEntry:
                 TRIVIAL, (_rejecting(lambda p: _pb_axis(p)[0] >= 0.1),)),
     )
     return CatalogEntry(
-        id="P-b", params={}, basis=_spec(_el(ROTATION, 0 * E1), _el(0 * BOOST, E1)),
+        id="P-b", params={}, basis=_spec(_ROTATION_EL, _T_E1),
         proper=True, orbit_space=HALF_LINE, strata=strata,
         family="rotations about a timelike axis times translations along it",
-        invariant_name="x2^2+x3^2", invariant=lambda q: float(q[1] ** 2 + q[2] ** 2),
+        invariant_name="x2^2+x3^2", invariant=lambda q: q[..., 1] ** 2 + q[..., 2] ** 2,
     )
 
 
 def _build_P_c() -> CatalogEntry:
     strata = (Stratum("spacelike-plane", (), 2, RIEMANNIAN, PRINCIPAL, 1, COMPACT),)
     return CatalogEntry(
-        id="P-c", params={}, basis=_spec(_el(ROTATION, 0 * E1), _el(0 * BOOST, E2),
-                                         _el(0 * BOOST, E3)),
+        id="P-c", params={}, basis=_spec(_ROTATION_EL, _T_E2, _T_E3),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="Euclidean motions of the spacelike planes x1 = const",
-        invariant_name="x1", invariant=lambda q: float(q[0]),
+        invariant_name="x1", invariant=_coordinate(0),
     )
 
 
@@ -349,20 +380,20 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     beta = _finite_param("P-d", "beta", beta)
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
-    nu = NULL_PLUS if s > 0 else NULL_MINUS
+    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
     sample_cyl = _rejecting(lambda p: abs(p[0] - s * p[1]) > 0.05 and abs(p[2]) < 2.0)
 
     def invariant(q, _s=s, _b=beta):
         # inf (nan on the plane) once s*x3/beta passes ~709
         with np.errstate(over="ignore", invalid="ignore"):
-            return float((q[0] - _s * q[1]) * np.exp(_s * q[2] / _b))
+            return (q[..., 0] - _s * q[..., 1]) * np.exp(_s * q[..., 2] / _b)
 
     strata = _plane_strata(
         s, 0.0, ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL),
         ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), (sample_cyl,))
     return CatalogEntry(
         id="P-d", params={"sign": s, "beta": beta},
-        basis=_spec(_el(BOOST, beta * E3), _el(0 * BOOST, nu)),
+        basis=SubalgebraSpec((_el(BOOST, beta * E3), nu)),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="boosts coupled to spacelike-axis translations, with a null translation",
         param_domain="sign in {+1, -1}; beta != 0",
@@ -395,11 +426,11 @@ def _build_N_i() -> CatalogEntry:
                 LORENTZIAN, PRINCIPAL, 0, TRIVIAL),
     )
     return CatalogEntry(
-        id="N-i", params={}, basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, E3)),
+        id="N-i", params={}, basis=_spec(_BOOST_EL, _T_E3),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts times translations along the boost axis",
-        invariant_name="x1^2-x2^2", invariant=lambda q: float(q[0] ** 2 - q[1] ** 2),
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        invariant_name="x1^2-x2^2", invariant=lambda q: q[..., 0] ** 2 - q[..., 1] ** 2,
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
@@ -407,24 +438,24 @@ def _build_N_ii() -> CatalogEntry:
     strata = (Stratum("lorentzian-plane", (), 2, LORENTZIAN, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-ii", params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, E1), _el(0 * BOOST, E2)),
+        basis=_spec(_BOOST_EL, _T_E1, _T_E2),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="full motion group of the timelike planes x3 = const",
-        invariant_name="x3", invariant=lambda q: float(q[2]),
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        invariant_name="x3", invariant=_coordinate(2),
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
 def _null_plane_entry(id_, s):
     """Shared construction for the boost-with-null-plane families."""
-    nu = NULL_PLUS if s > 0 else NULL_MINUS
+    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
     strata = _plane_strata(s, 0.0, _EXCEPTIONAL_PLANE, _OPEN_HALF_SPACE)
     # the origin lies on the degenerate stratum and the boost fixes it exactly
     wp = np.zeros(3)
-    wg = _el(BOOST, 0 * E1)
+    wg = _BOOST_EL
     return CatalogEntry(
         id=id_, params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, nu), _el(0 * BOOST, E3)),
+        basis=_spec(_BOOST_EL, nu, _T_E3),
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="boosts with translations filling a degenerate plane "
                f"(null direction e1{'+' if s > 0 else '-'}e2)",
@@ -434,17 +465,17 @@ def _null_plane_entry(id_, s):
 
 def _null_line_entry(id_, s):
     """Shared construction for the boost-with-null-line families."""
-    nu = NULL_PLUS if s > 0 else NULL_MINUS
+    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
     strata = _plane_strata(s, 0.0, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
                            ("lorentzian-half-plane", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL))
     return CatalogEntry(
         id=id_, params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(0 * BOOST, nu)),
+        basis=_spec(_BOOST_EL, nu),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts with a single null translation direction "
                f"(e1{'+' if s > 0 else '-'}e2)",
-        invariant_name="x3", invariant=lambda q: float(q[2]),
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        invariant_name="x3", invariant=_coordinate(2),
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
@@ -458,15 +489,15 @@ def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
         wg = _el(NULL_ROTATION, beta * E3)
     else:
         wp = np.zeros(3)
-        wg = _el(NULL_ROTATION, 0 * E3)
+        wg = _NULL_ROTATION_EL
     return CatalogEntry(
         id="N-vii", params={"beta": beta},
-        basis=_spec(_el(NULL_ROTATION, beta * E3), _el(0 * BOOST, NULL_PLUS)),
+        basis=SubalgebraSpec((_el(NULL_ROTATION, beta * E3), _T_NULL_PLUS)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="null rotations with a null translation; degenerate-plane orbits "
                "with a shifted line of fixed directions",
         param_domain="beta real (all values conjugate to beta = 0)",
-        invariant_name="x1-x2", invariant=lambda q: float(q[0] - q[1]),
+        invariant_name="x1-x2", invariant=lambda q: q[..., 0] - q[..., 1],
         witness_point=wp, witness_generator=wg,
     )
 
@@ -475,12 +506,11 @@ def _build_N_viii() -> CatalogEntry:
     strata = (Stratum("degenerate-plane", (), 2, DEGENERATE, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-viii", params={},
-        basis=_spec(_el(NULL_ROTATION, 0 * E1), _el(0 * BOOST, NULL_PLUS),
-                    _el(0 * BOOST, E3)),
+        basis=_spec(_NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="null rotations with translations foliating by degenerate planes",
-        invariant_name="x1-x2", invariant=lambda q: float(q[0] - q[1]),
-        witness_point=np.zeros(3), witness_generator=_el(NULL_ROTATION, 0 * E1),
+        invariant_name="x1-x2", invariant=lambda q: q[..., 0] - q[..., 1],
+        witness_point=np.zeros(3), witness_generator=_NULL_ROTATION_EL,
     )
 
 
@@ -510,11 +540,11 @@ def _build_N_ix() -> CatalogEntry:
     )
     return CatalogEntry(
         id="N-ix", params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(NULL_ROTATION, 0 * E1)),
+        basis=_spec(_BOOST_EL, _NULL_ROTATION_EL),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the solvable boost/null-rotation group acting linearly",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
@@ -527,16 +557,16 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
 
     if beta != 0.0:
         plane_row, orbit_space = _EXCEPTIONAL_PLANE, THREE_POINTS
-        wg = _el(NULL_ROTATION, 0 * E1)
+        wg = _NULL_ROTATION_EL
     else:
         plane_row = ("null-line", 1, NULL, SINGULAR, 2, NONCOMPACT)
         orbit_space = OTHER_NON_HAUSDORFF
-        wg = _el(BOOST, 0 * E1)
+        wg = _BOOST_EL
     strata = _plane_strata(1.0, 0.0, plane_row, _OPEN_HALF_SPACE)
     return CatalogEntry(
         id="N-x", params={"alpha": alpha, "beta": beta},
-        basis=_spec(_el(BOOST, beta * E3), _el(NULL_ROTATION, 0 * E1),
-                    _el(0 * BOOST, alpha * NULL_PLUS)),
+        basis=SubalgebraSpec((_el(BOOST, beta * E3), _NULL_ROTATION_EL,
+                             _el(0 * BOOST, alpha * NULL_PLUS))),
         proper=False, orbit_space=orbit_space, strata=strata,
         family="solvable linear group extended by one null translation direction; "
                "the boost generator carries a spacelike translation of size beta",
@@ -551,11 +581,10 @@ def _build_N_xi() -> CatalogEntry:
                            ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 1, NONCOMPACT))
     return CatalogEntry(
         id="N-xi", params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(NULL_ROTATION, 0 * E1),
-                    _el(0 * BOOST, NULL_PLUS), _el(0 * BOOST, E3)),
+        basis=_spec(_BOOST_EL, _NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3),
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="solvable linear group with a full degenerate plane of translations",
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
@@ -573,12 +602,11 @@ def _build_N_xii() -> CatalogEntry:
     )
     return CatalogEntry(
         id="N-xii", params={},
-        basis=_spec(_el(BOOST, 0 * E1), _el(ROTATION, 0 * E1),
-                    _el(NULL_ROTATION, 0 * E1)),
+        basis=_spec(_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the full linear isometry group (identity component)",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
-        witness_point=np.zeros(3), witness_generator=_el(BOOST, 0 * E1),
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 

@@ -183,9 +183,9 @@ def cmd_orbit(args) -> int:
                   file=sys.stderr)
             return 2
         if entry.invariant is not None:
-            ref = entry.invariant(point)
-            # np.max propagates nan, so one non-finite sample voids the drift
-            dev = float(np.max([abs(entry.invariant(q) - ref) for q in samples]))
+            # inf - inf is nan and np.max propagates it: one non-finite sample voids the drift
+            with np.errstate(invalid="ignore"):
+                dev = float(np.max(abs(entry.invariant(samples) - entry.invariant(point))))
             payload["invariant_drift"] = _finite_or_none(dev)
         if args.csv:
             try:

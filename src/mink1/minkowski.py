@@ -88,11 +88,14 @@ def sign_of(x, cut):
     return (x > cut) * 1 - (x < -cut)
 
 
-def inner(u, v) -> float:
-    """Scalar product of signature (1,2): -u1*v1 + u2*v2 + u3*v3."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+def inner(u, v):
+    """Scalar product of signature (1,2): -u1*v1 + u2*v2 + u3*v3, a float;
+    stacks u[..., 3], v[..., 3] of one shape give the array of their rows'
+    products.  Two vectors unpack into numpy scalars, whose arithmetic is
+    cheaper than that of 0-d arrays and gives the same bits."""
+    (a, b, c), (x, y, z) = np.asarray(u, dtype=float).T, np.asarray(v, dtype=float).T
+    q = (-a * x + b * y + c * z).T
+    return q if q.ndim else float(q)
 
 
 _VECTOR_BY_SIGN = {-1: TIMELIKE, 0: NULL, 1: SPACELIKE}
@@ -375,7 +378,7 @@ def causal_of_span(vectors) -> str:
 def causal_of_svd(rank, vh) -> list:
     """`causal_of_span` of the rows of each matrix of a stack, from their
     numerical ranks and the right singular vectors vh[N, 3, 3] of a
-    batched SVD, with one batched eigvalsh per rank."""
+    batched SVD: per rank, one batched eigvalsh and one `sign_of`."""
     out = [ZERO_VECTOR] * len(rank)
     for r in set(rank) - {0}:
         at = [k for k, rk in enumerate(rank) if rk == r]
@@ -383,9 +386,9 @@ def causal_of_svd(rank, vh) -> list:
         if r == 1:
             chars = [causal_character(q) for q in Q[:, 0]]
         else:
-            eig = np.linalg.eigvalsh(Q @ ETA @ Q.transpose(0, 2, 1)).tolist()
+            signs = sign_of(np.linalg.eigvalsh(Q @ ETA @ Q.transpose(0, 2, 1)), STRUCT_TOL)
             chars = [DEGENERATE if 0 in sg else LORENTZIAN if -1 in sg else RIEMANNIAN
-                     for sg in ({sign_of(e, STRUCT_TOL) for e in row} for row in eig)]
+                     for sg in signs.tolist()]
         for k, c in zip(at, chars):
             out[k] = c
     return out

@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import AlgebraElement, SubalgebraSpec
-from .catalog import COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expected_orbit
+from .catalog import (COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expected_orbit,
+                      expected_orbits)
 from .minkowski import (
     ETA,
     HYPERBOLIC,
@@ -107,21 +108,18 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     """Metric normal direction of a 2-dimensional orbit.
 
     Solves <n, xi> = 0 over the tangent vectors; returns a Euclidean
-    unit vector with its first nonzero component positive.  For a
-    degenerate orbit the direction is null and tangent.
+    unit vector with its first component beyond 1e-12 positive.  For a
+    degenerate orbit the direction is null and tangent.  A stack P[N, 3]
+    gives the normals n[N, 3], each bit for bit its point's alone.
     """
-    T = tangent_basis(spec, p)
-    rows = T @ ETA
-    _, s, vh = np.linalg.svd(rows)
-    if numeric_rank(s) != 2:
+    P = np.asarray(p, dtype=float)
+    _, s, vh = np.linalg.svd(tangent_basis(spec, P.reshape(-1, 3)) @ ETA)
+    if (numeric_rank(s) != 2).any():
         raise ValueError("orbit is not 2-dimensional at this point")
-    n = vh[2]
-    for c in n:
-        if abs(c) > 1e-12:
-            if c < 0:
-                n = -n
-            break
-    return n / np.linalg.norm(n)
+    n = vh[:, 2]
+    first = n[np.arange(len(n)), np.argmax(abs(n) > 1e-12, axis=1)]
+    n = np.where(first[:, None] < 0, -n, n)
+    return (n / np.sqrt(n[:, None] @ n[..., None])[..., 0]).reshape(P.shape)
 
 
 def finite_tangent(el: AlgebraElement, p) -> np.ndarray:
@@ -174,29 +172,33 @@ def shape_operator(entry: CatalogEntry, p):
     coordinates (-<w, v2>, -<w, v1>).  Returns the 2x2 matrix and the
     diagnosis "non-diagonalizable" when the eigenvalues coincide and the
     common eigenvalue's eigenspace is one-dimensional, both to 1e-6 max|S|,
-    else "diagonalizable".
+    else "diagonalizable".  A stack P[N, 3] gives S[N, 2, 2] and the list
+    of diagnoses, each row bit for bit its point's alone.
     """
     if entry.id != "P-d":
         raise ValueError("shape_operator is defined for the P-d family")
     spec = entry.basis
-    n = orbit_normal(spec, p)
+    P = np.asarray(p, dtype=float).reshape(-1, 3)
+    n = orbit_normal(spec, P)
     nn = inner(n, n)  # n is Euclidean-unit: (x1 - s x2)^2 / (2 beta^2) near the plane
-    if nn <= 1e-12:
+    if (nn <= 1e-12).any():
         raise ValueError("degenerate-plane stratum: no unit spacelike normal")
-    n = n / np.sqrt(nn)
-    xi0, v2 = tangent_basis(spec, p)  # boost field, null translation
-    g12 = inner(xi0, v2)
-    c = inner(xi0, xi0) / (2.0 * g12)
+    n = n / np.sqrt(nn)[:, None]
+    T = tangent_basis(spec, P)
+    xi0, v2 = T[:, 0], T[:, 1]  # boost field, null translation
+    g12 = inner(xi0, v2)[:, None]
+    c = inner(xi0, xi0)[:, None] / (2.0 * g12)
     v1 = (xi0 - c * v2) / -g12
     X0, X1 = spec.parts[0]
-    Sv = ((X0 - c * X1) @ n / g12, -X1 @ n)  # S(v1), S(v2)
-    Smat = np.array([[-inner(w, v2) for w in Sv], [-inner(w, v1) for w in Sv]])
+    Sv = (((X0 - c[..., None] * X1) @ n[..., None])[..., 0] / g12,
+          (-X1 @ n[..., None])[..., 0])  # S(v1), S(v2)
+    Smat = np.stack([np.stack([-inner(w, v) for w in Sv], -1) for v in (v2, v1)], -2)
     lam = np.linalg.eigvals(Smat)
-    cut = 1e-6 * np.max(np.abs(Smat))
-    sv = np.linalg.svd(Smat - lam.real.mean() * np.eye(2), compute_uv=False)
-    if abs(lam[0] - lam[1]) <= cut and sv[0] > cut >= sv[1]:
-        return Smat, "non-diagonalizable"
-    return Smat, "diagonalizable"
+    cut = 1e-6 * np.abs(Smat).max(axis=(1, 2))
+    sv = np.linalg.svd(Smat - lam.real.mean(axis=1)[:, None, None] * np.eye(2), compute_uv=False)
+    nilpotent = (abs(lam[:, 0] - lam[:, 1]) <= cut) & (sv[:, 0] > cut) & (cut >= sv[:, 1])
+    diagnoses = ["non-diagonalizable" if x else "diagonalizable" for x in nilpotent.tolist()]
+    return (Smat[0], diagnoses[0]) if np.ndim(p) == 1 else (Smat, diagnoses)
 
 
 _STENCIL = np.array(
@@ -259,19 +261,22 @@ class OrbitReport:
 
 
 def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
-    """`orbit_report` of every point of a stack P[N, 3], from one `analyze_points`."""
+    """`orbit_report` of every point of a stack P[N, 3], from one
+    `analyze_points`, one `expected_orbits` and one invariant evaluation."""
     P = np.asarray(P, dtype=float).reshape(-1, 3)
+    strata = expected_orbits(entry, P)
     a = analyze_points(entry.basis, P)
+    values = [None] * len(P) if entry.invariant is None else entry.invariant(P).tolist()
     reports = []
-    for p, *got in zip(P, a.orbit_dim, a.causal, a.stabilizer_dim, a.stabilizer_class):
-        expected = expected_orbit(entry, p)
+    for p, expected, value, *got in zip(P, strata, values, a.orbit_dim, a.causal,
+                                        a.stabilizer_dim, a.stabilizer_class):
         reports.append(OrbitReport(
             p, *got,
             orbit_class=expected.orbit_class,
             matched_expectation=got == [expected.dim, expected.causal,
                                         expected.stabilizer_dim, expected.stabilizer_class],
             expected=expected,
-            invariant_value=entry.invariant(p) if entry.invariant is not None else None,
+            invariant_value=value,
             evidence=_evidence(entry.basis, p) if with_evidence else None,
         ))
     return reports

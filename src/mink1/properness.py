@@ -41,12 +41,14 @@ class NonpropernessWitness:
 
     exp(n*g) fixes the point for n = 1..20 while the entrywise sup norm
     of its linear part increases without bound; the certificate records
-    (n, norm) pairs, strictly increasing and exceeding 100 by n = 20.
+    (n, norm) pairs, strictly increasing and exceeding 100 by n = 20, and
+    `residual` is max |exp(n g) p - p| over those n.
     """
 
     point: np.ndarray
     generator: AlgebraElement
     certificate: tuple
+    residual: float
 
 
 def verdict(entry: CatalogEntry) -> str:
@@ -93,7 +95,7 @@ def make_witness(entry: CatalogEntry) -> NonpropernessWitness:
         raise WitnessError(
             f"{entry.id}: witness norm at n={WITNESS_STEPS} is only {cert[-1][1]:.3f}")
     return NonpropernessWitness(point=np.asarray(p, float), generator=g,
-                                certificate=tuple(cert))
+                                certificate=tuple(cert), residual=float(moved.max()))
 
 
 def stabilizer_compactness(spec: SubalgebraSpec, p) -> str:

@@ -12,6 +12,7 @@ from mink1.catalog import (
     CatalogError,
     build,
     expected_orbit,
+    expected_orbits,
     list_catalog,
 )
 from mink1.minkowski import (
@@ -278,3 +279,98 @@ def test_patterns_drive_samples_and_margins():
                     for invariant, _ in stratum.pattern:
                         assert abs(invariant(p)[0]) > 1e-4, (id_, entry.params, p)
     assert open_strata >= 20
+
+
+def _pattern_invariants(entry):
+    return tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
+
+
+def _near_equalities(entry, points):
+    """Points stepped off each of `points` along e1, e2 and e3 so that each
+    pattern invariant moves by about 0.5 and 2 of its cuts, either way."""
+    out = []
+    for q in points:
+        for invariant in _pattern_invariants(entry):
+            value, cut = invariant(q)
+            for d in (E1, E2, E3):
+                slope = (invariant(q + 1e-3 * d)[0] - value) / 1e-3
+                if slope:
+                    out += [q + f * cut / slope * d for f in (0.5, 2.0, -0.5, -2.0)]
+    return out
+
+
+def test_expected_orbits_give_the_one_stratum_whose_predicate_holds():
+    """On a stack of generic points, every sampler's points and points 0.5 and
+    2 cuts off each equality, `expected_orbits` gives each point the one
+    stratum whose predicate holds, and `expected_orbit` gives it alone."""
+    rng = rng_from_seed(31)
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            sampled = [np.asarray(sampler(rng), float) for s in entry.strata
+                       for sampler in s.samplers for _ in range(3)]
+            P = np.array([rng.uniform(-3.0, 3.0, 3) for _ in range(40)] + sampled
+                         + _near_equalities(entry, sampled))
+            got = expected_orbits(entry, P)
+            assert len(got) == len(P)
+            for p, stratum in zip(P, got):
+                assert [s for s in entry.strata if s.predicate(p)] == [stratum], (id_, p)
+            assert [expected_orbit(entry, p) for p in P[::7]] == got[::7]
+
+
+def test_expected_orbits_reject_a_nonfinite_row_and_map_empty_to_empty():
+    P = rng_from_seed(5).uniform(-3.0, 3.0, (6, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        Q = P.copy()
+        Q[4, 1] = bad
+        for id_ in ("N-ix", "P-c"):
+            with pytest.raises(ValueError, match="finite"):
+                expected_orbits(build(id_), Q)
+    for id_ in CATALOG_IDS:
+        assert expected_orbits(build(id_), np.empty((0, 3))) == []
+
+
+def test_invariants_on_a_stack_equal_each_point_alone():
+    """Every pattern invariant (value and cut) and every conserved invariant
+    maps a stack to its rows' values bit for bit, P-d's overflow to inf and
+    nan included."""
+    rng = rng_from_seed(37)
+    entries = [e for id_ in CATALOG_IDS for e in entry_variants(id_)]
+    entries += [build("P-d", sign=s, beta=b) for s in (1.0, -1.0) for b in (0.01, -0.5)]
+    extreme = [[1.0, 2.0, 800.0], [1.0, 1.0, 800.0], [1.0, -1.0, -800.0], [-3.0, 2.0, 1e6],
+               [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e300, -1e300, 1e-300]]
+    for entry in entries:
+        sampled = [np.asarray(sampler(rng), float) for s in entry.strata for sampler in s.samplers]
+        P = np.array([rng.uniform(-3.0, 3.0, 3) for _ in range(30)] + sampled + extreme)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(lambda q, i=i: i(q)[0], lambda q, i=i: i(q)[1])
+                     for i in _pattern_invariants(entry)]
+            funcs = [f for pair in pairs for f in pair] + [entry.invariant] * bool(entry.invariant)
+            for f in funcs:
+                stacked = np.broadcast_to(f(P), len(P))
+                alone = np.array([f(p) for p in P])
+                assert stacked.tobytes() == alone.tobytes(), (entry.id, entry.params)
+    pd = build("P-d", beta=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = pd.invariant(np.array([[1.0, 2.0, 800.0], [1.0, 1.0, 800.0]]))
+    assert np.isinf(values[0]) and np.isnan(values[1])
+
+
+def test_generic_points_draw_the_doubles_of_one_point_at_a_time():
+    """`_generic_points` draws each round's missing points as one stack: the
+    same points, and the same generator state after, as a one-point loop,
+    also for a pattern that rejects about half the draws."""
+    half = SimpleNamespace(strata=(SimpleNamespace(pattern=(
+        (lambda p: (np.where(p[..., 0] > 0.0, p[..., 1], 0.0), 0.0), frozenset({-1, 1})),)),))
+    entries = [e for id_ in CATALOG_IDS for e in entry_variants(id_)] + [half]
+    for entry in entries:
+        invariants = _pattern_invariants(entry)
+        for seed in (3, 2718):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _generic_points(entry, rng, 40)
+            ref = []
+            while len(ref) < 40:
+                p = ref_rng.uniform(-3.0, 3.0, 3)
+                if all(abs(inv(p)[0]) > 1e-4 for inv in invariants):
+                    ref.append(p)
+            assert np.array_equal(got, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -26,6 +26,7 @@ from mink1.minkowski import (
     apply,
     causal_character,
     causal_of_span,
+    causal_of_svd,
     check_motions,
     compose,
     exp_element,
@@ -521,3 +522,34 @@ def test_overflowing_entries_are_not_an_isometry():
     for id_ in NONPROPER_IDS:
         w = make_witness(build(id_))
         assert motion_faults(*exp_element(w.generator, np.arange(1.0, 21.0))) == [None] * 20
+
+
+def test_causal_of_svd_on_a_mixed_stack_equals_each_row_alone():
+    """Ranks 0-3 in one stack, Gram eigenvalues of every sign in one row, an
+    exactly zero one (a null and a spacelike row) and a NaN one: each label
+    equals the row's label alone and the per-eigenvalue rule (zero ->
+    degenerate, else negative -> lorentzian)."""
+    rng = rng_from_seed(41)
+    vh = [np.linalg.qr(rng.normal(size=(3, 3)))[0].T for _ in range(12)]
+    vh += [np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]),  # signs {-1, 0, 1}
+           np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]]),  # Gram diag(0, 1)
+           np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    vh = np.array(vh)
+    rank = [0, 1, 2, 3] * 3 + [3, 2, 2]
+    with np.errstate(invalid="ignore"):
+        got = causal_of_svd(rank, vh)
+        alone = [causal_of_svd([r], v[None])[0] for r, v in zip(rank, vh)]
+        gram = [np.linalg.eigvalsh(v[:r] @ ETA @ v[:r].T) for r, v in zip(rank, vh)]
+    assert got == alone
+    for r, v, eig, label in zip(rank, vh, gram, got):
+        signs = {sign_of(e, STRUCT_TOL) for e in eig}
+        if r == 0:
+            assert label == ZERO_VECTOR
+        elif r == 1:
+            assert label == causal_character(v[0])
+        else:
+            assert label == (DEGENERATE if 0 in signs else LORENTZIAN if -1 in signs
+                             else RIEMANNIAN)
+    assert got[-3:] == [DEGENERATE, DEGENERATE, DEGENERATE]
+    assert np.isnan(gram[-1]).any() and 0.0 in gram[-2]
+    assert {LORENTZIAN, RIEMANNIAN} <= set(got)

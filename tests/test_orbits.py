@@ -442,3 +442,25 @@ def test_sample_orbit_of_stacked_points_equals_the_single_point_calls():
             for p, q in zip(P, Q):
                 assert q.tobytes() == sample_orbit(entry, p, grid).tobytes(), entry.id
             assert np.array_equal(sample_orbit(entry, P, []), P[:, None])
+
+
+def test_shape_operator_and_normal_on_a_stack_equal_each_point_alone():
+    """A stack of points gives, row by row, the bits of `orbit_normal` and
+    `shape_operator` at each point alone; one bad row raises as it would alone."""
+    rng = rng_from_seed(43)
+    for sign, beta in ((1.0, 0.5), (-1.0, 2.0), (1.0, -1.5)):
+        entry = build("P-d", sign=sign, beta=beta)
+        P = rng.uniform(-2.0, 2.0, (40, 3))
+        P = P[abs(P[:, 0] - sign * P[:, 1]) >= 0.3]
+        S, diags = shape_operator(entry, P)
+        alone = [shape_operator(entry, p) for p in P]
+        assert S.tobytes() == np.array([s for s, _ in alone]).tobytes()
+        assert diags == [d for _, d in alone]
+        on_plane = np.array([[a, sign * a, c] for a, c in rng.uniform(-2.0, 2.0, (5, 2))])
+        Q = np.concatenate([P, on_plane])
+        normals = orbit_normal(entry.basis, Q)
+        assert normals.tobytes() == np.array([orbit_normal(entry.basis, q) for q in Q]).tobytes()
+        with pytest.raises(ValueError, match="degenerate-plane"):
+            shape_operator(entry, Q)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        orbit_normal(build("N-xii").basis, np.array([[1.0, 2.0, 0.5], Z3]))

@@ -152,3 +152,11 @@ def test_recovery_identity_element():
 def test_growth_norm_is_entrywise_sup():
     A = np.array([[1.0, -7.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
     assert linear_growth_norm(A) == 7.0
+
+
+def test_witness_residual_is_the_flow_residual():
+    """`residual` is max |exp(n g) p - p| over n = 1..20, as a second flow gives it."""
+    for id_ in NONPROPER_IDS:
+        w = make_witness(build(id_))
+        flow = exp_element(w.generator, np.arange(1.0, 21.0))
+        assert w.residual == float(np.max(np.abs(apply(flow, w.point) - w.point)))
