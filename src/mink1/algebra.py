@@ -72,24 +72,11 @@ def _require_finite(v) -> None:
         raise ValueError("translation must be finite")
 
 
-def _require_independent(rows) -> None:
-    """`SubalgebraSpec`'s independence rule, for a basis rows[n, 12] or for
-    each basis of a stack rows[B, n, 12]: one values-only SVD of the rows
-    scaled to unit max-abs; a zero row is dependent."""
-    if not rows.size:
-        return
-    n, peak = rows.shape[-2], abs(rows).max(axis=-1, keepdims=True)
-    rank = numeric_rank(np.linalg.svd(rows / peak, compute_uv=False)) if peak.all() else 0
-    if rank < n if rows.ndim == 2 else np.min(rank) < n:
-        raise ValueError("basis is not linearly independent")
-
-
 def _require_rows(rows) -> None:
-    """The rows form's rules (linear parts, translations, independence),
-    applied once to a basis or to a stack of bases."""
+    """The rows form's rules on linear parts and translations, applied once
+    to a basis or to a stack of bases."""
     _require_so12(rows[..., :9].reshape(-1, 3, 3))
     _require_finite(rows[..., 9:])
-    _require_independent(rows)
 
 
 def element_from_coords(c) -> AlgebraElement:
@@ -120,12 +107,13 @@ class SubalgebraSpec:
 
     Built from `AlgebraElement`s, or from coordinate rows whose linear
     parts and translations then pass `AlgebraElement`'s rules as one
-    stack.  Construction verifies linear independence once, on rows
-    scaled to unit max-abs so that a generator's size (a family parameter
-    of 1e300 beside unit entries, say) cannot decide it; a zero row is
-    dependent.  The row space is factored on the first membership
-    question.  Closure under the bracket is a separate, tolerance-based
-    decision (`is_subalgebra`).
+    stack.  Construction takes one SVD of the rows scaled to unit max-abs,
+    so that a generator's size (a family parameter of 1e300 beside unit
+    entries, say) cannot decide anything: its numerical rank verifies
+    linear independence (a zero row is dependent), and its right singular
+    vectors are the `row_space` every membership question reads.  Closure
+    under the bracket is a separate, tolerance-based decision
+    (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
     """
@@ -137,7 +125,9 @@ class SubalgebraSpec:
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-            _require_independent(rows)
+        rank, self.row_space = _row_space(rows)
+        if rank < len(rows):
+            raise ValueError(_DEPENDENT)
         rows.setflags(write=False)
         self.coords_matrix = rows
 
@@ -155,24 +145,23 @@ class SubalgebraSpec:
         """The rows as read-only stacks (X[n, 3, 3], v[n, 3]), views of them."""
         return self.coords_matrix[:, :9].reshape(-1, 3, 3), self.coords_matrix[:, 9:]
 
-    @cached_property
-    def row_space(self) -> np.ndarray:
-        """`_row_space` of the rows, taken on the first membership question."""
-        return _row_space(self.coords_matrix)
-
 
 _TINY = np.finfo(float).tiny
 _PAIRS = [np.triu_indices(n, 1) for n in range(13)]  # the pairs i < j of n <= 12 rows
 _NOT_SO12 = "linear part violates the isometry-algebra membership"
+_DEPENDENT = "basis is not linearly independent"
 
 
-def _row_space(rows) -> np.ndarray:
-    """Orthonormal rows spanning independent coordinate rows rows[..., n, 12]
-    (one basis or a stack): one SVD of them scaled to unit max-abs
-    (read-only)."""
-    space = np.linalg.svd(rows / abs(rows).max(axis=-1, keepdims=True), full_matrices=False)[2]
+def _row_space(rows):
+    """The numerical rank of coordinate rows rows[..., n, 12] (one basis or
+    a stack: an int or an array) and right singular vectors space[..., n, 12]
+    (read-only), whose leading rank rows are an orthonormal basis of their
+    span: one SVD of the rows scaled to unit max-abs (unscaled where a row
+    is zero, which no scaling makes independent)."""
+    peak = abs(rows).max(axis=-1, keepdims=True)
+    _, s, space = np.linalg.svd(rows / peak if peak.all() else rows, full_matrices=False)
     space.setflags(write=False)
-    return space
+    return numeric_rank(s), space
 
 
 def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:

@@ -61,6 +61,7 @@ from .minkowski import (
     inner,
     sign_of,
 )
+from .sampling import accepted_draws
 
 PRINCIPAL = "principal"
 SINGULAR = "singular"
@@ -247,26 +248,24 @@ def _origin(rng):
     return np.zeros(3)
 
 
-def _rejecting(cond):
-    """Sampler of generic points of [-3, 3)^3, redrawn until `cond` accepts one."""
-    def sample(rng):
-        while True:
-            p = rng.uniform(-3.0, 3.0, 3)
-            if cond(p):
-                return p
-
-    return sample
+def _rejecting(accept):
+    """Sampler of a generic point of [-3, 3)^3 that `accept`, a mask of a
+    stack P[N, 3], keeps: `accepted_draws` of one point."""
+    return lambda rng: accepted_draws(rng, 1, 3.0, accept)[0]
 
 
 # how far a default sample sits on the allowed side of each equality
 _SAMPLE_MARGIN = 0.05
 
 
-def _clears_margin(pattern, p):
-    """Whether every invariant of the pattern reads at p, against the cut
-    _SAMPLE_MARGIN, a sign the pattern allows."""
-    return all(sign_of(invariant(p)[0], _SAMPLE_MARGIN) in signs
-               for invariant, signs in pattern)
+def _clears_margin(pattern, P):
+    """Which points of a stack P[N, 3] read, for every invariant of the
+    pattern against the cut _SAMPLE_MARGIN, a sign the pattern allows."""
+    keep = [True] * len(P)
+    for invariant, signs in pattern:
+        keep = [k and s in signs
+                for k, s in zip(keep, sign_of(invariant(P)[0], _SAMPLE_MARGIN).tolist())]
+    return keep
 
 
 def _cone_sampler(side, avoid_plane=False):
@@ -345,7 +344,7 @@ def _build_P_b() -> CatalogEntry:
         Stratum("timelike-axis", ((_pb_axis, _ON),), 1, TIMELIKE, SINGULAR, 1,
                 COMPACT, (sample_axis,)),
         Stratum("cylinder", ((_pb_axis, _OFF),), 2, LORENTZIAN, PRINCIPAL, 0,
-                TRIVIAL, (_rejecting(lambda p: _pb_axis(p)[0] >= 0.1),)),
+                TRIVIAL, (_rejecting(lambda P: _pb_axis(P)[0] >= 0.1),)),
     )
     return CatalogEntry(
         id="P-b", params={}, basis=_spec(_ROTATION_EL, _T_E1),
@@ -381,7 +380,7 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
     nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
-    sample_cyl = _rejecting(lambda p: abs(p[0] - s * p[1]) > 0.05 and abs(p[2]) < 2.0)
+    sample_cyl = _rejecting(lambda P: (abs(P[:, 0] - s * P[:, 1]) > 0.05) & (abs(P[:, 2]) < 2.0))
 
     def invariant(q, _s=s, _b=beta):
         # inf (nan on the plane) once s*x3/beta passes ~709

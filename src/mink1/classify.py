@@ -38,7 +38,7 @@ Two normalization conventions are part of the contract:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -46,6 +46,7 @@ import numpy as np
 
 from . import catalog
 from .algebra import (
+    _DEPENDENT,
     _NOT_SO12,
     _TINY,
     SubalgebraSpec,
@@ -91,12 +92,6 @@ TWO_DIM_SOLVABLE = "two-dim-solvable"
 FULL = "full"
 
 
-class NotASubalgebraError(ValueError):
-    def __init__(self, residual: float):
-        super().__init__(f"basis is not bracket-closed (residual {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class InvariantSignature:
     dim_g: int
@@ -105,10 +100,6 @@ class InvariantSignature:
     dim_ker_l: int
     ker_causal: Optional[str]
     eigen_sign: Optional[float]
-    params: Optional[dict] = None  # filled once normalization has run
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -359,17 +350,6 @@ def _invariants(R):
     return sigs, (lvh, lifts, kvh, X0)
 
 
-def signature(spec: SubalgebraSpec) -> InvariantSignature:
-    """Conjugation invariants of a bracket-closed spec."""
-    R = _unit_rows(spec.coords_matrix[None])
-    residual, in_so12 = _closure(R, spec.row_space[None])
-    if not in_so12[0]:
-        raise ValueError(_NOT_SO12)
-    if residual[0] > STRUCT_TOL:
-        raise NotASubalgebraError(float(residual[0]))
-    return _invariants(_undilated(R)[0])[0][0]
-
-
 # ---------------------------------------------------------------------------
 # normal forms
 
@@ -426,7 +406,7 @@ def _targets(hits):
     at = [j for j, b in enumerate(beta) if b]
     if at:
         T[at, 0, 9:] *= np.array(beta)[at, None]
-        space[at] = _row_space(T[at])
+        space[at] = _row_space(T[at])[1]
     return T, space
 
 
@@ -501,14 +481,13 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
         moved = moved[[k for k, *_ in found]] if len(found) < m else moved
         T, space = _targets([hit for _, hit, _ in found])
         # both ways at once: moved in span(T), and T in span(moved)
-        spaces, rows = np.concatenate([space, _row_space(moved)]), np.concatenate([moved, T])
+        spaces, rows = np.concatenate([space, _row_space(moved)[1]]), np.concatenate([moved, T])
         residual = np.maximum(*_span_residuals(spaces, rows).max(axis=1).reshape(2, -1))
         for (k, (id_, _), params), res in zip(found, residual.tolist()):
             if res > SPAN_MATCH_TOL:
                 detail[k] = f"normalized basis does not span the {id_} basis (residual {res:.3e})"
             else:
-                out[k] = Classification(id_, params, _checked_motion(Ci[k], shift[k]), res,
-                                        replace(sig, params=params.copy()))
+                out[k] = Classification(id_, params, _checked_motion(Ci[k], shift[k]), res, sig)
     return [r or Rejection(REASON_UNMATCHED, d, sig) for r, d in zip(out, detail)]
 
 
@@ -532,7 +511,8 @@ def _classify(R, space) -> list:
         if not in_so12[k]:  # a bracket fell outside the membership tolerance
             out[k] = Rejection(REASON_UNMATCHED, _NOT_SO12)
         elif residual[k] > STRUCT_TOL:
-            out[k] = Rejection(REASON_NOT_SUBALGEBRA, str(NotASubalgebraError(residual[k])))
+            out[k] = Rejection(REASON_NOT_SUBALGEBRA,
+                               f"basis is not bracket-closed (residual {residual[k]:.3e})")
     live = [k for k, r in enumerate(out) if r is None]
     if not live:
         return out
@@ -562,7 +542,10 @@ def classify_stack(rows) -> list:
     if R.ndim != 3 or R.shape[2] != 12:
         raise ValueError("classify_stack needs coordinate rows of shape (B, n, 12)")
     _require_rows(R)
-    return _classify(R, _row_space(R))
+    rank, space = _row_space(R)
+    if (rank < R.shape[1]).any():
+        raise ValueError(_DEPENDENT)
+    return _classify(R, space)
 
 
 def classify(spec: SubalgebraSpec):
@@ -576,3 +559,12 @@ def classify(spec: SubalgebraSpec):
     on a valid spec.
     """
     return _classify(spec.coords_matrix[None], spec.row_space[None])[0]
+
+
+def signature(spec: SubalgebraSpec) -> InvariantSignature:
+    """Conjugation invariants of a bracket-closed spec: `classify`'s, raising
+    the rejection's detail as a ValueError where it reached none."""
+    res = classify(spec)
+    if res.signature is None:
+        raise ValueError(res.detail)
+    return res.signature

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,9 +174,11 @@ def cmd_orbit(args) -> int:
             print(f"error: --grid {n} asks for {n}^{entry.basis.dim} orbit samples, "
                   f"more than {_MAX_GRID_SAMPLES}", file=sys.stderr)
             return 2
-        axes = [np.linspace(lo, hi, n)] * entry.basis.dim
-        grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)
         try:
+            if not math.isfinite(hi - lo):  # np.linspace would overflow
+                raise OverflowError
+            axes = [np.linspace(lo, hi, n)] * entry.basis.dim
+            grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, entry.basis.dim)
             with np.errstate(over="ignore", invalid="ignore"):
                 samples = sample_orbit(entry, point, grid)
         except (ValueError, OverflowError):
@@ -220,24 +223,20 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     res = classify(spec)
-    if isinstance(res, Classification):
+    ok = isinstance(res, Classification)
+    if ok:
         payload = {
             "status": "classified",
             "id": res.id,
             "params": res.params,
             "conjugator": motion_payload(res.conjugator),
             "residual": res.residual,
-            "signature": res.signature.as_dict(),
         }
-        ok = True
     else:
-        payload = {
-            "status": "rejected",
-            "reason": res.reason,
-            "detail": res.detail,
-            "signature": None if res.signature is None else res.signature.as_dict(),
-        }
-        ok = False
+        payload = {"status": "rejected", "reason": res.reason, "detail": res.detail}
+    # the signature, then the parameters normalization found (null on a rejection)
+    payload["signature"] = None if res.signature is None else {
+        **asdict(res.signature), "params": payload.get("params")}
     checks = [("classification", "input basis identified in the catalog", ok,
                payload.get("residual", 0.0) or 0.0)]
     if args.json:

@@ -337,28 +337,20 @@ def _series_exp_pair(M: np.ndarray, w: np.ndarray):
     return T[:, :3, :3].copy(), T[:, :3, 3].copy()
 
 
-def exp_element(el, t: float = 1.0, method: str = "closed"):
+def exp_element(el, t: float = 1.0):
     """Time-t flow of the infinitesimal isometry (X, v).
 
-    Returns the Motion (exp(tX), V(tX) (t v)).  ``method="closed"`` uses
-    the cubic closed form (trig / hyperbolic / polynomial depending on
-    the class of X); ``method="series"`` runs scaling-and-squaring on the
-    4x4 homogeneous embedding.  Both paths agree to high accuracy and the
-    test suite holds them against each other.  An array of times t[N]
+    Returns the Motion (exp(tX), V(tX) (t v)) by the cubic closed form
+    (trig / hyperbolic / polynomial depending on the class of X);
+    `_series_exp_pair`, scaling-and-squaring on the 4x4 homogeneous
+    embedding, is its independent cross-check.  An array of times t[N]
     gives the stack `Motions` (A[N, 3, 3], a[N, 3]), validated once; a
     single t is a stack of one, and each row equals its t alone, bit for bit.
     """
-    X = np.asarray(el.X, dtype=float)
-    v = np.asarray(el.v, dtype=float)
+    X, v, t = (np.asarray(x, dtype=float) for x in (el.X, el.v, t))
     if not so12_check(X):
         raise ValueError("linear part is not an infinitesimal isometry")
-    t = np.asarray(t, dtype=float)
-    M = t.reshape(-1, 1, 1) * X
-    w = t.reshape(-1, 1) * v
-    pair = {"closed": _closed_exp_pair, "series": _series_exp_pair}.get(method)
-    if pair is None:
-        raise ValueError(f"unknown exponential method: {method!r}")
-    A, a = pair(M, w)
+    A, a = _closed_exp_pair(t.reshape(-1, 1, 1) * X, t.reshape(-1, 1) * v)
     return _validated(A.reshape(t.shape + (3, 3)), a.reshape(t.shape + (3,)))
 
 

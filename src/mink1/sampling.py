@@ -55,23 +55,36 @@ def random_algebra_element(rng, scale: float = 1.0) -> AlgebraElement:
     return AlgebraElement(*(x[0] for x in random_algebra_elements(rng, 1, scale)))
 
 
-def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:
-    """A random point of [-3, 3]^3 whose position vector has the requested
-    character, with |<p, p>| at least 0.05.
+def accepted_draws(rng, n: int, bound: float, accept) -> list:
+    """n points of [-bound, bound)^3 that `accept` (a mask of a stack
+    P[N, 3]) keeps, drawn in rounds of the missing ones: the doubles, and
+    the generator state left behind, of drawing and testing one point at
+    a time."""
+    pts = []
+    while len(pts) < n:
+        P = rng.uniform(-bound, bound, (n - len(pts), 3)).reshape(-1, 3)
+        pts += list(P[accept(P)])
+    return pts
 
-    With ``avoid_boost_stratum`` the point also keeps |x1 - x2| and
-    |x1 + x2| above 0.05, staying clear of the null-translation strata
-    used by the boost families.
-    """
-    margin = 0.05
-    for _ in range(10000):
-        p = rng.uniform(-3.0, 3.0, 3)
-        q = inner(p, p)
-        if character == "spacelike" and q < margin:
-            continue
-        if character == "timelike" and q > -margin:
-            continue
-        if avoid_boost_stratum and (abs(p[0] - p[1]) < margin or abs(p[0] + p[1]) < margin):
-            continue
-        return p
-    raise RuntimeError("rejection sampling failed")
+
+def causal_mask(character: str, avoid_boost_stratum: bool = False):
+    """The mask of a stack P[N, 3] keeping the points whose position vector
+    has `character` ("spacelike" or "timelike") with |<p, p>| >= 0.05 and,
+    with ``avoid_boost_stratum``, |x1 -+ x2| >= 0.05, clear of the boost
+    families' null-translation strata."""
+    if character not in ("spacelike", "timelike"):
+        raise ValueError(f"character must be spacelike or timelike, got {character!r}")
+    margin, side = 0.05, 1.0 if character == "spacelike" else -1.0
+
+    def accept(P):
+        keep = side * inner(P, P) >= margin
+        if avoid_boost_stratum:
+            keep &= (abs(P[:, 0] - P[:, 1]) >= margin) & (abs(P[:, 0] + P[:, 1]) >= margin)
+        return keep
+
+    return accept
+
+
+def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:
+    """A random point of [-3, 3)^3 that `causal_mask` keeps: a stack of one."""
+    return accepted_draws(rng, 1, 3.0, causal_mask(character, avoid_boost_stratum))[0]

@@ -58,7 +58,8 @@ from .orbits import (
     stabilizer_algebra,
 )
 from .properness import make_witness
-from .sampling import random_algebra_elements, random_causal_point, random_motions, rng_from_seed
+from .sampling import (accepted_draws, causal_mask, random_algebra_elements, random_motions,
+                       rng_from_seed)
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,12 @@ def entry_variants(id_):
         yield build(id_, **params)
 
 
-def _accepted_draws(rng, n, bound, accept):
-    """n points of [-bound, bound)^3 that `accept` (a mask of a stack P[N, 3])
-    keeps, drawn in rounds of the missing ones: the doubles, and the
-    generator state left behind, of drawing and testing one point at a time."""
-    pts = []
-    while len(pts) < n:
-        P = np.reshape(rng.uniform(-bound, bound, (n - len(pts), 3)), (-1, 3))
-        pts += list(P[accept(P)])
-    return pts
-
-
 def _generic_points(entry, rng, n):
     """n random points of [-3, 3]^3 more than 1e-4 from every equality of
     the entry's stratum patterns: each distinct invariant they name has
     |value| > 1e-4."""
     invariants = tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
-    return _accepted_draws(rng, n, 3.0, lambda P: np.all(
+    return accepted_draws(rng, n, 3.0, lambda P: np.all(
         [np.ones(len(P), bool)] + [abs(inv(P)[0]) > 1e-4 for inv in invariants], axis=0))
 
 
@@ -224,8 +214,8 @@ def check_shape_operator(seed: int = 42) -> CheckResult:
         for beta in (0.5, 1.0, 2.0):
             entry = build("P-d", sign=sign, beta=beta)
             # 20 points 0.3 off the degenerate plane, then 5 on it
-            P = np.array(_accepted_draws(rng, 20, 2.0,
-                                         lambda Q: abs(Q[:, 0] - sign * Q[:, 1]) >= 0.3))
+            P = np.array(accepted_draws(rng, 20, 2.0,
+                                        lambda Q: abs(Q[:, 0] - sign * Q[:, 1]) >= 0.3))
             a, c = rng.uniform(-2.0, 2.0, (5, 2)).T
             on_plane = np.stack([a, sign * a, c], -1)
             S, diags = shape_operator(entry, P)
@@ -316,8 +306,7 @@ def check_eq1_dichotomy(seed: int = 42) -> CheckResult:
     problems = []
     worst = 0.0
     for character, want_positive in (("spacelike", True), ("timelike", False)):
-        for _ in range(100):
-            p = random_causal_point(rng, character, avoid_boost_stratum=True)
+        for p in accepted_draws(rng, 100, 3.0, causal_mask(character, avoid_boost_stratum=True)):
             x, y, z = p
             a, b, c = x * x - y * y, 2.0 * z * (x - y), (x - y) ** 2
             disc = b * b - 4.0 * a * c

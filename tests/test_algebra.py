@@ -359,6 +359,29 @@ def test_spec_from_rows_matches_spec_from_elements():
             SubalgebraSpec(tuple(AlgebraElement(r[:9].reshape(3, 3), r[9:]) for r in bad))
 
 
+def test_a_spec_is_factored_once_at_construction(svd_inputs):
+    """Both construction forms take one SVD of the rows scaled to unit
+    max-abs; span_residual, closure_residual and classify take no further
+    SVD of them."""
+    from mink1.catalog import CATALOG_IDS, build
+    from mink1.classify import classify
+
+    for id_ in CATALOG_IDS:
+        basis = build(id_).basis
+        rows = np.array(basis.coords_matrix)
+        unit = rows / abs(rows).max(axis=1, keepdims=True)
+        classify(basis)  # builds and caches the catalog basis it matches
+        for form in (rows, basis.basis):
+            svd_inputs.clear()
+            spec = SubalgebraSpec(form)
+            assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], unit), id_
+            span_residual(spec, basis.basis[0])
+            closure_residual(spec)
+            assert len(svd_inputs) == 1, id_
+            classify(spec)
+            assert not any(np.array_equal(a, unit) for a in svd_inputs[1:]), id_
+
+
 def test_nonfinite_translation_is_rejected_in_both_forms():
     # each form names the translation, and no SVD sees the value
     good = el(BOOST, Z3).coords

@@ -30,7 +30,7 @@ from mink1.minkowski import (
     sign_of,
 )
 from mink1.orbits import orbit_dimension, stabilizer_algebra
-from mink1.sampling import rng_from_seed
+from mink1.sampling import random_causal_point, rng_from_seed
 from mink1.verify import _generic_points, _stratum_points, entry_variants
 
 
@@ -374,3 +374,22 @@ def test_generic_points_draw_the_doubles_of_one_point_at_a_time():
                     ref.append(p)
             assert np.array_equal(got, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_causal_point_draws_the_doubles_of_one_point_at_a_time():
+    """`random_causal_point` is a stack of one per round: the points, and the
+    generator state after, of redrawing one point until it has the
+    character; a character other than spacelike or timelike raises."""
+    for character, side in (("spacelike", 1.0), ("timelike", -1.0)):
+        for avoid in (False, True):
+            rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+            for _ in range(30):
+                while True:
+                    p = ref_rng.uniform(-3.0, 3.0, 3)
+                    if side * (-p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) >= 0.05 and not (
+                            avoid and min(abs(p[0] - p[1]), abs(p[0] + p[1])) < 0.05):
+                        break
+                assert np.array_equal(random_causal_point(rng, character, avoid), p)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ValueError, match="spacelike or timelike"):
+        random_causal_point(rng_from_seed(0), "null")

@@ -517,6 +517,21 @@ def test_large_nvii_parameter_classifies():
     assert res.id == "N-vii" and res.params == {"beta": 0.0}
 
 
+def test_classify_stack_factors_its_stack_once(svd_inputs):
+    """One SVD of the stack's rows scaled to unit max-abs decides both their
+    independence and their row spaces."""
+    from mink1.algebra import _adjoint_rows
+    from mink1.sampling import random_motions
+
+    rng = rng_from_seed(5)
+    for id_ in ("P-b", "N-ix", "N-xii"):
+        R = _adjoint_rows(*random_motions(rng, 7), *build(id_).basis.parts)
+        unit = R / abs(R).max(axis=-1, keepdims=True)
+        svd_inputs.clear()
+        assert all(isinstance(r, Classification) and r.id == id_ for r in classify_stack(R))
+        assert sum(np.array_equal(a, unit) for a in svd_inputs) == 1, id_
+
+
 def test_beta_that_overflows_at_the_input_scale_is_rejected():
     # undilation divides the translations by 2^1064; the P-d beta it reads
     # does not fit back into a float

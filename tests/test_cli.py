@@ -75,11 +75,11 @@ def test_orbit_bad_grid_exits_2(capsys):
                                f"--grid={grid}")
             assert code == 2, grid
             assert "N >= 0 and finite lo, hi" in err
-        # finite bounds whose group elements overflow
-        for id_ in ("N-i", "P-c"):
+        # finite bounds whose group elements, or whose width, overflow
+        for id_, grid in (("N-i", "3:0:1e300"), ("P-c", "3:0:1e300"), ("N-ii", "2:1e308:-1e308")):
             code, _, err = run(capsys, "orbit", "--id", id_, "--point", "1,2,0",
-                               "--grid", "3:0:1e300")
-            assert code == 2, id_
+                               f"--grid={grid}")
+            assert code == 2, (id_, grid)
             assert "overflow" in err
 
 
@@ -168,6 +168,22 @@ def test_classify_committed_fixture(capsys):
     doc = json.loads(out)
     assert doc["payload"]["id"] == "P-d"
     assert doc["payload"]["params"]["beta"] == pytest.approx(1.5)
+
+
+def test_classify_json_signature_ends_with_params(capsys):
+    """The signature's last key is the parameters normalization found: the
+    payload's on a classified basis, null on a rejected one."""
+    import pathlib
+
+    fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    for name, code_wanted in (("pd.alg", 0), ("onedim.alg", 1)):
+        code, out, _ = run(capsys, "classify", "--basis", str(fixtures / name), "--json")
+        assert code == code_wanted, name
+        payload = json.loads(out)["payload"]
+        assert list(payload["signature"])[-1] == "params", name
+        assert payload["signature"]["params"] == payload.get("params"), name
+    assert payload["reason"] == "not-cohomogeneity-one"
+    assert payload["signature"]["params"] is None
 
 
 def test_properness_command(capsys):

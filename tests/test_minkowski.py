@@ -23,6 +23,7 @@ from mink1.minkowski import (
     STRUCT_TOL,
     ZERO_VECTOR,
     Motion,
+    Motions,
     apply,
     causal_character,
     causal_of_span,
@@ -38,6 +39,7 @@ from mink1.minkowski import (
     sign_of,
     so12_check,
     _closed_exp_pair,
+    _series_exp_pair,
 )
 from mink1.algebra import AlgebraElement
 from mink1.catalog import NONPROPER_IDS, build
@@ -299,13 +301,22 @@ def test_exp_rotation_periodicity():
     assert motion_distance(m, Motion.identity()) < 1e-9
 
 
+def _series_exp(el, t):
+    """The flow of el at the time or times t by `_series_exp_pair`, checked
+    by `check_motions` and shaped as `exp_element` shapes the closed form's."""
+    t = np.asarray(t, dtype=float)
+    A, a = _series_exp_pair(t.reshape(-1, 1, 1) * el.X, t.reshape(-1, 1) * el.v)
+    check_motions(A, a)
+    return Motions(A.reshape(t.shape + (3, 3)), a.reshape(t.shape + (3,)))
+
+
 def test_exp_closed_vs_series_vs_scipy():
     rng = rng_from_seed(2)
     for _ in range(50):
         el = random_algebra_element(rng)
         t = rng.uniform(-5, 5)
-        closed = exp_element(el, t, "closed")
-        series = exp_element(el, t, "series")
+        closed = exp_element(el, t)
+        series = _series_exp(el, t)
         assert motion_distance(closed, series) < 1e-10
         H = np.zeros((4, 4))
         H[:3, :3] = t * el.X
@@ -340,11 +351,11 @@ def test_stacked_flow_rows_equal_single_flows():
     for id_ in CATALOG_IDS:
         for entry in entry_variants(id_):
             for el in entry.basis.basis:
-                for method in ("closed", "series"):
-                    A, a = exp_element(el, ts, method)
+                for flow in (exp_element, _series_exp):
+                    A, a = flow(el, ts)
                     assert A.shape == (len(ts), 3, 3) and a.shape == (len(ts), 3)
                     for k, t in enumerate(ts):
-                        m = exp_element(el, t, method)
+                        m = flow(el, t)
                         assert np.array_equal(A[k], m.A) and np.array_equal(a[k], m.a)
 
 
@@ -384,13 +395,13 @@ def test_stacked_series_equals_the_per_matrix_loop():
     ]
     hit = set()
     for el, ts in cases:
-        A, a = exp_element(el, ts, "series")
+        A, a = _series_exp(el, ts)
         for k, t in enumerate(ts):
             M, w = t * el.X, t * el.v
             hit.add(float(np.linalg.norm(np.hstack([M, w[:, None]]), np.inf)))
             RA, Ra = _series_reference(M, w)
             assert np.array_equal(A[k], RA) and np.array_equal(a[k], Ra), (el, t)
-            m = exp_element(el, t, "series")
+            m = _series_exp(el, t)
             assert np.array_equal(m.A, RA) and np.array_equal(m.a, Ra), (el, t)
     assert set(norms.tolist()) <= hit
 
@@ -400,7 +411,7 @@ def test_series_of_a_non_finite_generator_raises():
     for t in (np.inf, np.nan, np.array([1.0, np.inf]), 1e308):
         with pytest.raises(ValueError, match="finite"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            exp_element(el, t, "series")
+            _series_exp(el, t)
 
 
 def test_motion_stack_raises_what_its_failing_motion_raises():
