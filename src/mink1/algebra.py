@@ -3,13 +3,12 @@
 The bracket of the semidirect structure is
 ``[(X, u), (Y, v)] = ([X, Y], X v - Y u)``.
 Subalgebras are handled as explicit bases, and every case split in the
-classification is a numerical decision on them: a rank, by singular values
-with a relative cutoff, or membership of c in a span, by its distance after
-orthogonal projection on `SubalgebraSpec.row_space` over max(1, |c|),
-against STRUCT_TOL for closure, ideals and containment.  Linear parts are
-validated where they enter, by one `so12_check` per stack, and
-translations by one finiteness check per stack; internal steps
-pass coordinate rows on without validating them again.
+classification is a numerical decision on them: a rank (`numeric_rank`),
+or membership of c in a span, its distance from `SubalgebraSpec.row_space`
+over max(1, |c|) against STRUCT_TOL.  Linear parts are validated where
+they enter, by one `so12_check` per stack, and translations by one
+finiteness check per stack; internal steps pass coordinate rows on
+without validating them again.
 """
 
 from __future__ import annotations

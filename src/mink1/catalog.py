@@ -12,10 +12,9 @@ plane's x1 - s*x2 + b, the origin's max|p|, <p, p>, and the P-b and N-i
 axis, diagonal and branch invariants below).  Its predicate holds when
 `minkowski.sign_of` of each invariant it names, against that
 invariant's cut, lies in the allowed set ({0} on an equality, {-1, +1}
-off it).  Equalities use the absolute cut 1e-9, so measure-zero strata
-are targetable exactly from rational inputs; <p, p> uses
-1e-9 * max(1, |p|^2) and N-i's |x1| - |x2| uses 0.  A value exactly at
-its cut reads as on the equality.  The patterns of an entry are
+off it).  Each invariant returns its cut beside its value (STRUCT_TOL,
+times max(1, |p|^2) for <p, p>; 0 for N-i's branch), and a value exactly
+at its cut reads as on the equality.  The patterns of an entry are
 pairwise disjoint and cover R^3.  Every invariant, and each entry's
 conserved one, maps a point p[3] to a value or a stack P[N, 3] to its
 rows' values, bit for bit the same; `expected_orbits` evaluates each

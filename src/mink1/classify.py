@@ -56,37 +56,15 @@ from .algebra import (
     _row_space,
     _span_residuals,
 )
-from .minkowski import (
-    BOOST,
-    DEGENERATE,
-    ELLIPTIC,
-    ETA,
-    HYPERBOLIC,
-    LORENTZIAN,
-    NULL,
-    NULL_ROTATION,
-    PARABOLIC,
-    RIEMANNIAN,
-    ROTATION,
-    SPACELIKE,
-    STRUCT_TOL,
-    TIMELIKE,
-    ZERO,
-    Motion,
-    _checked_motion,
-    causal_of_svd,
-    generator_class,
-    motion_faults,
-    numeric_rank,
-    sign_of,
-    so12_check,
-)
+from .minkowski import (BOOST, DEGENERATE, ELLIPTIC, ETA, HYPERBOLIC, LORENTZIAN, NULL,
+                        NULL_ROTATION, PARABOLIC, RIEMANNIAN, ROTATION, SPACELIKE, SPAN_MATCH_TOL,
+                        STANDARDIZE_TOL, STRUCT_TOL, TIMELIKE, ZERO, ZERO_TOL, Motion,
+                        _checked_motion, causal_of_svd, generator_class, motion_faults,
+                        numeric_rank, sign_of, so12_check)
 
 REASON_NOT_SUBALGEBRA = "not-a-subalgebra"
 REASON_NOT_COHOMOGENEITY_ONE = "not-cohomogeneity-one"
 REASON_UNMATCHED = "unmatched"
-
-SPAN_MATCH_TOL = 1e-6
 
 TWO_DIM_SOLVABLE = "two-dim-solvable"
 FULL = "full"
@@ -191,7 +169,7 @@ def _frame_from_timelike(v, s, detail):
 def _frame_from_null(n, detail):
     """e1+e2 onto the future null n / n1, e1-e2 onto m = (n1, -n2, -n3)
     scaled to <n, m> = -2."""
-    _note(detail, ~(abs(n[:, 0]) >= 1e-12), "direction is not null")
+    _note(detail, sign_of(n[:, 0], ZERO_TOL) == 0, "direction is not null")
     n = n / n[:, :1]
     m = n * _MIRROR
     m = m * (-2.0 / _ip(n, m))[:, None]
@@ -235,7 +213,7 @@ def _standardize(X, kind):
         Y = ETA @ C.swapaxes(1, 2) @ ETA @ X @ C
         lam = Y[:, i, j]
         res = abs(Y - lam[:, None, None] * ref).max(axis=(1, 2))
-    _note(detail, ~(res <= 1e-8 * np.maximum(1.0, abs(lam))),
+    _note(detail, ~(res <= STANDARDIZE_TOL * np.maximum(1.0, abs(lam))),
           lambda k: f"standardization failed (residual {res[k]:.3e})")
     return C, lam, detail
 
@@ -249,7 +227,7 @@ def standardize_linear(X):
     and NULL_ROTATION for parabolic X (kernel null line onto R(e1+e2)).
     For elliptic and parabolic X the sign of lam is itself an invariant
     of the conjugacy class and is reported as computed.  The conjugate
-    must match lam * reference to 1e-8 relative to max(1, |lam|).
+    must match lam * reference to STANDARDIZE_TOL * max(1, |lam|).
     """
     X = np.asarray(X, dtype=float)
     C, lam, detail = _standardize(X[None], generator_class(X))
@@ -379,7 +357,7 @@ def _complete_square(C, Ci, targets, lvh, lifts, K):
         Q = np.eye(3) - k[:, :, None] * k[:, None] / norm2
     Q = Q[:, None]
     # minimum-norm least squares by one SVD: rank-deficient by design, so
-    # the values beyond the numeric rank (lstsq's rcond, 1e-9) are dropped
+    # the values beyond the numeric rank (lstsq's rcond, STRUCT_TOL) are dropped
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
     keep = np.arange(s.shape[1]) < numeric_rank(s)[:, None]
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]

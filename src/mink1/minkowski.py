@@ -54,8 +54,15 @@ ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
 
-MOTION_TOL = 1e-9
-STRUCT_TOL = 1e-9
+# The decision tolerances, each beside the scale it multiplies; README's
+# "Numerical decisions" tabulates their sites and the three forms of a cut.
+STRUCT_TOL = 1e-9  # s[0] in ranks; m^2, max|X0|, max(1, |p|^2) where noted; else 1
+MOTION_TOL = 1e-9  # max(1, |A|^2) in a motion's isometry residual; 1 in A00 >= 1
+SPAN_MATCH_TOL = 1e-6  # 1: the classifier's two-way span residual, already relative
+STANDARDIZE_TOL = 1e-8  # max(1, |lam|): a standardized generator's residual
+ZERO_TOL = 1e-12  # 1: a coordinate, or <n, n>, of a vector of unit size
+NILPOTENT_TOL = 1e-6  # max|S|: the shape operator's eigenvalue gap and rank
+FIXED_POINT_TOL = 1e-8  # 1: how far exp(n g) may move a witness point
 
 
 def numeric_rank(s):
@@ -77,15 +84,14 @@ def numeric_rank(s):
 def sign_of(x, cut):
     """-1, 0 or +1: the sign of x, reading |x| <= cut (and NaN) as 0.
 
-    Causal characters, generator classes, catalog strata and the
-    classifier's eigenvalue sign and parameter zero test are all decided
-    by this one rule; `cut` is the decision's tolerance, absolute or
-    already scaled by the caller.  A scalar (a numpy one too) is taken as a
+    Every sign and zero test decides by this rule, `cut` a tolerance of
+    the table above times the caller's scale.  A scalar (a numpy one too) is taken as a
     Python float and gives an int; an array x gives the int array of signs.
     """
     if not isinstance(x, np.ndarray):
         x, cut = float(x), float(cut)
-    return (x > cut) * 1 - (x < -cut)
+        return (x > cut) * 1 - (x < -cut)
+    return np.subtract(x > cut, x < -cut, dtype=int)
 
 
 def inner(u, v):

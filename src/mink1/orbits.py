@@ -21,7 +21,9 @@ from .catalog import (COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expec
 from .minkowski import (
     ETA,
     HYPERBOLIC,
+    NILPOTENT_TOL,
     PARABOLIC,
+    ZERO_TOL,
     apply,
     causal_of_svd,
     compose,
@@ -29,6 +31,7 @@ from .minkowski import (
     generator_class,
     inner,
     numeric_rank,
+    sign_of,
 )
 
 # central-difference step of `finite_tangent`
@@ -108,7 +111,7 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     """Metric normal direction of a 2-dimensional orbit.
 
     Solves <n, xi> = 0 over the tangent vectors; returns a Euclidean
-    unit vector with its first component beyond 1e-12 positive.  For a
+    unit vector whose first component nonzero by ZERO_TOL is positive.  For a
     degenerate orbit the direction is null and tangent.  A stack P[N, 3]
     gives the normals n[N, 3], each bit for bit its point's alone.
     """
@@ -117,7 +120,7 @@ def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     if (numeric_rank(s) != 2).any():
         raise ValueError("orbit is not 2-dimensional at this point")
     n = vh[:, 2]
-    first = n[np.arange(len(n)), np.argmax(abs(n) > 1e-12, axis=1)]
+    first = n[np.arange(len(n)), np.argmax(sign_of(n, ZERO_TOL) != 0, axis=1)]
     n = np.where(first[:, None] < 0, -n, n)
     return (n / np.sqrt(n[:, None] @ n[..., None])[..., 0]).reshape(P.shape)
 
@@ -171,7 +174,7 @@ def shape_operator(entry: CatalogEntry, p):
     direction), normalized to <v1, v2> = -1, where a tangent vector w has
     coordinates (-<w, v2>, -<w, v1>).  Returns the 2x2 matrix and the
     diagnosis "non-diagonalizable" when the eigenvalues coincide and the
-    common eigenvalue's eigenspace is one-dimensional, both to 1e-6 max|S|,
+    common eigenvalue's eigenspace is one-dimensional, both to NILPOTENT_TOL max|S|,
     else "diagonalizable".  A stack P[N, 3] gives S[N, 2, 2] and the list
     of diagnoses, each row bit for bit its point's alone.
     """
@@ -181,7 +184,7 @@ def shape_operator(entry: CatalogEntry, p):
     P = np.asarray(p, dtype=float).reshape(-1, 3)
     n = orbit_normal(spec, P)
     nn = inner(n, n)  # n is Euclidean-unit: (x1 - s x2)^2 / (2 beta^2) near the plane
-    if (nn <= 1e-12).any():
+    if (nn <= ZERO_TOL).any():
         raise ValueError("degenerate-plane stratum: no unit spacelike normal")
     n = n / np.sqrt(nn)[:, None]
     T = tangent_basis(spec, P)
@@ -194,9 +197,9 @@ def shape_operator(entry: CatalogEntry, p):
           (-X1 @ n[..., None])[..., 0])  # S(v1), S(v2)
     Smat = np.stack([np.stack([-inner(w, v) for w in Sv], -1) for v in (v2, v1)], -2)
     lam = np.linalg.eigvals(Smat)
-    cut = 1e-6 * np.abs(Smat).max(axis=(1, 2))
+    cut = NILPOTENT_TOL * np.abs(Smat).max(axis=(1, 2))
     sv = np.linalg.svd(Smat - lam.real.mean(axis=1)[:, None, None] * np.eye(2), compute_uv=False)
-    nilpotent = (abs(lam[:, 0] - lam[:, 1]) <= cut) & (sv[:, 0] > cut) & (cut >= sv[:, 1])
+    nilpotent = (abs(lam[:, 0] - lam[:, 1]) <= cut) & (sv[:, 0] > cut) & (sv[:, 1] <= cut)
     diagnoses = ["non-diagonalizable" if x else "diagonalizable" for x in nilpotent.tolist()]
     return (Smat[0], diagnoses[0]) if np.ndim(p) == 1 else (Smat, diagnoses)
 

@@ -17,6 +17,7 @@ from .algebra import AlgebraElement, SubalgebraSpec
 from .catalog import CatalogEntry
 from .minkowski import (
     ELLIPTIC,
+    FIXED_POINT_TOL,
     HYPERBOLIC,
     PARABOLIC,
     apply,
@@ -28,7 +29,6 @@ from .orbits import analyze_points
 
 WITNESS_STEPS = 20
 WITNESS_NORM_FLOOR = 100.0
-FIXED_POINT_TOL = 1e-8
 
 
 class WitnessError(RuntimeError):
