@@ -56,7 +56,8 @@ PARABOLIC = "parabolic"
 
 # The decision tolerances, each beside the scale it multiplies; README's
 # "Numerical decisions" tabulates their sites and the three forms of a cut.
-STRUCT_TOL = 1e-9  # s[0] in ranks; m^2, max|X0|, max(1, |p|^2) where noted; else 1
+STRUCT_TOL = 1e-9  # s[0] in ranks, max(1, max|X|) in so12_check; m^2, max|X0| and
+#                    max(1, |p|^2) at the sites README names; else 1
 MOTION_TOL = 1e-9  # max(1, |A|^2) in a motion's isometry residual; 1 in A00 >= 1
 SPAN_MATCH_TOL = 1e-6  # 1: the classifier's two-way span residual, already relative
 STANDARDIZE_TOL = 1e-8  # max(1, |lam|): a standardized generator's residual
@@ -84,9 +85,10 @@ def numeric_rank(s):
 def sign_of(x, cut):
     """-1, 0 or +1: the sign of x, reading |x| <= cut (and NaN) as 0.
 
-    Every sign and zero test decides by this rule, `cut` a tolerance of
-    the table above times the caller's scale.  A scalar (a numpy one too) is taken as a
-    Python float and gives an int; an array x gives the int array of signs.
+    Every sign and zero test decides by this rule, `cut` a tolerance of the
+    table above times the caller's scale.  A scalar (a numpy one too) is
+    taken as a Python float and gives an int; an array x gives the int
+    array of signs.
     """
     if not isinstance(x, np.ndarray):
         x, cut = float(x), float(cut)
@@ -133,24 +135,30 @@ def causal_character(v) -> str:
 def so12_check(X):
     """True iff X is an infinitesimal isometry: X^T eta + eta X = 0.
 
-    Componentwise, within STRUCT_TOL: zero diagonal, X12 = X21, X13 = X31,
-    X23 = -X32; a non-finite entry fails, without a warning.  A stack
-    X[..., 3, 3] gives the bool array of its matrices' verdicts; any other
-    shape reads False.
+    Componentwise, within STRUCT_TOL * max(1, max|X|), so that a multiple
+    of X reads alike: zero diagonal, X12 = X21, X13 = X31, X23 = -X32.  A
+    non-finite entry fails, without a warning.  A stack X[..., 3, 3] gives
+    the bool array of its matrices' verdicts; any other shape reads False.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         return False
+    # an inf entry makes the cut inf, and then fails; a NaN one fails its deviation
     if X.ndim == 2:  # Python floats, which never warn
-        x11, x12, x13, x21, x22, x23, x31, x32, x33 = X.ravel().tolist()
-        return (abs(x11) <= STRUCT_TOL and abs(x22) <= STRUCT_TOL and abs(x33) <= STRUCT_TOL
-                and abs(x12 - x21) <= STRUCT_TOL and abs(x13 - x31) <= STRUCT_TOL
-                and abs(x23 + x32) <= STRUCT_TOL)
+        x = X.ravel().tolist()
+        x11, x12, x13, x21, x22, x23, x31, x32, x33 = x
+        cut = STRUCT_TOL * max(1.0, max(x), -min(x))
+        return (cut < math.inf and abs(x11) <= cut and abs(x22) <= cut and abs(x33) <= cut
+                and abs(x12 - x21) <= cut and abs(x13 - x31) <= cut and abs(x23 + x32) <= cut)
     # the same six values for a stack: x11 - 0 x11, ..., x12 - x21, x13 - x31, x23 + x32
     flat = X.reshape(-1, 9)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = abs(flat[:, _SO12_A] - flat[:, _SO12_B] * _SO12_SIGN)
-    return (dev <= STRUCT_TOL).all(axis=1).reshape(X.shape[:-2])
+    ok = (dev <= STRUCT_TOL).all(axis=1)  # within the least cut: finite, and within its own
+    if not ok.all():
+        cut = STRUCT_TOL * abs(flat).max(axis=1, keepdims=True, initial=1.0)
+        ok = (dev <= cut).all(axis=1) & (cut[:, 0] < np.inf)
+    return ok.reshape(X.shape[:-2])
 
 
 _SO12_A, _SO12_B = np.array([0, 4, 8, 1, 2, 5]), np.array([0, 4, 8, 3, 6, 7])

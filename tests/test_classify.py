@@ -475,6 +475,19 @@ def test_classification_is_unchanged_under_basis_scaling(seed, k2, k10):
             assert near.params[key] == pytest.approx(val, rel=1e-6, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", (-40, -20, 0, 12, 20, 24, 30, 40))
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_scaled_conjugate_of_each_family_constructs_and_classifies(k, seed):
+    # so12_check's cut follows max|X|: the roundoff of a conjugate grows
+    # with its size, and scaling a basis does not change its span
+    rng = rng_from_seed(seed)
+    for id_ in CATALOG_IDS:
+        rows = adjoint_spec(random_motion(rng), build(id_).basis).coords_matrix
+        res = classify(SubalgebraSpec(np.ldexp(rows, k)))
+        assert isinstance(res, Classification) and res.id == id_, (id_, k, res)
+
+
 def _dilated(spec, k):
     rows = spec.coords_matrix
     return SubalgebraSpec(np.hstack([rows[:, :9], np.ldexp(rows[:, 9:], k)]))

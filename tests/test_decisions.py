@@ -13,8 +13,8 @@ import pytest
 
 from mink1 import minkowski
 from mink1.catalog import build
-from mink1.minkowski import (ELLIPTIC, FIXED_POINT_TOL, NILPOTENT_TOL, ROTATION,
-                             STANDARDIZE_TOL, ZERO_TOL)
+from mink1.minkowski import (BOOST, ELLIPTIC, FIXED_POINT_TOL, NILPOTENT_TOL, ROTATION,
+                             STANDARDIZE_TOL, STRUCT_TOL, ZERO_TOL, so12_check)
 from mink1.orbits import orbit_normal, shape_operator
 from mink1.properness import WitnessError, make_witness
 
@@ -158,6 +158,14 @@ def _witness(d, monkeypatch):
         return "rejected"
 
 
+def _so12(d, monkeypatch):
+    """`so12_check` of 4 BOOST with d at (0, 0), alone and as a stack: its
+    cut is STRUCT_TOL * max(1, max|X|) = 4 STRUCT_TOL."""
+    X = 4.0 * BOOST
+    X[0, 0] = d
+    return so12_check(X), bool(so12_check(X[None])[0])
+
+
 def _above(x):
     return np.nextafter(x, np.inf)
 
@@ -177,6 +185,12 @@ def _above(x):
     (_normal_flip, _above(ZERO_TOL), False),
     (_witness, FIXED_POINT_TOL, FIXED_POINT_TOL),
     (_witness, _above(FIXED_POINT_TOL), "rejected"),
+    # the cut follows max|X| (an absolute STRUCT_TOL rejected 4 STRUCT_TOL), and an
+    # inf entry, which makes the cut inf, still fails
+    (_so12, 4.0 * STRUCT_TOL, (True, True)),
+    (_so12, _above(4.0 * STRUCT_TOL), (False, False)),
+    (_so12, np.nan, (False, False)),
+    (_so12, np.inf, (False, False)),
 ])
 def test_each_cut_keeps_its_verdict_at_the_cut_and_at_nan(site, value, verdict, monkeypatch):
     assert site(value, monkeypatch) == verdict
