@@ -110,8 +110,8 @@ def orbit_causal(spec: SubalgebraSpec, p) -> str:
 def orbit_normal(spec: SubalgebraSpec, p) -> np.ndarray:
     """Metric normal direction of a 2-dimensional orbit.
 
-    Solves <n, xi> = 0 over the tangent vectors; returns a Euclidean
-    unit vector whose first component nonzero by ZERO_TOL is positive.  For a
+    Solves <n, xi> = 0 over the tangent vectors; returns a Euclidean unit
+    vector whose first component beyond ZERO_TOL is positive.  For a
     degenerate orbit the direction is null and tangent.  A stack P[N, 3]
     gives the normals n[N, 3], each bit for bit its point's alone.
     """
@@ -174,8 +174,8 @@ def shape_operator(entry: CatalogEntry, p):
     direction), normalized to <v1, v2> = -1, where a tangent vector w has
     coordinates (-<w, v2>, -<w, v1>).  Returns the 2x2 matrix and the
     diagnosis "non-diagonalizable" when the eigenvalues coincide and the
-    common eigenvalue's eigenspace is one-dimensional, both to NILPOTENT_TOL max|S|,
-    else "diagonalizable".  A stack P[N, 3] gives S[N, 2, 2] and the list
+    common eigenvalue's eigenspace is one-dimensional, both to
+    NILPOTENT_TOL max|S|, else "diagonalizable".  A stack P[N, 3] gives S[N, 2, 2] and the list
     of diagnoses, each row bit for bit its point's alone.
     """
     if entry.id != "P-d":
