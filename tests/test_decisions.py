@@ -127,7 +127,7 @@ def _standardized(d, monkeypatch):
 
 def _diagnosis(lam1, monkeypatch):
     """The P-d shape operator's diagnosis at a generic point, with its
-    eigenvalues read as 0 and lam1 * NILPOTENT_TOL max|S|."""
+    eigenvalues read as 0 and lam1(cut), cut = NILPOTENT_TOL max|S|."""
     entry, p = build("P-d"), np.array([0.3, 1.7, -0.4])
     S, _ = shape_operator(entry, p)
     cut = NILPOTENT_TOL * abs(S).max()
@@ -181,6 +181,8 @@ def _above(x):
     (_diagnosis, lambda cut: cut, "non-diagonalizable"),
     (_diagnosis, lambda cut: _above(cut), "diagonalizable"),
     (_diagnosis, lambda cut: np.nan, "raises"),
+    # (a NaN normal is NaN whichever way it is flipped, and the witness flow is
+    # validated finite before its drift is measured: neither has a NaN pin)
     (_normal_flip, ZERO_TOL, True),
     (_normal_flip, _above(ZERO_TOL), False),
     (_witness, FIXED_POINT_TOL, FIXED_POINT_TOL),
