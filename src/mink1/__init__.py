@@ -19,8 +19,7 @@ from .algebra import (
     kernel_of_l,
     linear_part,
 )
-from .catalog import (CATALOG_IDS, CatalogEntry, build, expected_orbit, expected_orbits,
-                      list_catalog)
+from .catalog import CATALOG_IDS, CatalogEntry, build, expected_orbit, expected_orbits
 from .classify import (
     Classification,
     Rejection,

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minkowski import ETA, STRUCT_TOL, generator_class, numeric_rank, so12_check
+from .minkowski import ETA, STRUCT_TOL, numeric_rank, so12_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +124,7 @@ class SubalgebraSpec:
         else:
             self.basis = tuple(basis)
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-        rank, self.row_space = _row_space(rows)
-        if rank < len(rows):
-            raise ValueError(_DEPENDENT)
+        self.row_space = _independent_row_space(rows)
         rows.setflags(write=False)
         self.coords_matrix = rows
 
@@ -148,7 +146,6 @@ class SubalgebraSpec:
 _TINY = np.finfo(float).tiny
 _PAIRS = [np.triu_indices(n, 1) for n in range(13)]  # the pairs i < j of n <= 12 rows
 _NOT_SO12 = "linear part violates the isometry-algebra membership"
-_DEPENDENT = "basis is not linearly independent"
 
 
 def _row_space(rows):
@@ -161,6 +158,15 @@ def _row_space(rows):
     _, s, space = np.linalg.svd(rows / peak if peak.all() else rows, full_matrices=False)
     space.setflags(write=False)
     return numeric_rank(s), space
+
+
+def _independent_row_space(rows):
+    """`_row_space`'s space of a basis or a stack, unless a basis is dependent."""
+    rank, space = _row_space(rows)
+    short = rank < rows.shape[-2]
+    if short.any() if isinstance(short, np.ndarray) else short:
+        raise ValueError("basis is not linearly independent")
+    return space
 
 
 def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
@@ -181,10 +187,6 @@ def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
 def span_residual(spec: SubalgebraSpec, el: AlgebraElement) -> float:
     """Distance of el from span(basis) after orthogonal projection."""
     return float(_span_residuals(spec.row_space, el.coords[None], relative=False)[0])
-
-
-def span_contains(spec: SubalgebraSpec, el: AlgebraElement) -> bool:
-    return bool(_span_residuals(spec.row_space, el.coords[None])[0] <= STRUCT_TOL)
 
 
 def _closure(R, space):
@@ -294,11 +296,9 @@ __all__ = [
     "bracket",
     "closure_residual",
     "element_from_coords",
-    "generator_class",
     "is_ideal",
     "is_subalgebra",
     "kernel_of_l",
     "linear_part",
-    "span_contains",
     "span_residual",
 ]

@@ -27,7 +27,7 @@ lies in its allowed set, so every sample sits at least 0.05 on the
 allowed side of each equality.  Only the measure-zero strata, P-b's
 cylinder (0.1 off the axis) and P-d's cylinder (also |x3| < 2) sample
 their own way.  `verify` reads its generic points' margins from the
-same patterns.
+same patterns, and `pattern_signs` is the one reader of them all.
 """
 
 from __future__ import annotations
@@ -110,16 +110,13 @@ class Stratum:
 
     def __post_init__(self):
         if not self.samplers:
-            object.__setattr__(self, "samplers",
-                               (_rejecting(partial(_clears_margin, self.pattern)),))
+            accept = partial(_pattern_holds, self.pattern, cut=_SAMPLE_MARGIN)
+            object.__setattr__(self, "samplers", (_rejecting(accept),))
 
     def predicate(self, p) -> bool:
-        """Whether `sign_of` of every invariant of the pattern at p lies in
+        """Whether the sign of every invariant of the pattern at p lies in
         its allowed signs."""
-        for invariant, signs in self.pattern:
-            if sign_of(*invariant(p)) not in signs:
-                return False
-        return True
+        return _pattern_holds(self.pattern, np.reshape(p, (1, 3)))[0]
 
 
 @dataclass(frozen=True)
@@ -139,6 +136,20 @@ class CatalogEntry:
     witness_generator: Optional[AlgebraElement] = None
 
 
+def pattern_invariants(entry) -> tuple:
+    """Each distinct invariant the patterns of the entry's strata name, in order."""
+    return tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
+
+
+def pattern_signs(invariants, P, cut=None) -> list:
+    """Each point's tuple of signs over the invariants, for a stack P[N, 3]:
+    `sign_of` of each invariant's value against its own cut, or against
+    `cut` when one is given.  No invariants give each point ()."""
+    columns = [sign_of(value, own if cut is None else cut).tolist()
+               for value, own in (inv(P) for inv in invariants)]
+    return list(zip(*columns)) or [()] * len(P)
+
+
 def expected_orbits(entry: CatalogEntry, P) -> list:
     """The stratum whose predicate matches each point of a stack P[N, 3].
 
@@ -150,9 +161,8 @@ def expected_orbits(entry: CatalogEntry, P) -> list:
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     if not np.isfinite(P).all():
         raise ValueError("base point must be finite")
-    invariants = tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
-    # each point's signs, one per invariant (none for an entry of one stratum)
-    rows = list(zip(*(sign_of(*inv(P)).tolist() for inv in invariants))) or [()] * len(P)
+    invariants = pattern_invariants(entry)
+    rows = pattern_signs(invariants, P)
     matched = {}
     for row in set(rows):
         signs = dict(zip(invariants, row))
@@ -257,14 +267,11 @@ def _rejecting(accept):
 _SAMPLE_MARGIN = 0.05
 
 
-def _clears_margin(pattern, P):
+def _pattern_holds(pattern, P, cut=None) -> list:
     """Which points of a stack P[N, 3] read, for every invariant of the
-    pattern against the cut _SAMPLE_MARGIN, a sign the pattern allows."""
-    keep = [True] * len(P)
-    for invariant, signs in pattern:
-        keep = [k and s in signs
-                for k, s in zip(keep, sign_of(invariant(P)[0], _SAMPLE_MARGIN).tolist())]
-    return keep
+    pattern, a sign the pattern allows (`pattern_signs` against `cut`)."""
+    rows = pattern_signs([inv for inv, _ in pattern], P, cut)
+    return [all(s in signs for s, (_, signs) in zip(row, pattern)) for row in rows]
 
 
 def _cone_sampler(side, avoid_plane=False):
@@ -636,10 +643,3 @@ def build(id_: str, **params) -> CatalogEntry:
         return _BUILDERS[id_](**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for {id_}: {exc}") from exc
-
-
-def list_catalog():
-    """Summaries (id, parameter domain, proper flag, orbit space) for all 16."""
-    return [{"id": e.id, "param_domain": e.param_domain, "proper": e.proper,
-             "orbit_space": e.orbit_space, "family": e.family}
-            for e in map(build, CATALOG_IDS)]

@@ -46,11 +46,11 @@ import numpy as np
 
 from . import catalog
 from .algebra import (
-    _DEPENDENT,
     _NOT_SO12,
     _TINY,
     SubalgebraSpec,
     _closure,
+    _independent_row_space,
     _linear_split,
     _require_rows,
     _row_space,
@@ -456,7 +456,7 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     out = [None] * m
     if found:
         moved = np.concatenate([Y.reshape(m, n, 9), Av - _mv(Y, c[:, None])], axis=2)
-        moved = moved[[k for k, *_ in found]] if len(found) < m else moved
+        moved = moved[[k for k, *_ in found]]
         T, space = _targets([hit for _, hit, _ in found])
         # both ways at once: moved in span(T), and T in span(moved)
         spaces, rows = np.concatenate([space, _row_space(moved)[1]]), np.concatenate([moved, T])
@@ -495,7 +495,7 @@ def _classify(R, space) -> list:
     if not live:
         return out
     R, e = _undilated(R)
-    sigs, split = _invariants(R[live] if len(live) < len(R) else R)
+    sigs, split = _invariants(R[live])
     groups = {}
     for i, sig in enumerate(sigs):
         why = next((why for applies, why in _NOT_COHOMOGENEITY_ONE if applies(sig)), None)
@@ -505,9 +505,7 @@ def _classify(R, space) -> list:
             groups.setdefault(sig, []).append(i)
     for sig, at in groups.items():
         rows = [live[i] for i in at]
-        # one group of every basis is taken whole, without copies
-        pick, at = (slice(None), slice(None)) if len(rows) == len(R) else (rows, at)
-        for k, res in zip(rows, _normal_forms(sig, R[pick], e[pick], *(a[at] for a in split))):
+        for k, res in zip(rows, _normal_forms(sig, R[rows], e[rows], *(a[at] for a in split))):
             out[k] = res
     return out
 
@@ -520,10 +518,7 @@ def classify_stack(rows) -> list:
     if R.ndim != 3 or R.shape[2] != 12:
         raise ValueError("classify_stack needs coordinate rows of shape (B, n, 12)")
     _require_rows(R)
-    rank, space = _row_space(R)
-    if (rank < R.shape[1]).any():
-        raise ValueError(_DEPENDENT)
-    return _classify(R, space)
+    return _classify(R, _independent_row_space(R))
 
 
 def classify(spec: SubalgebraSpec):

@@ -29,6 +29,7 @@ from .orbits import analyze_points
 
 WITNESS_STEPS = 20
 WITNESS_NORM_FLOOR = 100.0
+RECOVERY_TRIALS = 100  # seeded (t, u, X) draws per recovery_test
 
 
 class WitnessError(RuntimeError):
@@ -104,7 +105,7 @@ def stabilizer_compactness(spec: SubalgebraSpec, p) -> str:
     return analyze_points(spec, p).stabilizer_class[0]
 
 
-def recovery_test(entry: CatalogEntry, trials: int = 100, seed: int = 42) -> dict:
+def recovery_test(entry: CatalogEntry, seed: int = 42) -> dict:
     """Recover the group parameters of the boost-screw family from pairs
     (X, g(t, u) X): t from the third coordinates, u from the first.
 
@@ -116,11 +117,12 @@ def recovery_test(entry: CatalogEntry, trials: int = 100, seed: int = 42) -> dic
     rng = np.random.default_rng(seed)
     gen_boost, gen_null = entry.basis.basis
     # per trial t, u in [-3, 3) and X in [-5, 5)^3, drawn as one stack
-    draws = rng.uniform((-3.0, -3.0, -5.0, -5.0, -5.0), (3.0, 3.0, 5.0, 5.0, 5.0), (trials, 5))
+    draws = rng.uniform((-3.0, -3.0, -5.0, -5.0, -5.0), (3.0, 3.0, 5.0, 5.0, 5.0),
+                        (RECOVERY_TRIALS, 5))
     ts, us, Xs = draws[:, 0], draws[:, 1], draws[:, 2:]
     # group elements (A_t, u*nu + beta*t*e3), translating after boosting
     Ys = apply(compose(exp_element(gen_null, us), exp_element(gen_boost, ts)), Xs)
     t_rec = (Ys[:, 2] - Xs[:, 2]) / beta
     u_rec = Ys[:, 0] - Xs[:, 0] * np.cosh(t_rec) - Xs[:, 1] * np.sinh(t_rec)
     max_err = np.max(abs(np.concatenate([t_rec - ts, u_rec - us])), initial=0.0)
-    return {"trials": trials, "max_error": max_err, "passed": bool(max_err < 1e-6)}
+    return {"trials": RECOVERY_TRIALS, "max_error": max_err, "passed": bool(max_err < 1e-6)}

@@ -18,8 +18,8 @@ from .minkowski import (
 )
 
 
-def rng_from_seed(seed: int | None) -> np.random.Generator:
-    return np.random.default_rng(42 if seed is None else seed)
+def rng_from_seed(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 def _generators(c) -> np.ndarray:
@@ -67,24 +67,13 @@ def accepted_draws(rng, n: int, bound: float, accept) -> list:
     return pts
 
 
-def causal_mask(character: str, avoid_boost_stratum: bool = False):
+def causal_mask(character: str):
     """The mask of a stack P[N, 3] keeping the points whose position vector
-    has `character` ("spacelike" or "timelike") with |<p, p>| >= 0.05 and,
-    with ``avoid_boost_stratum``, |x1 -+ x2| >= 0.05, clear of the boost
-    families' null-translation strata."""
+    has `character` ("spacelike" or "timelike") with |<p, p>| >= 0.05 and
+    |x1 -+ x2| >= 0.05, clear of the boost families' null-translation
+    strata."""
     if character not in ("spacelike", "timelike"):
         raise ValueError(f"character must be spacelike or timelike, got {character!r}")
     margin, side = 0.05, 1.0 if character == "spacelike" else -1.0
-
-    def accept(P):
-        keep = side * inner(P, P) >= margin
-        if avoid_boost_stratum:
-            keep &= (abs(P[:, 0] - P[:, 1]) >= margin) & (abs(P[:, 0] + P[:, 1]) >= margin)
-        return keep
-
-    return accept
-
-
-def random_causal_point(rng, character: str, avoid_boost_stratum: bool = False) -> np.ndarray:
-    """A random point of [-3, 3)^3 that `causal_mask` keeps: a stack of one."""
-    return accepted_draws(rng, 1, 3.0, causal_mask(character, avoid_boost_stratum))[0]
+    return lambda P: ((side * inner(P, P) >= margin) & (abs(P[:, 0] - P[:, 1]) >= margin)
+                      & (abs(P[:, 0] + P[:, 1]) >= margin))

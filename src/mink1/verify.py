@@ -30,7 +30,8 @@ from .algebra import (
     closure_residual,
     span_residual,
 )
-from .catalog import CATALOG_IDS, NONPROPER_IDS, PROPER_IDS, build
+from .catalog import (CATALOG_IDS, NONPROPER_IDS, PROPER_IDS, build, pattern_invariants,
+                      pattern_signs)
 from .minkowski import (
     BOOST,
     DEGENERATE,
@@ -89,20 +90,16 @@ def entry_variants(id_):
 
 def _generic_points(entry, rng, n):
     """n random points of [-3, 3]^3 more than 1e-4 from every equality of
-    the entry's stratum patterns: each distinct invariant they name has
-    |value| > 1e-4."""
-    invariants = tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
-    return accepted_draws(rng, n, 3.0, lambda P: np.all(
-        [np.ones(len(P), bool)] + [abs(inv(P)[0]) > 1e-4 for inv in invariants], axis=0))
+    the entry's stratum patterns: each distinct invariant they name has a
+    nonzero sign against the cut 1e-4."""
+    invariants = pattern_invariants(entry)
+    return accepted_draws(rng, n, 3.0, lambda P: [
+        0 not in row for row in pattern_signs(invariants, P, 1e-4)])
 
 
 def _stratum_points(entry, rng, per_sampler=5):
-    pts = []
-    for s in entry.strata:
-        for sampler in s.samplers:
-            for _ in range(per_sampler):
-                pts.append(sampler(rng))
-    return pts
+    return [sampler(rng) for s in entry.strata for sampler in s.samplers
+            for _ in range(per_sampler)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +187,7 @@ def check_recovery(seed: int = 42) -> CheckResult:
     for sign in (1.0, -1.0):
         for beta in (0.5, 1.0, 2.0):
             entry = build("P-d", sign=sign, beta=beta)
-            rep = properness.recovery_test(entry, trials=100, seed=seed)
+            rep = properness.recovery_test(entry, seed=seed)
             worst = max(worst, rep["max_error"])
             if not rep["passed"]:
                 problems.append(f"sign={sign}, beta={beta}: error {rep['max_error']:.2e}")
@@ -306,7 +303,7 @@ def check_eq1_dichotomy(seed: int = 42) -> CheckResult:
     problems = []
     worst = 0.0
     for character, want_positive in (("spacelike", True), ("timelike", False)):
-        for p in accepted_draws(rng, 100, 3.0, causal_mask(character, avoid_boost_stratum=True)):
+        for p in accepted_draws(rng, 100, 3.0, causal_mask(character)):
             x, y, z = p
             a, b, c = x * x - y * y, 2.0 * z * (x - y), (x - y) ** 2
             disc = b * b - 4.0 * a * c

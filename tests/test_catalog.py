@@ -13,7 +13,7 @@ from mink1.catalog import (
     build,
     expected_orbit,
     expected_orbits,
-    list_catalog,
+    pattern_invariants,
 )
 from mink1.minkowski import (
     BOOST,
@@ -30,14 +30,14 @@ from mink1.minkowski import (
     sign_of,
 )
 from mink1.orbits import orbit_dimension, stabilizer_algebra
-from mink1.sampling import random_causal_point, rng_from_seed
+from mink1.sampling import accepted_draws, causal_mask, rng_from_seed
 from mink1.verify import _generic_points, _stratum_points, entry_variants
 
 
 def test_counts():
-    rows = list_catalog()
-    assert len(rows) == 16
-    assert sum(r["proper"] for r in rows) == 4
+    entries = [build(id_) for id_ in CATALOG_IDS]
+    assert len(entries) == 16
+    assert sum(e.proper for e in entries) == 4
     assert len(PROPER_IDS) == 4 and len(NONPROPER_IDS) == 12
 
 
@@ -281,16 +281,12 @@ def test_patterns_drive_samples_and_margins():
     assert open_strata >= 20
 
 
-def _pattern_invariants(entry):
-    return tuple(dict.fromkeys(inv for s in entry.strata for inv, _ in s.pattern))
-
-
 def _near_equalities(entry, points):
     """Points stepped off each of `points` along e1, e2 and e3 so that each
     pattern invariant moves by about 0.5 and 2 of its cuts, either way."""
     out = []
     for q in points:
-        for invariant in _pattern_invariants(entry):
+        for invariant in pattern_invariants(entry):
             value, cut = invariant(q)
             for d in (E1, E2, E3):
                 slope = (invariant(q + 1e-3 * d)[0] - value) / 1e-3
@@ -343,7 +339,7 @@ def test_invariants_on_a_stack_equal_each_point_alone():
         P = np.array([rng.uniform(-3.0, 3.0, 3) for _ in range(30)] + sampled + extreme)
         with np.errstate(over="ignore", invalid="ignore"):
             pairs = [(lambda q, i=i: i(q)[0], lambda q, i=i: i(q)[1])
-                     for i in _pattern_invariants(entry)]
+                     for i in pattern_invariants(entry)]
             funcs = [f for pair in pairs for f in pair] + [entry.invariant] * bool(entry.invariant)
             for f in funcs:
                 stacked = np.broadcast_to(f(P), len(P))
@@ -363,7 +359,7 @@ def test_generic_points_draw_the_doubles_of_one_point_at_a_time():
         (lambda p: (np.where(p[..., 0] > 0.0, p[..., 1], 0.0), 0.0), frozenset({-1, 1})),)),))
     entries = [e for id_ in CATALOG_IDS for e in entry_variants(id_)] + [half]
     for entry in entries:
-        invariants = _pattern_invariants(entry)
+        invariants = pattern_invariants(entry)
         for seed in (3, 2718):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _generic_points(entry, rng, 40)
@@ -376,20 +372,20 @@ def test_generic_points_draw_the_doubles_of_one_point_at_a_time():
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_random_causal_point_draws_the_doubles_of_one_point_at_a_time():
-    """`random_causal_point` is a stack of one per round: the points, and the
-    generator state after, of redrawing one point until it has the
-    character; a character other than spacelike or timelike raises."""
+def test_causal_mask_draws_the_doubles_of_one_point_at_a_time():
+    """`accepted_draws` of one point under `causal_mask` is a stack of one
+    per round: the points, and the generator state after, of redrawing one
+    point until it has the character and clears both null planes
+    x1 = +-x2; a character other than spacelike or timelike raises."""
     for character, side in (("spacelike", 1.0), ("timelike", -1.0)):
-        for avoid in (False, True):
-            rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-            for _ in range(30):
-                while True:
-                    p = ref_rng.uniform(-3.0, 3.0, 3)
-                    if side * (-p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) >= 0.05 and not (
-                            avoid and min(abs(p[0] - p[1]), abs(p[0] + p[1])) < 0.05):
-                        break
-                assert np.array_equal(random_causal_point(rng, character, avoid), p)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(30):
+            while True:
+                p = ref_rng.uniform(-3.0, 3.0, 3)
+                if side * (-p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) >= 0.05 and min(
+                        abs(p[0] - p[1]), abs(p[0] + p[1])) >= 0.05:
+                    break
+            assert np.array_equal(accepted_draws(rng, 1, 3.0, causal_mask(character))[0], p)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
     with pytest.raises(ValueError, match="spacelike or timelike"):
-        random_causal_point(rng_from_seed(0), "null")
+        causal_mask("null")

@@ -34,7 +34,7 @@ from mink1.orbits import (
     tangent_basis,
 )
 from mink1.properness import stabilizer_compactness
-from mink1.sampling import random_algebra_element, random_causal_point, rng_from_seed
+from mink1.sampling import accepted_draws, causal_mask, random_algebra_element, rng_from_seed
 from mink1.verify import entry_variants
 
 Z3 = np.zeros(3)
@@ -351,13 +351,11 @@ def test_eq1_norm_matches_flow_derivative():
 
 def test_eq1_discriminant_dichotomy():
     rng = rng_from_seed(4)
-    for _ in range(100):
-        p = random_causal_point(rng, "spacelike", avoid_boost_stratum=True)
+    for p in accepted_draws(rng, 100, 3.0, causal_mask("spacelike")):
         x, y, z = p
         disc = (2 * z * (x - y)) ** 2 - 4 * (x * x - y * y) * (x - y) ** 2
         assert disc > 0
-    for _ in range(100):
-        p = random_causal_point(rng, "timelike", avoid_boost_stratum=True)
+    for p in accepted_draws(rng, 100, 3.0, causal_mask("timelike")):
         x, y, z = p
         disc = (2 * z * (x - y)) ** 2 - 4 * (x * x - y * y) * (x - y) ** 2
         assert disc < 0
@@ -366,8 +364,7 @@ def test_eq1_discriminant_dichotomy():
 def test_timelike_points_give_positive_eq1_everywhere():
     rng = rng_from_seed(5)
     alphas = np.linspace(-10, 10, 81)
-    for _ in range(25):
-        p = random_causal_point(rng, "timelike", avoid_boost_stratum=True)
+    for p in accepted_draws(rng, 25, 3.0, causal_mask("timelike")):
         vals = [eq1_norm(a, p) for a in alphas]
         assert min(vals) > 0.0
 

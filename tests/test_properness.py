@@ -136,7 +136,7 @@ def test_recovery_frozen_example():
 def test_recovery_property_runs():
     for sign in (1.0, -1.0):
         for beta in (0.5, 1.0, 2.0):
-            rep = recovery_test(build("P-d", sign=sign, beta=beta), trials=100, seed=9)
+            rep = recovery_test(build("P-d", sign=sign, beta=beta), seed=9)
             assert rep["passed"], rep
             assert rep["max_error"] < 1e-6
 
