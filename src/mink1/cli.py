@@ -5,8 +5,12 @@ Exit codes: 0 success / all checks pass, 1 a check or verdict failed,
 2 unknown id or bad input (a non-finite --point or --params value, a
 negative or non-finite --grid, one of over 10^6 samples (N^dim) or one
 whose samples overflow, a basis file that is not UTF-8, an unwritable
---csv, a negative seed), 3 orbit expectation mismatch.  MINK_SEED
-overrides the default seed (42); an explicit --seed flag wins over both.
+--csv, a negative seed), 3 orbit expectation mismatch.  Apart from
+argparse's own usage errors, every exit 2 is an `InputError`, raised
+where the input is read and printed once by `main`; any other exception
+is a bug and keeps its traceback.  `catalog --params` needs `--id`.
+MINK_SEED overrides the default seed (42); an explicit --seed flag wins
+over both.
 JSON has no inf or nan, so an orbit invariant that overflows is null.
 """
 
@@ -46,50 +50,29 @@ def _default_seed() -> int:
         return 42
 
 
-def _report(command, seed, payload, checks):
-    return {
-        "schema": SCHEMA,
-        "version": f"mink1 {__version__}",
-        "command": command,
-        "seed": seed,
-        "payload": payload,
-        "checks": [
-            {"id": c[0], "label": c[1], "pass": c[2], "residual": c[3]} for c in checks
-        ],
-    }
+class InputError(ValueError):
+    """Bad command-line input, raised where the input is read: `main`
+    prints it once as `error: ...` and exits 2."""
 
 
 def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _parse_params(text):
+def _entry(id_, params_text):
+    """The catalog entry that --id and --params name."""
     params = {}
-    if not text:
-        return params
-    for chunk in text.split(","):
-        if not chunk.strip():
-            continue
-        if "=" not in chunk:
-            raise ValueError(f"parameter {chunk!r} is not of the form key=value")
-        key, val = chunk.split("=", 1)
-        key = key.strip()
-        val = val.strip()
-        if key == "plane":
-            params[key] = val
-        else:
-            params[key] = float(val)
-    return params
-
-
-def _entry_from_args(args):
-    """The catalog entry that --id and --params name, or None after the
-    error is printed (exit 2)."""
     try:
-        return catalog.build(args.id, **_parse_params(args.params))
+        for chunk in (params_text or "").split(","):
+            if not chunk.strip():
+                continue
+            if "=" not in chunk:
+                raise ValueError(f"parameter {chunk!r} is not of the form key=value")
+            key, val = (part.strip() for part in chunk.split("=", 1))
+            params[key] = val if key == "plane" else float(val)
+        return catalog.build(id_, **params)
     except ValueError as exc:  # catalog.CatalogError included
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise InputError(str(exc)) from exc
 
 
 def _entry_payload(entry):
@@ -106,38 +89,35 @@ def _entry_payload(entry):
     }
 
 
-def cmd_catalog(args) -> int:
+# Each command returns (payload, checks, text lines, exit code); `main` prints
+# the payload and checks as the JSON report, or else the text lines.
+
+
+def cmd_catalog(args):
     if args.id:
-        entry = _entry_from_args(args)
-        if entry is None:
-            return 2
-        entries = [entry]
+        entries = [_entry(args.id, args.params)]
+    elif args.params:
+        raise InputError("--params needs --id")
     else:
         entries = [catalog.build(i) for i in catalog.CATALOG_IDS]
-    payload = {"families": [_entry_payload(e) for e in entries]}
-    if args.json:
-        print(to_json(_report(["catalog"], args.seed, payload, [])))
-        return 0
-    print(f"{'id':6} {'proper':7} {'dim':3} {'orbit space':28} family")
+    lines = [f"{'id':6} {'proper':7} {'dim':3} {'orbit space':28} family"]
     for e in entries:
-        print(f"{e.id:6} {str(e.proper).lower():7} {e.basis.dim:<3} {e.orbit_space:28} {e.family}")
+        lines.append(f"{e.id:6} {str(e.proper).lower():7} {e.basis.dim:<3} {e.orbit_space:28} {e.family}")
         if e.param_domain != "none":
-            print(f"{'':6} parameters: {e.param_domain}; current {e.params}")
-    return 0
+            lines.append(f"{'':6} parameters: {e.param_domain}; current {e.params}")
+    return {"families": [_entry_payload(e) for e in entries]}, [], lines, 0
 
 
-def cmd_orbit(args) -> int:
-    entry = _entry_from_args(args)
-    if entry is None:
-        return 2
+def cmd_orbit(args):
+    entry = _entry(args.id, args.params)
     try:
         point = np.array([float(c) for c in args.point.split(",")])
         if point.shape != (3,) or not np.all(np.isfinite(point)):
             raise ValueError
     except ValueError:
-        print("error: --point must be three comma-separated finite reals", file=sys.stderr)
-        return 2
+        raise InputError("--point must be three comma-separated finite reals") from None
     rep = orbit_report(entry, point)
+    inv = None if rep.invariant_value is None else _finite_or_none(rep.invariant_value)
     payload = {
         "id": entry.id,
         "params": entry.params,
@@ -151,7 +131,7 @@ def cmd_orbit(args) -> int:
         "matched_expectation": rep.matched_expectation,
         "invariant": None
         if rep.invariant_value is None
-        else {"name": entry.invariant_name, "value": _finite_or_none(rep.invariant_value)},
+        else {"name": entry.invariant_name, "value": inv},
         "evidence": rep.evidence,
     }
     if args.grid or args.csv:
@@ -167,13 +147,11 @@ def cmd_orbit(args) -> int:
                 if n < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
                     raise ValueError
             except ValueError:
-                print("error: --grid must be N or N:lo:hi with N >= 0 and finite lo, hi",
-                      file=sys.stderr)
-                return 2
+                msg = "--grid must be N or N:lo:hi with N >= 0 and finite lo, hi"
+                raise InputError(msg) from None
         if n ** entry.basis.dim > _MAX_GRID_SAMPLES:
-            print(f"error: --grid {n} asks for {n}^{entry.basis.dim} orbit samples, "
-                  f"more than {_MAX_GRID_SAMPLES}", file=sys.stderr)
-            return 2
+            raise InputError(f"--grid {n} asks for {n}^{entry.basis.dim} orbit samples, "
+                             f"more than {_MAX_GRID_SAMPLES}")
         try:
             if not math.isfinite(hi - lo):  # np.linspace would overflow
                 raise OverflowError
@@ -182,9 +160,7 @@ def cmd_orbit(args) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 samples = sample_orbit(entry, point, grid)
         except (ValueError, OverflowError):
-            print("error: --grid bounds too large: the orbit samples overflow",
-                  file=sys.stderr)
-            return 2
+            raise InputError("--grid bounds too large: the orbit samples overflow") from None
         if entry.invariant is not None:
             # inf - inf is nan and np.max propagates it: one non-finite sample voids the drift
             with np.errstate(invalid="ignore"):
@@ -195,33 +171,27 @@ def cmd_orbit(args) -> int:
                 with open(args.csv, "w", encoding="utf-8") as fh:
                     write_orbit_csv(fh, [f"t{i+1}" for i in range(entry.basis.dim)], grid, samples)
             except OSError as exc:
-                print(f"error: cannot write --csv: {exc}", file=sys.stderr)
-                return 2
+                raise InputError(f"cannot write --csv: {exc}") from exc
             payload["csv"] = args.csv
     checks = [("orbit-expectation", "per-point analysis matches the catalog table",
                rep.matched_expectation, 0.0)]
-    if args.json:
-        print(to_json(_report(["orbit"], args.seed, payload, checks)))
-    else:
-        print(f"{entry.id} at {args.point}: stratum {rep.expected.name}")
-        print(f"  orbit dim {rep.orbit_dim}, causal {rep.causal}, class {rep.orbit_class}")
-        print(f"  stabilizer dim {rep.stabilizer_dim} ({rep.stabilizer_class})")
-        if rep.invariant_value is not None:
-            inv = _finite_or_none(rep.invariant_value)
-            shown = "not representable" if inv is None else fmt17(inv)
-            print(f"  invariant {entry.invariant_name} = {shown}")
-        print(f"  matched expectation: {rep.matched_expectation}")
-        if args.csv:
-            print(f"  samples written to {args.csv}")
-    return 0 if rep.matched_expectation else 3
+    lines = [f"{entry.id} at {args.point}: stratum {rep.expected.name}",
+             f"  orbit dim {rep.orbit_dim}, causal {rep.causal}, class {rep.orbit_class}",
+             f"  stabilizer dim {rep.stabilizer_dim} ({rep.stabilizer_class})"]
+    if rep.invariant_value is not None:
+        shown = "not representable" if inv is None else fmt17(inv)
+        lines.append(f"  invariant {entry.invariant_name} = {shown}")
+    lines.append(f"  matched expectation: {rep.matched_expectation}")
+    if args.csv:
+        lines.append(f"  samples written to {args.csv}")
+    return payload, checks, lines, 0 if rep.matched_expectation else 3
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     try:
         spec = parse_basis_file(args.basis)
     except (OSError, UnicodeDecodeError, BasisParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc)) from exc
     res = classify(spec)
     ok = isinstance(res, Classification)
     if ok:
@@ -232,28 +202,23 @@ def cmd_classify(args) -> int:
             "conjugator": motion_payload(res.conjugator),
             "residual": res.residual,
         }
+        line = f"classified: {res.id} params {res.params} (span residual {res.residual:.3e})"
     else:
         payload = {"status": "rejected", "reason": res.reason, "detail": res.detail}
+        line = f"rejected: {res.reason} ({res.detail})"
     # the signature, then the parameters normalization found (null on a rejection)
     payload["signature"] = None if res.signature is None else {
         **asdict(res.signature), "params": payload.get("params")}
     checks = [("classification", "input basis identified in the catalog", ok,
                payload.get("residual", 0.0) or 0.0)]
-    if args.json:
-        print(to_json(_report(["classify"], args.seed, payload, checks)))
-    elif ok:
-        print(f"classified: {res.id} params {res.params} (span residual {res.residual:.3e})")
-    else:
-        print(f"rejected: {res.reason} ({res.detail})")
-    return 0 if ok else 1
+    return payload, checks, [line], 0 if ok else 1
 
 
-def cmd_properness(args) -> int:
-    entry = _entry_from_args(args)
-    if entry is None:
-        return 2
+def cmd_properness(args):
+    entry = _entry(args.id, args.params)
     v = verdict(entry)
     payload = {"id": entry.id, "params": entry.params, "verdict": v}
+    lines = [f"{entry.id}: {v}"]
     ok = True
     if not entry.proper:
         try:
@@ -263,42 +228,29 @@ def cmd_properness(args) -> int:
                 "generator": element_payload(w.generator),
                 "certificate": [[n, float(norm)] for n, norm in w.certificate],
             }
+            lines += [f"  witness point {payload['witness']['point']}", "  n   linear-part norm"]
+            lines += [f"  {n:<3} {fmt17(norm)}" for n, norm in payload["witness"]["certificate"]]
         except WitnessError as exc:
             ok = False
             payload["witness_error"] = str(exc)
+            lines.append(f"  witness failed: {exc}")
     checks = [("properness", "verdict with validated witness where nonproper", ok, 0.0)]
-    if args.json:
-        print(to_json(_report(["properness"], args.seed, payload, checks)))
-    else:
-        print(f"{entry.id}: {v}")
-        if "witness" in payload:
-            w = payload["witness"]
-            print(f"  witness point {w['point']}")
-            print("  n   linear-part norm")
-            for n, norm in w["certificate"]:
-                print(f"  {n:<3} {fmt17(norm)}")
-        if not ok:
-            print(f"  witness failed: {payload['witness_error']}")
-    return 0 if ok else 1
+    return payload, checks, lines, 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     timed = run_all(args.seed)
     results = [r for r, _ in timed]
-    payload = {"suite": args.suite}
-    checks = [(r.check_id, r.label, r.passed, r.residual) for r in results]
     all_pass = all(r.passed for r in results)
-    if args.json:
-        payload["all_pass"] = all_pass
-        payload["details"] = [r.detail for r in results]
-        print(to_json(_report(["verify"], args.seed, payload, checks)))
-    else:
-        for r, seconds in timed:  # elapsed time in the text only: the JSON stays byte-identical
-            print(f"{format_line(r)} {seconds:.3f} s")
-            if not r.passed:
-                print(f"       {r.detail}")
-        print(f"{'all checks passed' if all_pass else 'FAILURES present'}")
-    return 0 if all_pass else 1
+    payload = {"suite": args.suite, "all_pass": all_pass, "details": [r.detail for r in results]}
+    checks = [(r.check_id, r.label, r.passed, r.residual) for r in results]
+    lines = []
+    for r, seconds in timed:  # elapsed time in the text only: the JSON stays byte-identical
+        lines.append(f"{format_line(r)} {seconds:.3f} s")
+        if not r.passed:
+            lines.append(f"       {r.detail}")
+    lines.append("all checks passed" if all_pass else "FAILURES present")
+    return payload, checks, lines, 0 if all_pass else 1
 
 
 def main(argv=None) -> int:
@@ -347,10 +299,26 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        print("error: --seed and MINK_SEED must be non-negative integers", file=sys.stderr)
+    try:
+        if args.seed < 0:
+            raise InputError("--seed and MINK_SEED must be non-negative integers")
+        payload, checks, lines, code = args.fn(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.fn(args)
+    if args.json:
+        print(to_json({
+            "schema": SCHEMA,
+            "version": f"mink1 {__version__}",
+            "command": [args.command],
+            "seed": args.seed,
+            "payload": payload,
+            "checks": [{"id": c[0], "label": c[1], "pass": c[2], "residual": c[3]}
+                       for c in checks],
+        }))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

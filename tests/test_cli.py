@@ -1,10 +1,15 @@
+import io
 import json
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mink1.catalog import CATALOG_IDS
 from mink1.cli import main
 from mink1.reportio import BasisParseError, parse_basis_text, to_json
 
@@ -40,6 +45,14 @@ def test_catalog_single_id_with_params(capsys):
     assert fam["id"] == "P-d"
     assert fam["params"]["beta"] == 1.5
     assert fam["params"]["sign"] == -1.0
+
+
+def test_catalog_params_without_id_exits_2(capsys):
+    # the parameters of no family: refused, not dropped in favour of the full list
+    for params in ("beta=zzz", "beta=1.5"):
+        code, out, err = run(capsys, "catalog", "--params", params)
+        assert code == 2 and out == ""
+        assert err == "error: --params needs --id\n"
 
 
 def test_orbit_command_matches(capsys):
@@ -342,3 +355,51 @@ def test_to_json_float_formatting():
     assert to_json({"a": [1, True, None]}) == '{\n  "a": [\n    1,\n    true,\n    null\n  ]\n}'
     with pytest.raises(ValueError):
         to_json(float("nan"))
+
+
+_FINITE = ("0", "1", "1e-320", "1e308", "-1e308")
+_VALUES = st.sampled_from(_FINITE + ("nan", "inf", "x", ""))
+_PARAMS = st.lists(st.one_of(  # gamma is no family's parameter; a bare value has no key
+    st.tuples(st.sampled_from(("beta", "alpha", "sign", "plane", "gamma")), _VALUES).map("=".join),
+    _VALUES), max_size=3).map(",".join)
+_GRIDS = st.one_of(  # N at most 4: no run allocates a large grid
+    st.integers(-1, 4).map(str),
+    st.tuples(st.integers(-1, 4).map(str), _VALUES, _VALUES).map(":".join),
+    _VALUES)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(("orbit", "properness", "catalog")))
+    argv = [command]
+    if command != "catalog" or draw(st.booleans()):
+        argv.append(f"--id={draw(st.sampled_from(CATALOG_IDS + ('Z-q',)))}")
+    if draw(st.booleans()):
+        argv.append(f"--params={draw(_PARAMS)}")
+    if command == "orbit":
+        point = draw(st.one_of(st.lists(st.sampled_from(_FINITE), min_size=3, max_size=3),
+                               st.lists(_VALUES, min_size=2, max_size=4)))
+        argv.append(f"--point={','.join(point)}")
+        if draw(st.booleans()):
+            argv.append(f"--grid={draw(_GRIDS)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_cli_input_ends_in_an_exit_code_not_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        # huge points still leak numpy overflow warnings (ROADMAP item 2);
+        # what this pins is that no exception escapes `main`
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
