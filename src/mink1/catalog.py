@@ -28,13 +28,18 @@ allowed side of each equality.  Only the measure-zero strata, P-b's
 cylinder (0.1 off the axis) and P-d's cylinder (also |x3| < 2) sample
 their own way.  `verify` reads its generic points' margins from the
 same patterns, and `pattern_signs` is the one reader of them all.
+
+`build` returns one shared, read-only entry per family and parameters,
+and a process keeps at most `_CACHE_SIZE` of them.  Parameters of another
+type or `repr` are other keys (beta=-0.0, 0.0 and 0 are three); a build
+that raises, or one given a value not a str, int or float, is not kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +124,17 @@ class Stratum:
         return _pattern_holds(self.pattern, np.reshape(p, (1, 3)))[0]
 
 
+class _Params(dict):
+    """A dict that refuses every change: the parameters of a shared entry."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("catalog entry parameters are read-only")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Params, (dict(self),)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
@@ -134,6 +150,11 @@ class CatalogEntry:
     invariant: Optional[Callable[[np.ndarray], float | np.ndarray]] = None
     witness_point: Optional[np.ndarray] = None
     witness_generator: Optional[AlgebraElement] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _Params(self.params))
+        if self.witness_point is not None:
+            self.witness_point.setflags(write=False)
 
 
 def pattern_invariants(entry) -> tuple:
@@ -182,17 +203,11 @@ def _el(X, v) -> AlgebraElement:
     return AlgebraElement(np.asarray(X, float), np.asarray(v, float))
 
 
-# the parameter-free generators and their spans are immutable, so each is built once
+# the parameter-free generators are immutable, so each is built once
 _BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL = (
     _el(X, 0 * E1) for X in (BOOST, ROTATION, NULL_ROTATION))
 _T_E1, _T_E2, _T_E3, _T_NULL_PLUS, _T_NULL_MINUS = (
     _el(0 * BOOST, v) for v in (E1, E2, E3, NULL_PLUS, NULL_MINUS))
-
-
-@cache
-def _spec(*els) -> SubalgebraSpec:
-    """The span of constant generators (a parameter's span is built anew)."""
-    return SubalgebraSpec(els)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,7 @@ def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
     els, causal, inv_name, inv = planes[plane]
     strata = (Stratum("translated-plane", (), 2, causal, PRINCIPAL, 0, TRIVIAL),)
     return CatalogEntry(
-        id="P-a", params={"plane": plane}, basis=_spec(*els), proper=True,
+        id="P-a", params={"plane": plane}, basis=SubalgebraSpec(els), proper=True,
         orbit_space=REAL_LINE, strata=strata,
         family="pure translations along a fixed 2-plane",
         param_domain="plane in {spacelike, timelike, degenerate}",
@@ -353,7 +368,7 @@ def _build_P_b() -> CatalogEntry:
                 TRIVIAL, (_rejecting(lambda P: _pb_axis(P)[0] >= 0.1),)),
     )
     return CatalogEntry(
-        id="P-b", params={}, basis=_spec(_ROTATION_EL, _T_E1),
+        id="P-b", params={}, basis=SubalgebraSpec((_ROTATION_EL, _T_E1)),
         proper=True, orbit_space=HALF_LINE, strata=strata,
         family="rotations about a timelike axis times translations along it",
         invariant_name="x2^2+x3^2", invariant=lambda q: q[..., 1] ** 2 + q[..., 2] ** 2,
@@ -363,7 +378,7 @@ def _build_P_b() -> CatalogEntry:
 def _build_P_c() -> CatalogEntry:
     strata = (Stratum("spacelike-plane", (), 2, RIEMANNIAN, PRINCIPAL, 1, COMPACT),)
     return CatalogEntry(
-        id="P-c", params={}, basis=_spec(_ROTATION_EL, _T_E2, _T_E3),
+        id="P-c", params={}, basis=SubalgebraSpec((_ROTATION_EL, _T_E2, _T_E3)),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="Euclidean motions of the spacelike planes x1 = const",
         invariant_name="x1", invariant=_coordinate(0),
@@ -431,7 +446,7 @@ def _build_N_i() -> CatalogEntry:
                 LORENTZIAN, PRINCIPAL, 0, TRIVIAL),
     )
     return CatalogEntry(
-        id="N-i", params={}, basis=_spec(_BOOST_EL, _T_E3),
+        id="N-i", params={}, basis=SubalgebraSpec((_BOOST_EL, _T_E3)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts times translations along the boost axis",
         invariant_name="x1^2-x2^2", invariant=lambda q: q[..., 0] ** 2 - q[..., 1] ** 2,
@@ -443,7 +458,7 @@ def _build_N_ii() -> CatalogEntry:
     strata = (Stratum("lorentzian-plane", (), 2, LORENTZIAN, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-ii", params={},
-        basis=_spec(_BOOST_EL, _T_E1, _T_E2),
+        basis=SubalgebraSpec((_BOOST_EL, _T_E1, _T_E2)),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="full motion group of the timelike planes x3 = const",
         invariant_name="x3", invariant=_coordinate(2),
@@ -455,16 +470,14 @@ def _null_plane_entry(id_, s):
     """Shared construction for the boost-with-null-plane families."""
     nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
     strata = _plane_strata(s, 0.0, _EXCEPTIONAL_PLANE, _OPEN_HALF_SPACE)
-    # the origin lies on the degenerate stratum and the boost fixes it exactly
-    wp = np.zeros(3)
-    wg = _BOOST_EL
     return CatalogEntry(
         id=id_, params={},
-        basis=_spec(_BOOST_EL, nu, _T_E3),
+        basis=SubalgebraSpec((_BOOST_EL, nu, _T_E3)),
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="boosts with translations filling a degenerate plane "
                f"(null direction e1{'+' if s > 0 else '-'}e2)",
-        witness_point=wp, witness_generator=wg,
+        # the origin lies on the degenerate stratum and the boost fixes it exactly
+        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
 
@@ -475,7 +488,7 @@ def _null_line_entry(id_, s):
                            ("lorentzian-half-plane", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL))
     return CatalogEntry(
         id=id_, params={},
-        basis=_spec(_BOOST_EL, nu),
+        basis=SubalgebraSpec((_BOOST_EL, nu)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts with a single null translation direction "
                f"(e1{'+' if s > 0 else '-'}e2)",
@@ -511,7 +524,7 @@ def _build_N_viii() -> CatalogEntry:
     strata = (Stratum("degenerate-plane", (), 2, DEGENERATE, PRINCIPAL, 1, NONCOMPACT),)
     return CatalogEntry(
         id="N-viii", params={},
-        basis=_spec(_NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3),
+        basis=SubalgebraSpec((_NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3)),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="null rotations with translations foliating by degenerate planes",
         invariant_name="x1-x2", invariant=lambda q: q[..., 0] - q[..., 1],
@@ -545,7 +558,7 @@ def _build_N_ix() -> CatalogEntry:
     )
     return CatalogEntry(
         id="N-ix", params={},
-        basis=_spec(_BOOST_EL, _NULL_ROTATION_EL),
+        basis=SubalgebraSpec((_BOOST_EL, _NULL_ROTATION_EL)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the solvable boost/null-rotation group acting linearly",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
@@ -586,7 +599,7 @@ def _build_N_xi() -> CatalogEntry:
                            ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 1, NONCOMPACT))
     return CatalogEntry(
         id="N-xi", params={},
-        basis=_spec(_BOOST_EL, _NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3),
+        basis=SubalgebraSpec((_BOOST_EL, _NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3)),
         proper=False, orbit_space=THREE_POINTS, strata=strata,
         family="solvable linear group with a full degenerate plane of translations",
         witness_point=np.zeros(3), witness_generator=_BOOST_EL,
@@ -607,7 +620,7 @@ def _build_N_xii() -> CatalogEntry:
     )
     return CatalogEntry(
         id="N-xii", params={},
-        basis=_spec(_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL),
+        basis=SubalgebraSpec((_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="the full linear isometry group (identity component)",
         invariant_name="<q,q>", invariant=lambda q: inner(q, q),
@@ -635,11 +648,22 @@ _BUILDERS = {
 }
 
 
+_CACHE_SIZE = 256  # the most entries `build` keeps; a verify suite builds about 50
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _shared(id_, key) -> CatalogEntry:
+    """The entry of `key`, sorted (name, type, repr, value) terms."""
+    return _BUILDERS[id_](**{name: value for name, _, _, value in key})
+
+
 def build(id_: str, **params) -> CatalogEntry:
-    """Construct a catalog entry, validating the parameter domain."""
+    """The shared catalog entry of a family, after validating its parameters."""
     if id_ not in _BUILDERS:
         raise CatalogError(f"unknown family id {id_!r}; valid ids: {', '.join(CATALOG_IDS)}")
     try:
+        if all(type(v) in (str, int, float) for v in params.values()):
+            return _shared(id_, tuple(sorted((k, type(v), repr(v), v) for k, v in params.items())))
         return _BUILDERS[id_](**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for {id_}: {exc}") from exc

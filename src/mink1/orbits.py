@@ -82,14 +82,15 @@ def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
     u, s, vh = np.linalg.svd(tangent_basis(spec, P), full_matrices=True)
     odim = numeric_rank(s).tolist()
     sclass = [TRIVIAL] * len(odim)
-    lo = min(odim, default=spec.dim)  # no column before it spans a stabilizer
-    if lo < spec.dim:
+    dim = spec.dim
+    lo = min(odim, default=dim)  # no column before it spans a stabilizer
+    if lo < dim:
         kinds = generator_class(_combine(u[:, :, lo:], spec.parts[0])).tolist()
         for k, (rank, row) in enumerate(zip(odim, kinds)):
             gens = row[rank - lo:]
             if gens:
                 sclass[k] = NONCOMPACT if HYPERBOLIC in gens or PARABOLIC in gens else COMPACT
-    return PointAnalysis(odim, causal_of_svd(odim, vh), [spec.dim - r for r in odim], sclass, u)
+    return PointAnalysis(odim, causal_of_svd(odim, vh), [dim - r for r in odim], sclass, u)
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:

@@ -1,9 +1,13 @@
+import copy
+import json
+import operator
 from itertools import chain, count
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mink1 import catalog
 from mink1.algebra import is_subalgebra, kernel_of_l, linear_part
 from mink1.catalog import (
     CATALOG_IDS,
@@ -389,3 +393,54 @@ def test_causal_mask_draws_the_doubles_of_one_point_at_a_time():
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     with pytest.raises(ValueError, match="spacelike or timelike"):
         causal_mask("null")
+
+
+def test_equal_builds_share_one_entry():
+    """Equal parameters of the same type, in any order, give one entry."""
+    assert build("P-d", sign=1.0, beta=1.5) is build("P-d", sign=1.0, beta=1.5)
+    assert build("P-d", sign=1.0, beta=1.5) is build("P-d", beta=1.5, sign=1.0)
+    assert build("N-xii") is build("N-xii")
+
+
+def test_parameters_of_another_type_or_sign_of_zero_are_other_keys():
+    """beta=0.0 and beta=-0.0 each keep their own sign, whichever was built
+    first, and an int parameter does not share the entry of its float."""
+    for beta in (0.0, -0.0, 0.0):
+        entry = build("N-vii", beta=beta)
+        assert np.signbit(entry.params["beta"]) == np.signbit(beta)
+        assert np.signbit(entry.basis.coords_matrix[0, 11]) == np.signbit(beta)
+    assert json.dumps(build("N-vii", beta=-0.0).params) == '{"beta": -0.0}'
+    assert build("P-d", sign=1, beta=2) is not build("P-d", sign=1.0, beta=2.0)
+    assert build("P-d", sign=1, beta=2).params == build("P-d", sign=1.0, beta=2.0).params
+
+
+def test_a_failed_build_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(CatalogError, match=r"P-d requires beta != 0"):
+            build("P-d", beta=0.0)
+        with pytest.raises(CatalogError,
+                           match=r"bad parameters for P-d: float\(\) argument must be"):
+            build("P-d", beta=[1.0])
+        with pytest.raises(CatalogError, match="bad parameters for P-b: .*unexpected keyword"):
+            build("P-b", beta=1.0)
+
+
+def test_a_shared_entry_refuses_changes_to_its_params():
+    entry = build("P-d", sign=-1.0, beta=1.5)
+    changes = (lambda p: p.__setitem__("beta", 2.0), lambda p: p.__delitem__("beta"),
+               lambda p: operator.ior(p, {"beta": 2.0}), lambda p: p.clear(),
+               lambda p: p.pop("beta"), lambda p: p.popitem(),
+               lambda p: p.setdefault("gamma", 1.0), lambda p: p.update(beta=2.0))
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(entry.params)
+    assert build("P-d", sign=-1.0, beta=1.5).params == {"sign": -1.0, "beta": 1.5}
+    # it prints as the plain dict it holds
+    assert f"{entry.params}" == "{'sign': -1.0, 'beta': 1.5}"
+    assert copy.deepcopy(entry.params) == entry.params
+
+
+def test_the_entry_cache_is_bounded():
+    for k in range(catalog._CACHE_SIZE + 10):
+        build("N-vii", beta=float(k))
+    assert catalog._shared.cache_info().currsize == catalog._CACHE_SIZE

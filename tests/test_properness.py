@@ -160,3 +160,12 @@ def test_witness_residual_is_the_flow_residual():
         w = make_witness(build(id_))
         flow = exp_element(w.generator, np.arange(1.0, 21.0))
         assert w.residual == float(np.max(np.abs(apply(flow, w.point) - w.point)))
+
+
+def test_a_witness_point_is_read_only():
+    """A witness holds its shared entry's own point, so writing to it raises
+    and no later build sees a change."""
+    w = make_witness(build("N-i"))
+    with pytest.raises(ValueError, match="read-only"):
+        w.point[0] = 1.0
+    assert np.array_equal(build("N-i").witness_point, Z3)
