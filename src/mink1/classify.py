@@ -60,7 +60,7 @@ from .minkowski import (BOOST, DEGENERATE, ELLIPTIC, ETA, HYPERBOLIC, LORENTZIAN
                         NULL_ROTATION, PARABOLIC, RIEMANNIAN, ROTATION, SPACELIKE, SPAN_MATCH_TOL,
                         STANDARDIZE_TOL, STRUCT_TOL, TIMELIKE, ZERO, ZERO_TOL, Motion,
                         _checked_motion, causal_of_svd, generator_class, motion_faults,
-                        numeric_rank, sign_of, so12_check)
+                        sign_of, so12_check)
 
 REASON_NOT_SUBALGEBRA = "not-a-subalgebra"
 REASON_NOT_COHOMOGENEITY_ONE = "not-cohomogeneity-one"
@@ -356,10 +356,11 @@ def _complete_square(C, Ci, targets, lvh, lifts, K):
         norm2 = np.maximum((k * k).sum(axis=1), _TINY)[:, None, None]
         Q = np.eye(3) - k[:, :, None] * k[:, None] / norm2
     Q = Q[:, None]
-    # minimum-norm least squares by one SVD: rank-deficient by design, so
-    # the values beyond the numeric rank (lstsq's rcond, STRUCT_TOL) are dropped
+    # minimum-norm least squares by one SVD: rank-deficient by design, so the
+    # values at or below STRUCT_TOL times the a-priori scale 1 (T a unit reference
+    # generator, Q a projection) are dropped; Q T = 0 exactly (N-viii) keeps none
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
-    keep = np.arange(s.shape[1]) < numeric_rank(s)[:, None]
+    keep = s > STRUCT_TOL
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
     c = _mv(vh.swapaxes(1, 2), np.where(keep, y / np.where(keep, s, 1.0), 0.0))
     return c, _mv(Q, W - _mv(T, c[:, None]))

@@ -569,3 +569,21 @@ def test_beta_targets_equal_the_built_catalog_bases():
             basis = build(id_, **params).basis
             assert rows.tobytes() == basis.coords_matrix.tobytes(), (id_, params)
             assert rs.tobytes() == basis.row_space.tobytes(), (id_, params)
+
+
+def test_a_stacked_nviii_conjugator_equals_its_own():
+    """N-viii's removable translations are the kernel plane, so the solve has
+    nothing to reach (Q T = 0) and its conjugator must not depend on which
+    other bases share the stack: each one, alone or stacked with a second
+    conjugate, gets the same conjugator and residual."""
+    basis = build("N-viii").basis
+    for seed in range(20):
+        rng = rng_from_seed(seed)
+        rows = np.array([adjoint_spec(random_motion(rng), basis).coords_matrix
+                         for _ in range(2)])
+        for r, stacked in zip(rows, classify_stack(rows)):
+            alone = classify(SubalgebraSpec(r))
+            assert isinstance(stacked, Classification) and stacked.id == "N-viii", stacked
+            assert abs(stacked.conjugator.A - alone.conjugator.A).max() <= 1e-12, seed
+            assert abs(stacked.conjugator.a - alone.conjugator.a).max() <= 1e-12, seed
+            assert abs(stacked.residual - alone.residual) <= 1e-12, seed
