@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minkowski import ETA, STRUCT_TOL, numeric_rank, so12_check
+from .minkowski import ETA, STRUCT_TOL, _rows, numeric_rank, so12_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +85,17 @@ def element_from_coords(c) -> AlgebraElement:
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """[(X, u), (Y, v)] = ([X, Y], X v - Y u): `_brackets` on a stack of one."""
-    return element_from_coords(_brackets((a.X[None], a.v[None]), (b.X[None], b.v[None]), 0, 0))
+    return element_from_coords(_brackets(a.coords[None], b.coords[None], 0, 0))
 
 
-def _brackets(parts_a, parts_b, i, j) -> np.ndarray:
+def _brackets(rows_a, rows_b, i, j) -> np.ndarray:
     """Coordinate rows of the brackets [a_i[k], b_j[k]] of basis elements
-    given by their parts (X[..., n, 3, 3], u[..., n, 3]), as one stacked
-    product over any leading stack axes; the membership check on their
-    linear parts is left to the caller."""
-    (X, u), (Y, v) = parts_a, parts_b
-    X, u, Y, v = X[..., i, :, :], u[..., i, :], Y[..., j, :, :], v[..., j, :]
+    given by their coordinate rows [..., n, 12], as one stacked product over
+    any leading stack axes; the membership check on their linear parts is
+    left to the caller."""
+    a, b = rows_a[..., i, :], rows_b[..., j, :]
+    X, u = a[..., :9].reshape(a.shape[:-1] + (3, 3)), a[..., 9:]
+    Y, v = b[..., :9].reshape(b.shape[:-1] + (3, 3)), b[..., 9:]
     Z = X @ Y - Y @ X
     return np.concatenate((Z.reshape(Z.shape[:-2] + (9,)),
                            (X @ v[..., None] - Y @ u[..., None])[..., 0]), axis=-1)
@@ -149,21 +150,21 @@ _NOT_SO12 = "linear part violates the isometry-algebra membership"
 
 
 def _row_space(rows):
-    """The numerical rank of coordinate rows rows[..., n, 12] (one basis or
-    a stack: an int or an array) and right singular vectors space[..., n, 12]
-    (read-only), whose leading rank rows are an orthonormal basis of their
-    span: one SVD of the rows scaled to unit max-abs (unscaled where a row
-    is zero, which no scaling makes independent)."""
+    """The singular values s[..., n] of coordinate rows rows[..., n, 12] (one
+    basis or a stack) and right singular vectors space[..., n, 12]
+    (read-only), whose leading `numeric_rank(s)` rows are an orthonormal
+    basis of their span: one SVD of the rows scaled to unit max-abs
+    (unscaled where a row is zero, which no scaling makes independent)."""
     peak = abs(rows).max(axis=-1, keepdims=True)
     _, s, space = np.linalg.svd(rows / peak if peak.all() else rows, full_matrices=False)
     space.setflags(write=False)
-    return numeric_rank(s), space
+    return s, space
 
 
 def _independent_row_space(rows):
     """`_row_space`'s space of a basis or a stack, unless a basis is dependent."""
-    rank, space = _row_space(rows)
-    short = rank < rows.shape[-2]
+    s, space = _row_space(rows)
+    short = numeric_rank(s) < rows.shape[-2]
     if short.any() if isinstance(short, np.ndarray) else short:
         raise ValueError("basis is not linearly independent")
     return space
@@ -175,7 +176,7 @@ def _span_residuals(space, rows, relative: bool = True) -> np.ndarray:
     or |r/m| / max(1/m, |c/m|) on the row scaled to unit max-abs m, so no
     norm overflows.  Stacks rows[..., k, 12] and space[..., n, 12] pair up
     basis by basis."""
-    peak = np.maximum(abs(rows).max(axis=-1), _TINY)
+    peak = abs(rows).max(axis=-1, initial=_TINY)
     unit = rows / peak[..., None]
     off = unit - unit @ space.swapaxes(-1, -2) @ space
     dist = np.sqrt((off * off).sum(axis=-1))
@@ -196,8 +197,7 @@ def _closure(R, space):
     B, n = R.shape[:2]
     if n < 2:
         return np.zeros(B), np.ones(B, dtype=bool)
-    parts = R[..., :9].reshape(B, n, 3, 3), R[..., 9:]
-    brackets = _brackets(parts, parts, *_PAIRS[n])
+    brackets = _brackets(R, R, *_PAIRS[n])
     return (_span_residuals(space, brackets).max(axis=1),
             so12_check(brackets[..., :9].reshape(brackets.shape[:2] + (3, 3))).all(axis=1))
 
@@ -218,7 +218,7 @@ def is_subalgebra(spec: SubalgebraSpec) -> bool:
 def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
     """True iff [ambient, sub] lies back in span(sub)."""
     pairs = divmod(np.arange(ambient.dim * sub.dim), sub.dim)
-    brackets = _brackets(ambient.parts, sub.parts, *pairs)
+    brackets = _brackets(ambient.coords_matrix, sub.coords_matrix, *pairs)
     _require_so12(brackets[:, :9].reshape(-1, 3, 3))
     return bool((_span_residuals(sub.row_space, brackets) <= STRUCT_TOL).all())
 
@@ -226,7 +226,7 @@ def is_ideal(sub: SubalgebraSpec, ambient: SubalgebraSpec) -> bool:
 def _linear_split(rows):
     """Both halves of the span of each basis of a stack rows[B, n, 12].
 
-    Returns ``(dim_l, lvh, lifts, dim_ker, kvh)``: integer arrays of the
+    Returns ``(dim_l, lvh, lifts, dim_ker, kvh)``: lists of the
     dimensions; right singular vectors lvh[B, n, 9] and kvh[B, 3, 3] whose
     leading dim_l and dim_ker rows are orthonormal bases of
     { X : (X, v) in span } and of { v : (0, v) in span }; and lifts[B, k, 3],
@@ -239,28 +239,27 @@ def _linear_split(rows):
     """
     B, n = rows.shape[:2]
     u, s, lvh = np.linalg.svd(rows[..., :9], full_matrices=False)
-    dim_l, dim_ker = numeric_rank(s), np.zeros(B, dtype=int)
+    dim_l, dim_ker = numeric_rank(s).tolist(), np.zeros(B, dtype=int)
     lifts, kvh = np.zeros((B, n, 3)), np.zeros((B, 3, 3))
-    ranks = set(dim_l.tolist())
-    for d in ranks:
-        at = np.flatnonzero(dim_l == d) if len(ranks) > 1 else slice(None)
+    for d in set(dim_l):
+        at = _rows([k for k, dk in enumerate(dim_l) if dk == d], B)
         lifts[at, :d] = (u[at, :, :d] / s[at, None, :d]).swapaxes(1, 2) @ rows[at, :, 9:]
         if d < n:
             _, sk, kvh[at] = np.linalg.svd(u[at, :, d:].swapaxes(1, 2) @ rows[at, :, 9:])
             dim_ker[at] = numeric_rank(sk)
-    return dim_l, lvh, lifts, dim_ker, kvh
+    return dim_l, lvh, lifts, dim_ker.tolist(), kvh
 
 
 def linear_part(spec: SubalgebraSpec):
     """Dimension and a basis of { X : (X, v) in span(basis) }."""
     dim_l, lvh, *_ = _linear_split(spec.coords_matrix[None])
-    return int(dim_l[0]), list(lvh[0, :dim_l[0]].reshape(-1, 3, 3))
+    return dim_l[0], list(lvh[0, :dim_l[0]].reshape(-1, 3, 3))
 
 
 def kernel_of_l(spec: SubalgebraSpec):
     """Dimension and a basis of { v : (0, v) in span(basis) }."""
     *_, dim_ker, kvh = _linear_split(spec.coords_matrix[None])
-    return int(dim_ker[0]), list(kvh[0, :dim_ker[0]])
+    return dim_ker[0], list(kvh[0, :dim_ker[0]])
 
 
 def _adjoint_rows(A, a, X, v) -> np.ndarray:

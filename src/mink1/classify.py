@@ -59,8 +59,8 @@ from .algebra import (
 from .minkowski import (BOOST, DEGENERATE, ELLIPTIC, ETA, HYPERBOLIC, LORENTZIAN, NULL,
                         NULL_ROTATION, PARABOLIC, RIEMANNIAN, ROTATION, SPACELIKE, SPAN_MATCH_TOL,
                         STANDARDIZE_TOL, STRUCT_TOL, TIMELIKE, ZERO, ZERO_TOL, Motion,
-                        _checked_motion, causal_of_svd, generator_class, motion_faults,
-                        sign_of, so12_check)
+                        _checked_motion, _rows, causal_of_svd, generator_class,
+                        motion_faults, sign_of, so12_check)
 
 REASON_NOT_SUBALGEBRA = "not-a-subalgebra"
 REASON_NOT_COHOMOGENEITY_ONE = "not-cohomogeneity-one"
@@ -103,14 +103,19 @@ _REFERENCE = {
     HYPERBOLIC: (BOOST, (0, 1)),
     PARABOLIC: (NULL_ROTATION, (0, 2)),
 }
-# linear type -> the classes whose reference generators span its standard
-# position (a single generator is its own class)
-_SPANNED = {ZERO: (), TWO_DIM_SOLVABLE: (HYPERBOLIC, PARABOLIC),
-            FULL: (HYPERBOLIC, ELLIPTIC, PARABOLIC)}
+# linear type -> the reference generators T[t, 3, 3] spanning its standard
+# position (a single generator is its own class's)
+_TARGETS = {ZERO: np.zeros((0, 3, 3)), TWO_DIM_SOLVABLE: np.array([BOOST, NULL_ROTATION]),
+            FULL: np.array([BOOST, ROTATION, NULL_ROTATION]),
+            **{kind: ref[None] for kind, (ref, _) in _REFERENCE.items()}}
+_LINEAR_TYPES = {0: ZERO, 2: TWO_DIM_SOLVABLE}  # dim_l -> linear type, FULL above 2
 _SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
 _NO_GAP = np.iinfo(np.int32).min
-_E1 = np.eye(3)[0]
-_NEXT, _LAST, _MIRROR = np.array([1, 2, 0]), np.array([2, 0, 1]), np.array([1.0, -1.0, -1.0])
+_EYE = np.eye(3)
+_MIRROR = np.array([1.0, -1.0, -1.0])
+_ROLL = np.array([1, 2, 0, 2, 0, 1])  # each coordinate's next, then its last
+# the flat entries X23, X13, X12, X32, X31, X21 and the signs giving _axis
+_AXIS_AT, _AXIS_SIGNS = np.array([5, 2, 1, 7, 6, 3]), np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 
 
 def _ip(u, w):  # <u, w> per row of stacks of vectors
@@ -122,21 +127,22 @@ def _mv(A, x):  # A x per row of stacks of matrices and vectors
 
 
 def _cross(a, b):  # a x b per row of stacks of vectors
-    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+    a, b = a[..., _ROLL], b[..., _ROLL]
+    return a[..., :3] * b[..., 3:] - a[..., 3:] * b[..., :3]
 
 
-def _note(detail, bad, message) -> None:
-    """Give each row of the mask `bad` not failed yet its message (a string,
-    or a function of the row index)."""
-    for k in np.flatnonzero(bad) if bad.any() else ():
-        if detail[k] is None:
+def _note(detail, ok, message) -> None:
+    """Give each row outside the mask `ok` and not failed yet its message (a
+    string, or a function of the row index)."""
+    for k, good in enumerate(ok.tolist()):
+        if not good and detail[k] is None:
             detail[k] = message(k) if callable(message) else message
 
 
 # ---------------------------------------------------------------------------
 # stacked frames: the columns of each C[k] form an eta-orthonormal basis in
 # the identity component, moving distinguished lines onto the reference
-# positions.  A row's failure goes to `detail`; callers run under
+# positions.  A row's failure goes to the list `detail`; callers run under
 # np.errstate, so a failed row's NaNs stay silent until it is dropped.
 
 
@@ -146,7 +152,7 @@ def _frame(u1, u2, detail):
     positive determinant <u1 x u2, u1 x u2>^(1/2)."""
     z = _cross(u1, u2)
     n = _ip(z, z)
-    _note(detail, ~(n > 0), "completion direction is not spacelike")
+    _note(detail, n > 0, "completion direction is not spacelike")
     return np.array([u1, u2, z * _SIGNS / np.sqrt(n)[:, None]]).transpose(1, 2, 0)
 
 
@@ -154,14 +160,14 @@ def _frame_from_timelike(v, s, detail):
     """First column the future unit vector along the timelike v, second in
     span{v, s}; s None is the coordinate axis least aligned with v."""
     q = _ip(v, v)
-    _note(detail, ~(q < 0), "axis is not timelike")
+    _note(detail, q < 0, "axis is not timelike")
     u1 = v / np.sqrt(-q)[:, None]
     u1 = np.where(u1[:, :1] < 0, -u1, u1)
     if s is None:
-        s = np.eye(3)[abs(u1).argmin(axis=1)]
+        s = _EYE[abs(u1).argmin(axis=1)]
     u2 = s + _ip(s, u1)[:, None] * u1
     n = _ip(u2, u2)
-    _note(detail, ~(n > 0),
+    _note(detail, n > 0,
           lambda k: f"second frame vector u2 is not spacelike (<u2, u2> = {n[k]:.3e})")
     return _frame(u1, u2 / np.sqrt(n)[:, None], detail)
 
@@ -169,7 +175,7 @@ def _frame_from_timelike(v, s, detail):
 def _frame_from_null(n, detail):
     """e1+e2 onto the future null n / n1, e1-e2 onto m = (n1, -n2, -n3)
     scaled to <n, m> = -2."""
-    _note(detail, sign_of(n[:, 0], ZERO_TOL) == 0, "direction is not null")
+    _note(detail, sign_of(n[:, 0], ZERO_TOL) != 0, "direction is not null")
     n = n / n[:, :1]
     m = n * _MIRROR
     m = m * (-2.0 / _ip(n, m))[:, None]
@@ -182,15 +188,15 @@ def _frame_from_boost_plane(X, detail):
     e2.  X acts there as lam * BOOST, lam = |X w| / |w| > 0, so the positive
     null eigendirection lam w + X w lands on e1+e2."""
     a = _axis(X)
-    w = _E1 + a[:, :1] / _ip(a, a)[:, None] * a
+    w = _EYE[0] + a[:, :1] / _ip(a, a)[:, None] * a
     return _frame_from_timelike(w, _mv(X, w), detail)
 
 
 def _axis(X):
     """The kernel direction (X23, X13, -X12) of each X in so(1,2), from the
-    entries averaged with their mirror images."""
-    return 0.5 * np.array([X[:, 1, 2] - X[:, 2, 1], X[:, 0, 2] + X[:, 2, 0],
-                           -X[:, 0, 1] - X[:, 1, 0]]).T
+    entries averaged with their mirror images: one gather of the entries."""
+    F = X.reshape(len(X), 9)[:, _AXIS_AT] * _AXIS_SIGNS
+    return 0.5 * (F[:, :3] + F[:, 3:])
 
 
 _FRAMES = {
@@ -202,18 +208,18 @@ _FRAMES = {
 
 def _standardize(X, kind):
     """`standardize_linear` per matrix of a stack X[m, 3, 3] of generator
-    class `kind`: C[m], lam[m] and each row's failure message or None."""
-    detail = np.empty(len(X), dtype=object)
+    class `kind`: C[m], lam[m] and each row's failure message or None, under
+    the caller's np.errstate."""
     if kind == ZERO:
-        detail[:] = "cannot standardize the zero matrix"
-        return np.tile(np.eye(3), (len(X), 1, 1)), np.zeros(len(X)), detail
+        return (np.tile(_EYE, (len(X), 1, 1)), np.zeros(len(X)),
+                ["cannot standardize the zero matrix"] * len(X))
     ref, (i, j) = _REFERENCE[kind]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        C = _FRAMES[kind](X, detail)
-        Y = ETA @ C.swapaxes(1, 2) @ ETA @ X @ C
-        lam = Y[:, i, j]
-        res = abs(Y - lam[:, None, None] * ref).max(axis=(1, 2))
-    _note(detail, ~(res <= STANDARDIZE_TOL * np.maximum(1.0, abs(lam))),
+    detail = [None] * len(X)
+    C = _FRAMES[kind](X, detail)
+    Y = ETA @ C.swapaxes(1, 2) @ ETA @ X @ C
+    lam = Y[:, i, j]
+    res = abs(Y - lam[:, None, None] * ref).max(axis=(1, 2))
+    _note(detail, res <= STANDARDIZE_TOL * np.maximum(1.0, abs(lam)),
           lambda k: f"standardization failed (residual {res[k]:.3e})")
     return C, lam, detail
 
@@ -230,7 +236,8 @@ def standardize_linear(X):
     must match lam * reference to STANDARDIZE_TOL * max(1, |lam|).
     """
     X = np.asarray(X, dtype=float)
-    C, lam, detail = _standardize(X[None], generator_class(X))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C, lam, detail = _standardize(X[None], generator_class(X))
     if detail[0] is not None:
         raise ValueError(detail[0])
     return C[0], float(lam[0])
@@ -246,7 +253,8 @@ def _null_combination(rows):
 def _frames(sig, lvh, kvh, X0):
     """Per basis of a signature group: C[m] whose inverse standardizes the
     linear part (the translation plane, at dim_l = 0), and each row's
-    failure message; a failed row's C is the identity."""
+    failure message; a failed row's C is the identity.  Callers run it under
+    np.errstate."""
     m, kb = len(X0), kvh[:, :2]
     if sig.dim_l == 1:
         C, _, detail = _standardize(X0, sig.linear_type)
@@ -257,21 +265,19 @@ def _frames(sig, lvh, kvh, X0):
         lead = N0.reshape(m, 9)[np.arange(m), abs(N0).reshape(m, 9).argmax(axis=1)]
         C, _, detail = _standardize(np.where(lead < 0, -1.0, 1.0)[:, None, None] * N0, PARABOLIC)
     elif sig.dim_l == 3:
-        C, detail = np.tile(np.eye(3), (m, 1, 1)), np.empty(m, dtype=object)
+        C, detail = np.tile(_EYE, (m, 1, 1)), [None] * m
     else:  # dim_l = 0: the translation plane onto its reference position
-        detail = np.empty(m, dtype=object)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if sig.ker_causal == RIEMANNIAN:  # the plane normal is timelike
-                C = _frame_from_timelike(_cross(kb[:, 0] * _SIGNS, kb[:, 1] * _SIGNS), None,
-                                         detail)
-            elif sig.ker_causal == LORENTZIAN:  # the negative Gram direction is timelike
-                vecs = np.linalg.eigh(kb @ ETA @ kb.swapaxes(1, 2))[1]
-                C = _frame_from_timelike(*(np.einsum("ka,kai->ki", vecs[:, :, i], kb)
-                                           for i in (0, 1)), detail)
-            else:
-                C = _frame_from_null(_null_combination(kb), detail)
+        detail = [None] * m
+        if sig.ker_causal == RIEMANNIAN:  # the plane normal is timelike
+            C = _frame_from_timelike(_cross(kb[:, 0] * _SIGNS, kb[:, 1] * _SIGNS), None, detail)
+        elif sig.ker_causal == LORENTZIAN:  # the negative Gram direction is timelike
+            vecs = np.linalg.eigh(kb @ ETA @ kb.swapaxes(1, 2))[1]
+            C = _frame_from_timelike(*(np.einsum("ka,kai->ki", vecs[:, :, i], kb)
+                                       for i in (0, 1)), detail)
+        else:
+            C = _frame_from_null(_null_combination(kb), detail)
     if any(d is not None for d in detail):
-        C[[d is not None for d in detail]] = np.eye(3)
+        C[[d is not None for d in detail]] = _EYE
     return C, detail
 
 
@@ -289,9 +295,9 @@ def _undilated(R):
     made unit rows again, and e[B]: 2^e is the power of two of max|v| /
     max|X| over the rows with both parts (a pure translation has a scale,
     but no length)."""
-    size = abs(R)
-    peak_X, peak_v = size[..., :9].max(axis=-1), size[..., 9:].max(axis=-1)
-    gap = np.where((peak_X > 0) & (peak_v > 0), np.frexp(peak_v)[1] - np.frexp(peak_X)[1], _NO_GAP)
+    peaks = np.maximum.reduceat(abs(R), (0, 9), axis=-1)  # max|X|, max|v| per row
+    exps = np.frexp(peaks)[1]
+    gap = np.where((peaks > 0).all(axis=-1), exps[..., 1] - exps[..., 0], _NO_GAP)
     e = gap.max(axis=1, initial=_NO_GAP)
     e = np.where(e == _NO_GAP, 0, e)
     return _unit_rows(np.concatenate([R[..., :9], np.ldexp(R[..., 9:], -e[:, None, None])], -1)), e
@@ -304,27 +310,25 @@ def _invariants(R):
     B, n = R.shape[:2]
     X = R[..., :9].reshape(B, n, 3, 3)
     dim_l, lvh, lifts, dim_ker, kvh = _linear_split(R)
-    ker_causal = causal_of_svd(dim_ker.tolist(), kvh)
+    ker_causal = causal_of_svd(dim_ker, kvh)
     linear = abs(R[..., :9]).max(axis=-1) > STRUCT_TOL
     X0 = (X[np.arange(B), linear.argmax(axis=1)] * linear.any(axis=1)[:, None, None] if n
           else np.zeros((B, 3, 3)))
-    kind = generator_class(X0) if (dim_l == 1).any() else None  # a single generator's class
-    linear_type = [kind[k] if d == 1 else {0: ZERO, 2: TWO_DIM_SOLVABLE}.get(d, FULL)
-                   for k, d in enumerate(dim_l.tolist())]
+    kind = generator_class(X0) if 1 in dim_l else None  # a single generator's class
+    linear_type = [kind[k] if d == 1 else _LINEAR_TYPES.get(d, FULL) for k, d in enumerate(dim_l)]
     # the sign of X0 on the kernel's null line (of its degenerate plane),
     # which separates the boost-family twins
     eigen_sign = np.zeros(B)
-    at = np.flatnonzero([t == HYPERBOLIC and (k, c) in ((1, NULL), (2, DEGENERATE))
-                         for t, k, c in zip(linear_type, dim_ker.tolist(), ker_causal)])
-    if len(at):
-        nvec, plane = kvh[at, 0], dim_ker[at] == 2
+    at = [k for k, (t, d, c) in enumerate(zip(linear_type, dim_ker, ker_causal))
+          if t == HYPERBOLIC and (d, c) in ((1, NULL), (2, DEGENERATE))]
+    if at:
+        nvec, plane = kvh[at, 0], np.array(dim_ker)[at] == 2
         if plane.any():
-            nvec[plane] = _null_combination(kvh[at[plane], :2])
+            nvec[plane] = _null_combination(kvh[at][plane, :2])
         mu = np.einsum("ki,kij,kj->k", nvec, X0[at], nvec) / (nvec * nvec).sum(axis=1)
         eigen_sign[at] = sign_of(mu, STRUCT_TOL * abs(X0[at]).max(axis=(1, 2)))
     sigs = [InvariantSignature(n, d, t, k, c if k else None, float(s) if s else None)
-            for d, t, k, c, s in zip(dim_l.tolist(), linear_type, dim_ker.tolist(),
-                                     ker_causal, eigen_sign.tolist())]
+            for d, t, k, c, s in zip(dim_l, linear_type, dim_ker, ker_causal, eigen_sign.tolist())]
     return sigs, (lvh, lifts, kvh, X0)
 
 
@@ -332,21 +336,20 @@ def _invariants(R):
 # normal forms
 
 
-def _complete_square(C, Ci, targets, lvh, lifts, K):
+def _complete_square(C, Ci, T, lvh, lifts, K):
     """Translations c[m] removing removable generator translations, and the
     remainders[m, t, 3], per basis standardized by Ci = C^-1 with kernel
-    translations K[m, d, 3].  Conjugation by (I, c) replaces the lifted
-    translation w of a target T by w - T c; the solve minimizes those off
-    the kernel (which absorbs the rest), and what it cannot reach is the
-    family parameters."""
+    translations K[m, d, 3] and targets T[t, 3, 3].  Conjugation by (I, c)
+    replaces the lifted translation w of a target T by w - T c; the solve
+    minimizes those off the kernel (which absorbs the rest), and what it
+    cannot reach is the family parameters."""
     m = len(C)
-    if not targets:
+    if not len(T):
         return np.zeros((m, 3)), np.zeros((m, 0, 3))
-    T = np.array(targets)
     # the lift of T: the input span's element with linear part C T Ci, from
     # its own factorization, moved by Ci
     P = (C[:, None] @ T @ Ci[:, None]).reshape(m, len(T), 9)
-    W = _mv(Ci[:, None], P @ lvh[:, :lifts.shape[1]].swapaxes(1, 2) @ lifts)
+    W = _mv(Ci[:, None], P @ lvh.swapaxes(1, 2) @ lifts)
     # Q: the orthogonal projection off the kernel translations
     if K.shape[1] == 2:  # off a plane: onto its normal line
         n = _cross(K[:, 0], K[:, 1])
@@ -354,7 +357,7 @@ def _complete_square(C, Ci, targets, lvh, lifts, K):
     else:  # off a line, or off nothing
         k = K[:, 0] if K.shape[1] else np.zeros((m, 3))
         norm2 = np.maximum((k * k).sum(axis=1), _TINY)[:, None, None]
-        Q = np.eye(3) - k[:, :, None] * k[:, None] / norm2
+        Q = _EYE - k[:, :, None] * k[:, None] / norm2
     Q = Q[:, None]
     # minimum-norm least squares by one SVD: rank-deficient by design, so the
     # values at or below STRUCT_TOL times the a-priori scale 1 (T a unit reference
@@ -414,26 +417,27 @@ def _match_table(sig: InvariantSignature, beta: float):
         if id_[0] == "N-v" and beta != 0.0:
             return "P-d", {"sign": sig.eigen_sign, "beta": beta}
         id_ = id_[sig.eigen_sign < 0]
-    params = {"P-a": {"plane": _PLANES.get(sig.ker_causal)}, "N-vii": {"beta": 0.0},
-              "N-x": {"alpha": 1.0, "beta": beta}}
-    return None if id_ is None else (id_, params.get(id_, {}))
+    if id_ is None:
+        return None
+    return id_, ({"plane": _PLANES[sig.ker_causal]} if id_ == "P-a" else {"beta": 0.0}
+                 if id_ == "N-vii" else {"alpha": 1.0, "beta": beta} if id_ == "N-x" else {})
 
 
 def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     """The results for the bases R[m, n, 12] of one signature group, each
     step once for the group; a basis failing a step is rejected."""
     m, n = R.shape[:2]
-    C, detail = _frames(sig, lvh, kvh, X0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C, detail = _frames(sig, lvh, kvh, X0)
     Ci = ETA @ C.swapaxes(1, 2) @ ETA
     Y, Av = Ci[:, None] @ R[..., :9].reshape(m, n, 3, 3) @ C[:, None], _mv(Ci[:, None], R[..., 9:])
     # the standardized linear parts, checked once: they are those of
     # every later conjugate
-    _note(detail, ~so12_check(Y).all(axis=1), _NOT_SO12)
-    targets = [_REFERENCE[k][0] for k in _SPANNED.get(sig.linear_type, (sig.linear_type,))]
-    c, remainders = _complete_square(C, Ci, targets, lvh, lifts,
+    _note(detail, so12_check(Y).all(axis=1), _NOT_SO12)
+    c, remainders = _complete_square(C, Ci, _TARGETS[sig.linear_type], lvh, lifts,
                                      kvh[:, :sig.dim_ker_l] @ Ci.swapaxes(1, 2))
-    beta = (remainders[:, 0, 2] if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE)
-            else np.zeros(m)).tolist()
+    beta = (remainders[:, 0, 2].tolist() if sig.linear_type in (HYPERBOLIC, TWO_DIM_SOLVABLE)
+            else [0.0] * m)
     shift = np.ldexp(c, e[:, None])  # back to the input's length scale
     faults = motion_faults(Ci, shift)  # the conjugators, checked once
     found = []
@@ -457,7 +461,7 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     out = [None] * m
     if found:
         moved = np.concatenate([Y.reshape(m, n, 9), Av - _mv(Y, c[:, None])], axis=2)
-        moved = moved[[k for k, *_ in found]]
+        moved = moved[_rows([k for k, *_ in found], m)]
         T, space = _targets([hit for _, hit, _ in found])
         # both ways at once: moved in span(T), and T in span(moved)
         spaces, rows = np.concatenate([space, _row_space(moved)[1]]), np.concatenate([moved, T])
@@ -486,17 +490,17 @@ def _classify(R, space) -> list:
     out = [None] * len(R)
     R = _unit_rows(R)  # the same span, rows of one size: membership decides alike at any scale
     residual, in_so12 = _closure(R, space)
-    for k in range(len(R)):
-        if not in_so12[k]:  # a bracket fell outside the membership tolerance
+    for k, (res, ok) in enumerate(zip(residual.tolist(), in_so12.tolist())):
+        if not ok:  # a bracket fell outside the membership tolerance
             out[k] = Rejection(REASON_UNMATCHED, _NOT_SO12)
-        elif residual[k] > STRUCT_TOL:
+        elif res > STRUCT_TOL:
             out[k] = Rejection(REASON_NOT_SUBALGEBRA,
-                               f"basis is not bracket-closed (residual {residual[k]:.3e})")
+                               f"basis is not bracket-closed (residual {res:.3e})")
     live = [k for k, r in enumerate(out) if r is None]
     if not live:
         return out
-    R, e = _undilated(R)
-    sigs, split = _invariants(R[live])
+    R, e = _undilated(R[_rows(live, len(R))])
+    sigs, split = _invariants(R)
     groups = {}
     for i, sig in enumerate(sigs):
         why = next((why for applies, why in _NOT_COHOMOGENEITY_ONE if applies(sig)), None)
@@ -504,10 +508,10 @@ def _classify(R, space) -> list:
             out[live[i]] = Rejection(REASON_NOT_COHOMOGENEITY_ONE, why, sig)
         else:
             groups.setdefault(sig, []).append(i)
-    for sig, at in groups.items():
-        rows = [live[i] for i in at]
-        for k, res in zip(rows, _normal_forms(sig, R[rows], e[rows], *(a[at] for a in split))):
-            out[k] = res
+    for sig, at in groups.items():  # a group that is the whole stack passes views
+        found = _normal_forms(sig, *(a[_rows(at, len(live))] for a in (R, e, *split)))
+        for i, res in zip(at, found):
+            out[live[i]] = res
     return out
 
 

@@ -151,9 +151,9 @@ def so12_check(X):
         return (cut < math.inf and abs(x11) <= cut and abs(x22) <= cut and abs(x33) <= cut
                 and abs(x12 - x21) <= cut and abs(x13 - x31) <= cut and abs(x23 + x32) <= cut)
     # the same six values for a stack: x11 - 0 x11, ..., x12 - x21, x13 - x31, x23 + x32
-    flat = X.reshape(-1, 9)
+    flat = X.reshape(-1, 9)[:, _SO12_AT]  # every entry, each of the six pairs' in turn
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = abs(flat[:, _SO12_A] - flat[:, _SO12_B] * _SO12_SIGN)
+        dev = abs(flat[:, :6] - flat[:, 6:] * _SO12_SIGN)
     ok = (dev <= STRUCT_TOL).all(axis=1)  # within the least cut: finite, and within its own
     if not ok.all():
         cut = STRUCT_TOL * abs(flat).max(axis=1, keepdims=True, initial=1.0)
@@ -161,7 +161,7 @@ def so12_check(X):
     return ok.reshape(X.shape[:-2])
 
 
-_SO12_A, _SO12_B = np.array([0, 4, 8, 1, 2, 5]), np.array([0, 4, 8, 3, 6, 7])
+_SO12_AT = np.array([0, 4, 8, 1, 2, 5, 0, 4, 8, 3, 6, 7])
 _SO12_SIGN = np.array([0.0, 0.0, 0.0, 1.0, 1.0, -1.0])
 
 
@@ -198,11 +198,11 @@ def motion_faults(A, a) -> list:
     minor = U[:, 1, 1] * U[:, 2, 2] - U[:, 1, 2] * U[:, 2, 1]
     rules = (finite, res <= MOTION_TOL * np.maximum(unit, np.square(peak * s)),
              U[:, 0, 0] * np.sign(minor) > 0.0, A[:, 0, 0] >= 1.0 - MOTION_TOL)
-    ok = rules[0] & rules[1] & rules[2] & rules[3]
     faults = [None] * len(A)
-    for k in () if ok.all() else np.flatnonzero(~ok).tolist():
-        why = _MOTION_FAULTS[[r[k] for r in rules].index(False)]
-        faults[k] = why.format(float(res[k]) / float(s[k]) / float(s[k]))  # A's residual
+    for k, ok in enumerate((rules[0] & rules[1] & rules[2] & rules[3]).tolist()):
+        if not ok:
+            why = _MOTION_FAULTS[[r[k] for r in rules].index(False)]
+            faults[k] = why.format(float(res[k]) / float(s[k]) / float(s[k]))  # A's residual
     return faults
 
 
@@ -381,6 +381,12 @@ def causal_of_span(vectors) -> str:
     return causal_of_svd([numeric_rank(s)], vh[None])[0]
 
 
+def _rows(at, n):
+    """The increasing row numbers `at` of a stack of n as an index: a slice
+    when they are every row, so that indexing gives a view, not a copy."""
+    return slice(None) if len(at) == n else at
+
+
 def causal_of_svd(rank, vh) -> list:
     """`causal_of_span` of the rows of each matrix of a stack, from their
     numerical ranks and the right singular vectors vh[N, 3, 3] of a
@@ -388,7 +394,7 @@ def causal_of_svd(rank, vh) -> list:
     out = [ZERO_VECTOR] * len(rank)
     for r in set(rank) - {0}:
         at = [k for k, rk in enumerate(rank) if rk == r]
-        Q = vh[at, :r] if len(at) < len(rank) else vh[:, :r]
+        Q = vh[_rows(at, len(rank)), :r]
         if r == 1:
             chars = [causal_character(q) for q in Q[:, 0]]
         else:

@@ -426,8 +426,9 @@ def check_exponential_cross_validation(seed: int = 42) -> CheckResult:
     # 200 triples (a, b, c) drawn as one stack; each bracket level runs once
     # for the three terms [a, [b, c]], [b, [c, a]], [c, [a, b]] of every triple
     X, v = random_algebra_elements(rng, (200, 3))
-    bc = _brackets((X, v), (X, v), [1, 2, 0], [2, 0, 1])  # [b, c], [c, a], [a, b]
-    terms = _brackets((X, v), (bc[..., :9].reshape(X.shape), bc[..., 9:]), slice(None), slice(None))
+    R = np.concatenate([X.reshape(200, 3, 9), v], axis=-1)
+    bc = _brackets(R, R, [1, 2, 0], [2, 0, 1])  # [b, c], [c, a], [a, b]
+    terms = _brackets(R, bc, slice(None), slice(None))
     for jac in terms[:, 0] + terms[:, 1] + terms[:, 2]:
         r = float(np.linalg.norm(jac))
         worst = max(worst, r)
