@@ -116,6 +116,7 @@ class SubalgebraSpec:
     (`is_subalgebra`).
     The basis order is meaningful: the classifier resolves orientation
     ambiguities from the first supplied generator with a linear part.
+    A spec is read-only, so a shared one (a catalog entry's) stays as built.
     """
 
     def __init__(self, basis):
@@ -123,11 +124,17 @@ class SubalgebraSpec:
             rows = np.array(basis, dtype=float).reshape(-1, 12)
             _require_rows(rows)
         else:
-            self.basis = tuple(basis)
+            object.__setattr__(self, "basis", tuple(basis))
             rows = np.array([el.coords for el in self.basis]).reshape(-1, 12)
-        self.row_space = _independent_row_space(rows)
+        object.__setattr__(self, "row_space", _independent_row_space(rows))
         rows.setflags(write=False)
-        self.coords_matrix = rows
+        object.__setattr__(self, "coords_matrix", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SubalgebraSpec is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SubalgebraSpec is read-only: cannot delete {name!r}")
 
     @property
     def dim(self) -> int:

@@ -363,9 +363,8 @@ def _complete_square(C, Ci, T, lvh, lifts, K):
     # values at or below STRUCT_TOL times the a-priori scale 1 (T a unit reference
     # generator, Q a projection) are dropped; Q T = 0 exactly (N-viii) keeps none
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
-    keep = s > STRUCT_TOL
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
-    c = _mv(vh.swapaxes(1, 2), np.where(keep, y / np.where(keep, s, 1.0), 0.0))
+    c = _mv(vh.swapaxes(1, 2), np.divide(y, s, out=np.zeros_like(y), where=s > STRUCT_TOL))
     return c, _mv(Q, W - _mv(T, c[:, None]))
 
 
@@ -509,8 +508,8 @@ def _classify(R, space) -> list:
         else:
             groups.setdefault(sig, []).append(i)
     for sig, at in groups.items():  # a group that is the whole stack passes views
-        found = _normal_forms(sig, *(a[_rows(at, len(live))] for a in (R, e, *split)))
-        for i, res in zip(at, found):
+        rows = _rows(at, len(live))
+        for i, res in zip(at, _normal_forms(sig, *(a[rows] for a in (R, e, *split)))):
             out[live[i]] = res
     return out
 

@@ -444,3 +444,16 @@ def test_the_entry_cache_is_bounded():
     for k in range(catalog._CACHE_SIZE + 10):
         build("N-vii", beta=float(k))
     assert catalog._shared.cache_info().currsize == catalog._CACHE_SIZE
+
+
+def test_a_shared_entry_refuses_changes_to_its_span():
+    basis = build("N-i").basis
+    rows, space = basis.coords_matrix.copy(), basis.row_space.copy()
+    for name in ("coords_matrix", "row_space", "basis", "parts"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(basis, name, getattr(basis, name)[:1])
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(basis, name)
+    fresh = build("N-i").basis
+    assert fresh.dim == 2 and len(fresh.basis) == 2 and len(fresh.parts[0]) == 2
+    assert np.array_equal(fresh.coords_matrix, rows) and np.array_equal(fresh.row_space, space)
