@@ -93,9 +93,8 @@ def _brackets(rows_a, rows_b, i, j) -> np.ndarray:
     given by their coordinate rows [..., n, 12], as one stacked product over
     any leading stack axes; the membership check on their linear parts is
     left to the caller."""
-    a, b = rows_a[..., i, :], rows_b[..., j, :]
-    X, u = a[..., :9].reshape(a.shape[:-1] + (3, 3)), a[..., 9:]
-    Y, v = b[..., :9].reshape(b.shape[:-1] + (3, 3)), b[..., 9:]
+    (X, u), (Y, v) = ((r[..., :9].reshape(r.shape[:-1] + (3, 3)), r[..., 9:])
+                      for r in (rows_a[..., i, :], rows_b[..., j, :]))
     Z = X @ Y - Y @ X
     return np.concatenate((Z.reshape(Z.shape[:-2] + (9,)),
                            (X @ v[..., None] - Y @ u[..., None])[..., 0]), axis=-1)
@@ -157,11 +156,11 @@ _NOT_SO12 = "linear part violates the isometry-algebra membership"
 
 
 def _row_space(rows):
-    """The singular values s[..., n] of coordinate rows rows[..., n, 12] (one
-    basis or a stack) and right singular vectors space[..., n, 12]
-    (read-only), whose leading `numeric_rank(s)` rows are an orthonormal
-    basis of their span: one SVD of the rows scaled to unit max-abs
-    (unscaled where a row is zero, which no scaling makes independent)."""
+    """Singular values s[..., n] and right singular vectors space[..., n, 12]
+    (read-only) of coordinate rows rows[..., n, 12], one basis or a stack;
+    the leading numeric_rank(s) rows of space span them orthonormally: one
+    SVD of the rows scaled to unit max-abs (unscaled where a row is zero,
+    which no scaling makes independent)."""
     peak = abs(rows).max(axis=-1, keepdims=True)
     _, s, space = np.linalg.svd(rows / peak if peak.all() else rows, full_matrices=False)
     space.setflags(write=False)

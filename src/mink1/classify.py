@@ -108,13 +108,10 @@ _REFERENCE = {
 _TARGETS = {ZERO: np.zeros((0, 3, 3)), TWO_DIM_SOLVABLE: np.array([BOOST, NULL_ROTATION]),
             FULL: np.array([BOOST, ROTATION, NULL_ROTATION]),
             **{kind: ref[None] for kind, (ref, _) in _REFERENCE.items()}}
-_LINEAR_TYPES = {0: ZERO, 2: TWO_DIM_SOLVABLE}  # dim_l -> linear type, FULL above 2
 _SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
 _NO_GAP = np.iinfo(np.int32).min
-_EYE = np.eye(3)
-_MIRROR = np.array([1.0, -1.0, -1.0])
+_EYE, _MIRROR = np.eye(3), np.array([1.0, -1.0, -1.0])
 _ROLL = np.array([1, 2, 0, 2, 0, 1])  # each coordinate's next, then its last
-# the flat entries X23, X13, X12, X32, X31, X21 and the signs giving _axis
 _AXIS_AT, _AXIS_SIGNS = np.array([5, 2, 1, 7, 6, 3]), np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 
 
@@ -194,7 +191,7 @@ def _frame_from_boost_plane(X, detail):
 
 def _axis(X):
     """The kernel direction (X23, X13, -X12) of each X in so(1,2), from the
-    entries averaged with their mirror images: one gather of the entries."""
+    entries averaged with their mirror images (X32, X31, X21), gathered once."""
     F = X.reshape(len(X), 9)[:, _AXIS_AT] * _AXIS_SIGNS
     return 0.5 * (F[:, :3] + F[:, 3:])
 
@@ -208,8 +205,7 @@ _FRAMES = {
 
 def _standardize(X, kind):
     """`standardize_linear` per matrix of a stack X[m, 3, 3] of generator
-    class `kind`: C[m], lam[m] and each row's failure message or None, under
-    the caller's np.errstate."""
+    class `kind`: C[m], lam[m] and each row's failure message or None."""
     if kind == ZERO:
         return (np.tile(_EYE, (len(X), 1, 1)), np.zeros(len(X)),
                 ["cannot standardize the zero matrix"] * len(X))
@@ -253,8 +249,7 @@ def _null_combination(rows):
 def _frames(sig, lvh, kvh, X0):
     """Per basis of a signature group: C[m] whose inverse standardizes the
     linear part (the translation plane, at dim_l = 0), and each row's
-    failure message; a failed row's C is the identity.  Callers run it under
-    np.errstate."""
+    failure message; a failed row's C is the identity."""
     m, kb = len(X0), kvh[:, :2]
     if sig.dim_l == 1:
         C, _, detail = _standardize(X0, sig.linear_type)
@@ -315,7 +310,8 @@ def _invariants(R):
     X0 = (X[np.arange(B), linear.argmax(axis=1)] * linear.any(axis=1)[:, None, None] if n
           else np.zeros((B, 3, 3)))
     kind = generator_class(X0) if 1 in dim_l else None  # a single generator's class
-    linear_type = [kind[k] if d == 1 else _LINEAR_TYPES.get(d, FULL) for k, d in enumerate(dim_l)]
+    linear_type = [kind[k] if d == 1 else {0: ZERO, 2: TWO_DIM_SOLVABLE}.get(d, FULL)
+                   for k, d in enumerate(dim_l)]
     # the sign of X0 on the kernel's null line (of its degenerate plane),
     # which separates the boost-family twins
     eigen_sign = np.zeros(B)
@@ -337,12 +333,12 @@ def _invariants(R):
 
 
 def _complete_square(C, Ci, T, lvh, lifts, K):
-    """Translations c[m] removing removable generator translations, and the
-    remainders[m, t, 3], per basis standardized by Ci = C^-1 with kernel
-    translations K[m, d, 3] and targets T[t, 3, 3].  Conjugation by (I, c)
-    replaces the lifted translation w of a target T by w - T c; the solve
-    minimizes those off the kernel (which absorbs the rest), and what it
-    cannot reach is the family parameters."""
+    """Translations c[m] removing removable translations of the targets
+    T[t, 3, 3], and the remainders[m, t, 3], per basis standardized by Ci =
+    C^-1 with kernel translations K[m, d, 3].  Conjugation by (I, c) replaces
+    the lifted translation w of a target T by w - T c; the solve minimizes
+    those off the kernel (which absorbs the rest), and what it cannot reach
+    is the family parameters."""
     m = len(C)
     if not len(T):
         return np.zeros((m, 3)), np.zeros((m, 0, 3))
@@ -416,10 +412,9 @@ def _match_table(sig: InvariantSignature, beta: float):
         if id_[0] == "N-v" and beta != 0.0:
             return "P-d", {"sign": sig.eigen_sign, "beta": beta}
         id_ = id_[sig.eigen_sign < 0]
-    if id_ is None:
-        return None
-    return id_, ({"plane": _PLANES[sig.ker_causal]} if id_ == "P-a" else {"beta": 0.0}
-                 if id_ == "N-vii" else {"alpha": 1.0, "beta": beta} if id_ == "N-x" else {})
+    return None if id_ is None else (id_, {"plane": _PLANES[sig.ker_causal]} if id_ == "P-a"
+                                     else {"beta": 0.0} if id_ == "N-vii"
+                                     else {"alpha": 1.0, "beta": beta} if id_ == "N-x" else {})
 
 
 def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):

@@ -381,9 +381,7 @@ def causal_of_span(vectors) -> str:
     return causal_of_svd([numeric_rank(s)], vh[None])[0]
 
 
-def _rows(at, n):
-    """The increasing row numbers `at` of a stack of n as an index: a slice
-    when they are every row, so that indexing gives a view, not a copy."""
+def _rows(at, n):  # increasing row numbers of a stack of n: a slice, a view, if all
     return slice(None) if len(at) == n else at
 
 

@@ -425,8 +425,7 @@ def check_exponential_cross_validation(seed: int = 42) -> CheckResult:
         problems.append(f"rotation period residual {d:.2e}")
     # 200 triples (a, b, c) drawn as one stack; each bracket level runs once
     # for the three terms [a, [b, c]], [b, [c, a]], [c, [a, b]] of every triple
-    X, v = random_algebra_elements(rng, (200, 3))
-    R = np.concatenate([X.reshape(200, 3, 9), v], axis=-1)
+    R = np.concatenate([x.reshape(200, 3, -1) for x in random_algebra_elements(rng, (200, 3))], -1)
     bc = _brackets(R, R, [1, 2, 0], [2, 0, 1])  # [b, c], [c, a], [a, b]
     terms = _brackets(R, bc, slice(None), slice(None))
     for jac in terms[:, 0] + terms[:, 1] + terms[:, 2]:
