@@ -360,7 +360,7 @@ def _complete_square(C, Ci, T, lvh, lifts, K):
     # generator, Q a projection) are dropped; Q T = 0 exactly (N-viii) keeps none
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
-    c = _mv(vh.swapaxes(1, 2), np.divide(y, s, out=np.zeros_like(y), where=s > STRUCT_TOL))
+    c = _mv(vh.swapaxes(1, 2), np.divide(y, s, out=np.zeros(y.shape), where=s > STRUCT_TOL))
     return c, _mv(Q, W - _mv(T, c[:, None]))
 
 
