@@ -1,8 +1,9 @@
 """Classification of subalgebras into the sixteen-family catalog.
 
 The classifier runs on a stack R[B, n, 12] of bases of one dimension
-(`classify_stack`); `classify` is the same code on a stack of one.
-Each step runs once per stack: power-of-two normalization -> the
+(`classify_stack`); `classify` is the same code on a stack of one, and a
+stack gives each basis the answer it gets alone, to roundoff (a batched
+product may round a last bit differently).  Each step runs once per stack: power-of-two normalization -> the
 conjugation invariants (one stacked bracket product, one batched SVD of
 the linear parts) -> per signature group, stacked frames standardizing
 the linear part onto the reference generators -> one stacked solve
