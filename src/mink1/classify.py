@@ -2,14 +2,14 @@
 
 The classifier runs on a stack R[B, n, 12] of bases of one dimension
 (`classify_stack`); `classify` is the same code on a stack of one, and a
-stack gives each basis the answer it gets alone, to roundoff (a batched
-product may round a last bit differently).  Each step runs once per stack: power-of-two normalization -> the
-conjugation invariants (one stacked bracket product, one batched SVD of
-the linear parts) -> per signature group, stacked frames standardizing
-the linear part onto the reference generators -> one stacked solve
-removing every removable translation -> an exact match on the signature
-tuple, certified by the two-way span residual between the conjugated
-basis and the catalog basis.
+stack gives each basis the answer it gets alone, to roundoff.  Each step
+runs once per stack: power-of-two normalization -> the conjugation
+invariants (one stacked bracket product, one batched SVD of the linear
+parts) -> per signature group, stacked frames standardizing the linear
+part onto the reference generators -> one stacked solve removing every
+removable translation -> an exact match on the signature tuple,
+certified by the two-way span residual between the conjugated basis and
+the catalog basis.
 
 Normalization divides each basis's translation block by the power of two
 of max|v| / max|X| (undoing a dilation of space), then each row by the
@@ -110,9 +110,7 @@ _TARGETS = {ZERO: np.zeros((0, 3, 3)), TWO_DIM_SOLVABLE: np.array([BOOST, NULL_R
             FULL: np.array([BOOST, ROTATION, NULL_ROTATION]),
             **{kind: ref[None] for kind, (ref, _) in _REFERENCE.items()}}
 _SIGNS = np.array([-1.0, 1.0, 1.0])  # the diagonal of ETA
-_NO_GAP = np.iinfo(np.int32).min
-_EYE, _MIRROR = np.eye(3), np.array([1.0, -1.0, -1.0])
-_ROLL = np.array([1, 2, 0, 2, 0, 1])  # each coordinate's next, then its last
+_NO_GAP, _EYE = np.iinfo(np.int32).min, np.eye(3)
 _AXIS_AT, _AXIS_SIGNS = np.array([5, 2, 1, 7, 6, 3]), np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 
 
@@ -124,9 +122,9 @@ def _mv(A, x):  # A x per row of stacks of matrices and vectors
     return (A @ x[..., None])[..., 0]
 
 
-def _cross(a, b):  # a x b per row of stacks of vectors
-    a, b = a[..., _ROLL], b[..., _ROLL]
-    return a[..., :3] * b[..., 3:] - a[..., 3:] * b[..., :3]
+def _cross(a, b):  # a x b per row of stacks of vectors, from one copy of a, a, b, b
+    ab = np.concatenate([a, a, b, b], axis=-1)
+    return ab[..., 1:4] * ab[..., 8:11] - ab[..., 2:5] * ab[..., 7:10]
 
 
 def _note(detail, ok, message) -> None:
@@ -175,7 +173,7 @@ def _frame_from_null(n, detail):
     scaled to <n, m> = -2."""
     _note(detail, sign_of(n[:, 0], ZERO_TOL) != 0, "direction is not null")
     n = n / n[:, :1]
-    m = n * _MIRROR
+    m = -n * _SIGNS
     m = m * (-2.0 / _ip(n, m))[:, None]
     return _frame(0.5 * (n + m), 0.5 * (n - m), detail)
 
@@ -288,15 +286,16 @@ def _unit_rows(R):
 
 def _undilated(R):
     """Unit rows R[B, n, 12] with each basis's translations divided by 2^e,
-    made unit rows again, and e[B]: 2^e is the power of two of max|v| /
-    max|X| over the rows with both parts (a pure translation has a scale,
-    but no length)."""
+    made unit rows again (R itself where every e is 0), and e[B]: 2^e is the
+    power of two of max|v| / max|X| over the rows with both parts (a pure
+    translation has a scale, but no length)."""
     peaks = np.maximum.reduceat(abs(R), (0, 9), axis=-1)  # max|X|, max|v| per row
     exps = np.frexp(peaks)[1]
     gap = np.where((peaks > 0).all(axis=-1), exps[..., 1] - exps[..., 0], _NO_GAP)
     e = gap.max(axis=1, initial=_NO_GAP)
     e = np.where(e == _NO_GAP, 0, e)
-    return _unit_rows(np.concatenate([R[..., :9], np.ldexp(R[..., 9:], -e[:, None, None])], -1)), e
+    return (_unit_rows(np.concatenate([R[..., :9], np.ldexp(R[..., 9:], -e[:, None, None])], -1))
+            if e.any() else R), e
 
 
 def _invariants(R):

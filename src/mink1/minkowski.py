@@ -176,7 +176,7 @@ def generator_class(X) -> str:
     """
     X = np.asarray(X, dtype=float)
     zero = sign_of(np.abs(X).max(axis=(-2, -1), initial=0.0), STRUCT_TOL) == 0
-    trace = np.trace(X @ X, axis1=-2, axis2=-1)
+    trace = (X @ X).trace(axis1=-2, axis2=-1)
     return _GENERATOR_CLASSES[np.where(zero, 3, sign_of(trace, STRUCT_TOL) + 1)]
 
 
