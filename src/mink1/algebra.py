@@ -152,6 +152,7 @@ class SubalgebraSpec:
 
 _TINY = np.finfo(float).tiny
 _PAIRS = [np.triu_indices(n, 1) for n in range(13)]  # the pairs i < j of n <= 12 rows
+_PAIRS[2] = (slice(0, 1), slice(1, 2))  # the one pair of two rows, as views
 _NOT_SO12 = "linear part violates the isometry-algebra membership"
 
 

@@ -128,8 +128,7 @@ def _cross(a, b):  # a x b per row of stacks of vectors, from one copy of a, a, 
 
 
 def _note(detail, ok, message) -> None:
-    """Give each row outside the mask `ok` and not failed yet its message (a
-    string, or a function of the row index)."""
+    """Give each row outside the mask `ok` not failed yet `message` (or message(k))."""
     for k, good in enumerate(ok.tolist()):
         if not good and detail[k] is None:
             detail[k] = message(k) if callable(message) else message
