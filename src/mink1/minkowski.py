@@ -198,11 +198,11 @@ def motion_faults(A, a) -> list:
     minor = U[:, 1, 1] * U[:, 2, 2] - U[:, 1, 2] * U[:, 2, 1]
     rules = (finite, res <= MOTION_TOL * np.maximum(unit, np.square(peak * s)),
              U[:, 0, 0] * np.sign(minor) > 0.0, A[:, 0, 0] >= 1.0 - MOTION_TOL)
+    ok = rules[0] & rules[1] & rules[2] & rules[3]
     faults = [None] * len(A)
-    for k, ok in enumerate((rules[0] & rules[1] & rules[2] & rules[3]).tolist()):
-        if not ok:
-            why = _MOTION_FAULTS[[r[k] for r in rules].index(False)]
-            faults[k] = why.format(float(res[k]) / float(s[k]) / float(s[k]))  # A's residual
+    for k in () if ok.all() else np.flatnonzero(~ok).tolist():
+        why = _MOTION_FAULTS[[r[k] for r in rules].index(False)]
+        faults[k] = why.format(float(res[k]) / float(s[k]) / float(s[k]))  # A's residual
     return faults
 
 
