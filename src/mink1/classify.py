@@ -356,7 +356,7 @@ def _complete_square(C, Ci, T, lvh, lifts, K):
     Q = Q[:, None]
     # minimum-norm least squares by one SVD: rank-deficient by design, so the
     # values at or below STRUCT_TOL times the a-priori scale 1 (T a unit reference
-    # generator, Q a projection) are dropped; Q T = 0 exactly (N-viii) keeps none
+    # generator, Q a projection) are dropped; Q T = 0 (N-ii, P-c, N-viii) keeps none
     u, s, vh = np.linalg.svd((Q @ T).reshape(m, -1, 3), full_matrices=False)
     y = (u.swapaxes(1, 2) @ _mv(Q, W).reshape(m, -1, 1))[..., 0]
     c = _mv(vh.swapaxes(1, 2), np.divide(y, s, out=np.zeros(y.shape), where=s > STRUCT_TOL))

@@ -151,7 +151,7 @@ def so12_check(X):
         return (cut < math.inf and abs(x11) <= cut and abs(x22) <= cut and abs(x33) <= cut
                 and abs(x12 - x21) <= cut and abs(x13 - x31) <= cut and abs(x23 + x32) <= cut)
     # the same six values for a stack: x11 - 0 x11, ..., x12 - x21, x13 - x31, x23 + x32
-    flat = X.reshape(-1, 9)[:, _SO12_AT]  # every entry, each of the six pairs' in turn
+    flat = X.reshape(-1, 9)[:, _SO12_AT]  # the six pairs' first entries, then their second
     with np.errstate(over="ignore", invalid="ignore"):
         dev = abs(flat[:, :6] - flat[:, 6:] * _SO12_SIGN)
     ok = (dev <= STRUCT_TOL).all(axis=1)  # within the least cut: finite, and within its own
