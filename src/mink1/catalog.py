@@ -199,15 +199,11 @@ def expected_orbit(entry: CatalogEntry, p) -> Stratum:
     return expected_orbits(entry, np.reshape(p, (1, 3)))[0]
 
 
-def _el(X, v) -> AlgebraElement:
-    return AlgebraElement(np.asarray(X, float), np.asarray(v, float))
-
-
 # the parameter-free generators are immutable, so each is built once
 _BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL = (
-    _el(X, 0 * E1) for X in (BOOST, ROTATION, NULL_ROTATION))
+    AlgebraElement(X, 0 * E1) for X in (BOOST, ROTATION, NULL_ROTATION))
 _T_E1, _T_E2, _T_E3, _T_NULL_PLUS, _T_NULL_MINUS = (
-    _el(0 * BOOST, v) for v in (E1, E2, E3, NULL_PLUS, NULL_MINUS))
+    AlgebraElement(0 * BOOST, v) for v in (E1, E2, E3, NULL_PLUS, NULL_MINUS))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +243,6 @@ def _ni_diagonals(p):
 def _ni_branch(p):
     """|x1| - |x2| with cut 0: which cylinder branch p is on."""
     return abs(p[..., 0]) - abs(p[..., 1]), 0.0
-
-
-def _coordinate(k):
-    """The conserved invariant x_{k+1}: a number at p[3], a column of P[N, 3]."""
-    return lambda q: np.take(q, k, axis=-1)
 
 
 # sign sets of a pattern: on an equality, off it, and the sides of <p, p>
@@ -338,9 +329,9 @@ _OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
 def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
     planes = {
         "spacelike": ((_T_E2, _T_E3), RIEMANNIAN,
-                      "x1", _coordinate(0)),
+                      "x1", lambda q: q[..., 0]),
         "timelike": ((_T_E1, _T_E2), LORENTZIAN,
-                     "x3", _coordinate(2)),
+                     "x3", lambda q: q[..., 2]),
         "degenerate": ((_T_NULL_PLUS, _T_E3), DEGENERATE,
                        "x1-x2", lambda q: q[..., 0] - q[..., 1]),
     }
@@ -381,7 +372,7 @@ def _build_P_c() -> CatalogEntry:
         id="P-c", params={}, basis=SubalgebraSpec((_ROTATION_EL, _T_E2, _T_E3)),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="Euclidean motions of the spacelike planes x1 = const",
-        invariant_name="x1", invariant=_coordinate(0),
+        invariant_name="x1", invariant=lambda q: q[..., 0],
     )
 
 
@@ -413,7 +404,7 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
         ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), (sample_cyl,))
     return CatalogEntry(
         id="P-d", params={"sign": s, "beta": beta},
-        basis=SubalgebraSpec((_el(BOOST, beta * E3), nu)),
+        basis=SubalgebraSpec((AlgebraElement(BOOST, beta * E3), nu)),
         proper=True, orbit_space=REAL_LINE, strata=strata,
         family="boosts coupled to spacelike-axis translations, with a null translation",
         param_domain="sign in {+1, -1}; beta != 0",
@@ -461,7 +452,7 @@ def _build_N_ii() -> CatalogEntry:
         basis=SubalgebraSpec((_BOOST_EL, _T_E1, _T_E2)),
         proper=False, orbit_space=REAL_LINE, strata=strata,
         family="full motion group of the timelike planes x3 = const",
-        invariant_name="x3", invariant=_coordinate(2),
+        invariant_name="x3", invariant=lambda q: q[..., 2],
         witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
@@ -492,7 +483,7 @@ def _null_line_entry(id_, s):
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="boosts with a single null translation direction "
                f"(e1{'+' if s > 0 else '-'}e2)",
-        invariant_name="x3", invariant=_coordinate(2),
+        invariant_name="x3", invariant=lambda q: q[..., 2],
         witness_point=np.zeros(3), witness_generator=_BOOST_EL,
     )
 
@@ -504,13 +495,13 @@ def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
                            ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL))
     if beta != 0.0:
         wp = np.array([0.0, beta, 0.0])
-        wg = _el(NULL_ROTATION, beta * E3)
+        wg = AlgebraElement(NULL_ROTATION, beta * E3)
     else:
         wp = np.zeros(3)
         wg = _NULL_ROTATION_EL
     return CatalogEntry(
         id="N-vii", params={"beta": beta},
-        basis=SubalgebraSpec((_el(NULL_ROTATION, beta * E3), _T_NULL_PLUS)),
+        basis=SubalgebraSpec((AlgebraElement(NULL_ROTATION, beta * E3), _T_NULL_PLUS)),
         proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
         family="null rotations with a null translation; degenerate-plane orbits "
                "with a shifted line of fixed directions",
@@ -583,8 +574,8 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     strata = _plane_strata(1.0, 0.0, plane_row, _OPEN_HALF_SPACE)
     return CatalogEntry(
         id="N-x", params={"alpha": alpha, "beta": beta},
-        basis=SubalgebraSpec((_el(BOOST, beta * E3), _NULL_ROTATION_EL,
-                             _el(0 * BOOST, alpha * NULL_PLUS))),
+        basis=SubalgebraSpec((AlgebraElement(BOOST, beta * E3), _NULL_ROTATION_EL,
+                             AlgebraElement(0 * BOOST, alpha * NULL_PLUS))),
         proper=False, orbit_space=orbit_space, strata=strata,
         family="solvable linear group extended by one null translation direction; "
                "the boost generator carries a spacelike translation of size beta",

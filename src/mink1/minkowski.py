@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,37 +205,40 @@ def motion_faults(A, a) -> list:
     return faults
 
 
-def check_motions(A, a) -> None:
-    """Raise the ValueError of the first motion of a stack that
-    `motion_faults` rejects, as `Motion` would for that motion."""
-    for fault in filter(None, motion_faults(A, a)):
-        raise ValueError(fault)
-
-
 def _checked_motion(A, a) -> "Motion":
-    """The `Motion` of a stack's row that `motion_faults` has passed, not
-    checked again: read-only float copies of its parts."""
+    """The `Motion` of fresh float arrays A[..., 3, 3], a[..., 3] that
+    `motion_faults` has passed, or that a caller compares unchecked: made
+    read-only and wrapped, neither copied nor checked again."""
     m = object.__new__(Motion)
     for name, x in (("A", A), ("a", a)):
-        x = np.array(x, dtype=float)
         x.setflags(write=False)
         object.__setattr__(m, name, x)
     return m
 
 
+def _validated(A, a) -> "Motion":
+    """`_checked_motion` of fresh arrays once `motion_faults` passes every
+    row; else the first failing row's ValueError."""
+    for fault in filter(None, motion_faults(A.reshape(-1, 3, 3), a.reshape(-1, 3))):
+        raise ValueError(fault)
+    return _checked_motion(A, a)
+
+
 @dataclass(frozen=True, eq=False)
 class Motion:
-    """An isometry x -> A x + a in the identity component; `check_motions`
-    decides it as a stack of one."""
+    """An isometry x -> A x + a in the identity component, or a stack of
+    them with parts A[..., 3, 3] and a[..., 3]: the parts are copied and
+    every row is decided by `motion_faults`, the first failing row's
+    message raised."""
 
     A: np.ndarray
     a: np.ndarray
 
     def __post_init__(self):
-        m = _checked_motion(self.A, self.a)
-        if m.A.shape != (3, 3) or m.a.shape != (3,):
-            raise ValueError("Motion needs a 3x3 linear part and a 3-vector")
-        check_motions(m.A[None], m.a[None])
+        A, a = np.array(self.A, dtype=float), np.array(self.a, dtype=float)
+        if A.shape[-2:] != (3, 3) or a.shape != A.shape[:-1]:
+            raise ValueError("Motion needs parts A[..., 3, 3] and a[..., 3]")
+        m = _validated(A, a)
         object.__setattr__(self, "A", m.A)
         object.__setattr__(self, "a", m.a)
 
@@ -246,21 +248,6 @@ class Motion:
 
     def __repr__(self):
         return f"Motion(A={self.A.tolist()}, a={self.a.tolist()})"
-
-
-class Motions(NamedTuple):
-    """A stack (A[N, 3, 3], a[N, 3]) of motions checked by `check_motions`."""
-
-    A: np.ndarray
-    a: np.ndarray
-
-
-def _validated(A, a):
-    """A `Motion` for one (A, a); a `Motions` for a stack, checked once."""
-    if A.ndim == 2:
-        return Motion(A, a)
-    check_motions(A, a)
-    return Motions(A, a)
 
 
 def apply(m, p) -> np.ndarray:
@@ -275,10 +262,11 @@ def compose(m1, m2):
     return _validated(m1.A @ m2.A, (m1.A @ m2.a[..., None])[..., 0] + m1.a)
 
 
-def invert(m: Motion) -> Motion:
-    """Group inverse (A^-1, -A^-1 a); A^-1 = eta A^T eta for isometries."""
-    Ai = ETA @ m.A.T @ ETA
-    return Motion(Ai, -Ai @ m.a)
+def invert(m):
+    """Group inverse (A^-1, -A^-1 a); A^-1 = eta A^T eta for isometries.
+    For a stack, row by row, each row bit for bit the inverse of its motion."""
+    Ai = ETA @ m.A.swapaxes(-2, -1) @ ETA
+    return _validated(Ai, (-Ai @ m.a[..., None])[..., 0])
 
 
 def motion_distance(m1, m2):
@@ -358,8 +346,8 @@ def exp_element(el, t: float = 1.0):
     (trig / hyperbolic / polynomial depending on the class of X);
     `_series_exp_pair`, scaling-and-squaring on the 4x4 homogeneous
     embedding, is its independent cross-check.  An array of times t[N]
-    gives the stack `Motions` (A[N, 3, 3], a[N, 3]), validated once; a
-    single t is a stack of one, and each row equals its t alone, bit for bit.
+    gives a `Motion` stack (A[N, 3, 3], a[N, 3]), validated once; a single
+    t is a stack of one, and each row equals its t alone, bit for bit.
     """
     X, v, t = (np.asarray(x, dtype=float) for x in (el.X, el.v, t))
     if not so12_check(X):

@@ -10,7 +10,6 @@ from .minkowski import (
     NULL_ROTATION,
     ROTATION,
     Motion,
-    Motions,
     _checked_motion,
     _closed_exp_pair,
     _validated,
@@ -28,10 +27,10 @@ def _generators(c) -> np.ndarray:
     return c[..., 0, :, :] * BOOST + c[..., 1, :, :] * ROTATION + c[..., 2, :, :] * NULL_ROTATION
 
 
-def random_motions(rng, n: int) -> Motions:
-    """n motions, each drawn as three `_generators` coefficients uniform in
-    [-1, 1], then a translation uniform in [-2, 2]^3; the stack is
-    exponentiated by the closed form and checked once."""
+def random_motions(rng, n: int) -> Motion:
+    """A `Motion` stack of n, each drawn as three `_generators` coefficients
+    uniform in [-1, 1], then a translation uniform in [-2, 2]^3; the stack
+    is exponentiated by the closed form and checked once."""
     draw = rng.uniform((-1, -1, -1, -2, -2, -2), (1, 1, 1, 2, 2, 2), (n, 6))
     A, _ = _closed_exp_pair(_generators(draw[:, :3]), np.zeros((n, 3)))
     return _validated(A, draw[:, 3:])
@@ -39,7 +38,8 @@ def random_motions(rng, n: int) -> Motions:
 
 def random_motion(rng) -> Motion:
     """`random_motions` on a stack of one."""
-    return _checked_motion(*(x[0] for x in random_motions(rng, 1)))
+    m = random_motions(rng, 1)
+    return _checked_motion(m.A[0], m.a[0])
 
 
 def random_algebra_elements(rng, shape, scale: float = 1.0):

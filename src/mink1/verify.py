@@ -41,7 +41,7 @@ from .minkowski import (
     NULL_ROTATION,
     ROTATION,
     Motion,
-    Motions,
+    _checked_motion,
     _closed_exp_pair,
     _series_exp_pair,
     exp_element,
@@ -360,7 +360,8 @@ def check_classifier_round_trip(seed: int = 42) -> CheckResult:
         for params in _ROUND_TRIP_VARIANTS.get(id_, ({},)):
             entry = build(id_, **params)
             expect = normalized_params(id_, entry.params)
-            for res in classify_stack(_adjoint_rows(*random_motions(rng, 50), *entry.basis.parts)):
+            g = random_motions(rng, 50)
+            for res in classify_stack(_adjoint_rows(g.A, g.a, *entry.basis.parts)):
                 if not isinstance(res, Classification):
                     problems.append(f"{id_}{params}: rejected ({res.reason}: {res.detail})")
                     break
@@ -411,7 +412,8 @@ def check_exponential_cross_validation(seed: int = 42) -> CheckResult:
              for el in entry.basis.basis]
     R = ts[:, None] * np.array([el.coords for _, el in named])[:, None]  # the rows of t (X, v)
     M, w = R[..., :9].reshape(-1, 3, 3), R[..., 9:].reshape(-1, 3)
-    dists = motion_distance(Motions(*_closed_exp_pair(M, w)), Motions(*_series_exp_pair(M, w)))
+    dists = motion_distance(_checked_motion(*_closed_exp_pair(M, w)),
+                            _checked_motion(*_series_exp_pair(M, w)))
     for (name, _), row in zip(named, dists.reshape(len(named), -1).tolist()):
         for t, d in zip(ts, row):
             worst = max(worst, d)

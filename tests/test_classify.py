@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mink1.algebra import AlgebraElement, SubalgebraSpec, adjoint_spec
+from mink1.algebra import AlgebraElement, SubalgebraSpec, adjoint_spec, closure_residual
 from mink1.catalog import CATALOG_IDS, build
 from mink1.classify import (
     Classification,
@@ -291,6 +291,21 @@ def test_classify_normalizes_a_rescaled_basis_with_a_misread_generator():
         assert isinstance(res, Classification) and res.id == "N-viii", (seed, res)
 
 
+def test_a_span_at_the_membership_cut_answers_without_raising():
+    """{(s BOOST + diag(d, 0, 0), 0), (s NULL_ROTATION + diag(0, d, 0), 0)},
+    d = 0.99e-9 s: each generator passes so(1,2) membership, their bracket
+    does not.  `classify` answers at both scales (at s = 1.5 through its
+    bracket-membership rejection), while `closure_residual` raises.  The
+    verdict itself still depends on s, so it is left unpinned."""
+    for s in (1.0, 1.5):
+        d = 0.99e-9 * s
+        spec = SubalgebraSpec((el(s * BOOST + np.diag([d, 0.0, 0.0]), Z3),
+                               el(s * NULL_ROTATION + np.diag([0.0, d, 0.0]), Z3)))
+        assert isinstance(classify(spec), (Classification, Rejection)), s
+        with pytest.raises(ValueError, match="isometry-algebra membership"):
+            closure_residual(spec)
+
+
 def test_classify_unmatched_keeps_signature():
     # a skew parabolic decoration that is bracket-closed and acts with
     # 2-dimensional orbits everywhere, but belongs to no catalog family
@@ -538,7 +553,8 @@ def test_classify_stack_factors_its_stack_once(svd_inputs):
 
     rng = rng_from_seed(5)
     for id_ in ("P-b", "N-ix", "N-xii"):
-        R = _adjoint_rows(*random_motions(rng, 7), *build(id_).basis.parts)
+        g = random_motions(rng, 7)
+        R = _adjoint_rows(g.A, g.a, *build(id_).basis.parts)
         unit = R / abs(R).max(axis=-1, keepdims=True)
         svd_inputs.clear()
         assert all(isinstance(r, Classification) and r.id == id_ for r in classify_stack(R))

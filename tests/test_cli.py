@@ -83,7 +83,7 @@ def test_orbit_bad_point_exits_2(capsys):
 def test_orbit_bad_grid_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for grid in ("3:nan:1", "3:0:inf", "3:-inf:0", "-3", "-1:0:1"):
+        for grid in ("3:nan:1", "3:0:inf", "3:-inf:0", "-3", "-1:0:1", "3:1"):
             code, _, err = run(capsys, "orbit", "--id", "N-i", "--point", "1,2,0",
                                f"--grid={grid}")
             assert code == 2, grid
@@ -287,6 +287,13 @@ def test_parse_basis_text_errors():
         parse_basis_text("1 2 3\n")
     with pytest.raises(BasisParseError):
         parse_basis_text("# only a comment\n")
+    # a line outside so(1,2), and a dependent basis, each with the line it is charged to
+    with pytest.raises(BasisParseError, match="^line 2, column 1: linear part violates the "
+                       "isometry-algebra membership$"):
+        parse_basis_text("0 0 0 0 0 0 0 0 0  1 0 0\n1 0 0 0 0 0 0 0 0  0 1 0\n")
+    with pytest.raises(BasisParseError,
+                       match="^line 1, column 1: basis is not linearly independent$"):
+        parse_basis_text("0 0 0 0 0 0 0 0 0  1 0 0\n0 0 0 0 0 0 0 0 0  2 0 0\n")
     spec = parse_basis_text("0 0 0 0 0 0 0 0 0  1 0 0\n0 0 0 0 0 0 0 0 0  0 1 0\n")
     assert spec.dim == 2
 
@@ -303,6 +310,19 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert all(set(c) == {"id", "label", "pass", "residual"} for c in json.loads(out)["checks"])
     assert not re.search(r"\d s\b", out)
+
+
+def test_verify_text_prints_a_failing_checks_detail_and_exits_1(capsys, monkeypatch):
+    from mink1 import verify
+
+    failing = verify.CheckResult("C1", "a check that fails", False, 0.5, "what went wrong")
+    monkeypatch.setattr(verify, "ALL_CHECKS", (lambda seed: failing,))
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert re.fullmatch(r"\[FAIL\] C1 a check that fails \(max residual 5\.000e-01\) \d+\.\d{3} s",
+                        lines[0])
+    assert lines[1:] == ["       what went wrong", "FAILURES present"]
 
 
 def test_seed_env_override(capsys, monkeypatch):

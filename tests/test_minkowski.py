@@ -23,12 +23,10 @@ from mink1.minkowski import (
     STRUCT_TOL,
     ZERO_VECTOR,
     Motion,
-    Motions,
     apply,
     causal_character,
     causal_of_span,
     causal_of_svd,
-    check_motions,
     compose,
     exp_element,
     inner,
@@ -253,6 +251,31 @@ def test_compose_invert_group_laws():
         assert motion_distance(compose(m, invert(m)), Motion.identity()) < 1e-12
 
 
+def test_a_motion_stack_holds_each_rows_motion_and_inverts_row_by_row():
+    """A stack `Motion(A, a)` of any leading shape holds, bit for bit, the
+    `Motion` of each row, in read-only copies of its parts; `invert` of it
+    holds each row's inverse.  A flow over an array of times is read-only
+    too."""
+    rng = rng_from_seed(10)
+    A = np.array([random_motion(rng).A for _ in range(6)]).reshape(2, 3, 3, 3)
+    a = rng.uniform(-2.0, 2.0, (2, 3, 3))
+    stack, before = Motion(A, a), (A.copy(), a.copy())
+    inv = invert(stack)
+    assert stack.A.shape == inv.A.shape == (2, 3, 3, 3)
+    assert stack.a.shape == inv.a.shape == (2, 3, 3)
+    for i, j in np.ndindex(2, 3):
+        one = Motion(A[i, j], a[i, j])
+        assert np.array_equal(stack.A[i, j], one.A) and np.array_equal(stack.a[i, j], one.a)
+        one_inv = invert(one)
+        assert np.array_equal(inv.A[i, j], one_inv.A) and np.array_equal(inv.a[i, j], one_inv.a)
+    A[0, 0], a[0, 0] = 2.0 * np.eye(3), np.nan  # the stack holds copies
+    assert np.array_equal(stack.A, before[0]) and np.array_equal(stack.a, before[1])
+    flow = exp_element(AlgebraElement(BOOST, E3), np.linspace(-1.0, 1.0, 5))
+    for part in (stack.A, stack.a, inv.A, inv.a, flow.A, flow.a):
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0.0
+
+
 def test_isometry_of_differences():
     rng = rng_from_seed(1)
     for _ in range(1000):
@@ -303,11 +326,10 @@ def test_exp_rotation_periodicity():
 
 def _series_exp(el, t):
     """The flow of el at the time or times t by `_series_exp_pair`, checked
-    by `check_motions` and shaped as `exp_element` shapes the closed form's."""
+    by `Motion` and shaped as `exp_element` shapes the closed form's."""
     t = np.asarray(t, dtype=float)
     A, a = _series_exp_pair(t.reshape(-1, 1, 1) * el.X, t.reshape(-1, 1) * el.v)
-    check_motions(A, a)
-    return Motions(A.reshape(t.shape + (3, 3)), a.reshape(t.shape + (3,)))
+    return Motion(A.reshape(t.shape + (3, 3)), a.reshape(t.shape + (3,)))
 
 
 def test_exp_closed_vs_series_vs_scipy():
@@ -352,7 +374,8 @@ def test_stacked_flow_rows_equal_single_flows():
         for entry in entry_variants(id_):
             for el in entry.basis.basis:
                 for flow in (exp_element, _series_exp):
-                    A, a = flow(el, ts)
+                    m = flow(el, ts)
+                    A, a = m.A, m.a
                     assert A.shape == (len(ts), 3, 3) and a.shape == (len(ts), 3)
                     for k, t in enumerate(ts):
                         m = flow(el, t)
@@ -395,7 +418,8 @@ def test_stacked_series_equals_the_per_matrix_loop():
     ]
     hit = set()
     for el, ts in cases:
-        A, a = _series_exp(el, ts)
+        m = _series_exp(el, ts)
+        A, a = m.A, m.a
         for k, t in enumerate(ts):
             M, w = t * el.X, t * el.v
             hit.add(float(np.linalg.norm(np.hstack([M, w[:, None]]), np.inf)))
@@ -431,9 +455,9 @@ def test_motion_stack_raises_what_its_failing_motion_raises():
             a = np.stack([m.a for m in good])
             A[k], a[k] = Ak, ak
             with pytest.raises(ValueError) as stacked:
-                check_motions(A, a)
+                Motion(A, a)
             assert str(stacked.value) == str(alone.value), (name, k)
-    check_motions(np.stack([m.A for m in good]), np.stack([m.a for m in good]))
+    Motion(np.stack([m.A for m in good]), np.stack([m.a for m in good]))
 
 
 FLIP = np.diag([1.0, 1.0, -1.0])  # orientation reversing, time preserving
@@ -449,7 +473,7 @@ def test_orientation_reversal_is_rejected_at_every_size():
         with pytest.raises(ValueError, match="determinant 1"):
             Motion(A, np.zeros(3))
         with pytest.raises(ValueError, match="determinant 1"):
-            check_motions(np.stack([np.eye(3), A, np.eye(3)]), np.zeros((3, 3)))
+            Motion(np.stack([np.eye(3), A, np.eye(3)]), np.zeros((3, 3)))
 
 
 def test_composite_flows_keep_their_orientation():
@@ -462,13 +486,13 @@ def test_composite_flows_keep_their_orientation():
         A = _flow(BOOST, t[0]) @ _flow(ROTATION, t[1]) @ _flow(NULL_ROTATION, t[2]) \
             @ _flow(BOOST, t[3])
         try:
-            check_motions(A[None], np.zeros((1, 3)))
+            Motion(A[None], np.zeros((1, 3)))
         except ValueError as err:
             assert "not an isometry" in str(err)
             continue
         accepted += 1
         with pytest.raises(ValueError, match="determinant 1"):
-            check_motions((A @ FLIP)[None], np.zeros((1, 3)))
+            Motion((A @ FLIP)[None], np.zeros((1, 3)))
     assert accepted >= 295
 
 
@@ -482,7 +506,8 @@ def test_stacked_random_motions_equal_the_per_motion_loop():
     for seed in (0, 42, 2024):
         ref_rng, rng = rng_from_seed(seed), rng_from_seed(seed)
         ref = [reference(ref_rng) for _ in range(50)]
-        A, a = random_motions(rng, 50)
+        stack = random_motions(rng, 50)
+        A, a = stack.A, stack.a
         assert np.array_equal(A, [m.A for m in ref]) and np.array_equal(a, [m.a for m in ref])
         one, ref_one = random_motion(rng), reference(ref_rng)
         assert np.array_equal(one.A, ref_one.A) and np.array_equal(one.a, ref_one.a)
@@ -491,7 +516,7 @@ def test_stacked_random_motions_equal_the_per_motion_loop():
 
 def test_motion_faults_per_row_equal_the_per_motion_outcomes():
     """One call judges a mixed stack row by row, as `Motion` judges each row
-    alone; `check_motions` raises the first failing row's message."""
+    alone; a stack `Motion` raises the first failing row's message."""
     rng = rng_from_seed(9)
     rows = [(m.A, m.a) for m in (random_motion(rng) for _ in range(4))] + [
         (np.eye(3), np.array([0.0, np.inf, 0.0])),  # non-finite
@@ -515,7 +540,7 @@ def test_motion_faults_per_row_equal_the_per_motion_outcomes():
                     want = str(exc)
                 assert fault == want
             with pytest.raises(ValueError) as first:
-                check_motions(A, a)
+                Motion(A, a)
         assert str(first.value) == next(f for f in faults if f)
     assert motion_faults(A[order.argsort()][:4], a[order.argsort()][:4]) == [None] * 4
 
@@ -528,11 +553,12 @@ def test_overflowing_entries_are_not_an_isometry():
         with pytest.raises(ValueError, match="linear part is not an isometry"):
             Motion(1e200 * np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="linear part is not an isometry"):
-            check_motions(np.stack([np.eye(3), 1e300 * ETA]), np.zeros((2, 3)))
+            Motion(np.stack([np.eye(3), 1e300 * ETA]), np.zeros((2, 3)))
     # every witness flow, whose boosts reach entries ~ e^20, is still a motion
     for id_ in NONPROPER_IDS:
         w = make_witness(build(id_))
-        assert motion_faults(*exp_element(w.generator, np.arange(1.0, 21.0))) == [None] * 20
+        flow = exp_element(w.generator, np.arange(1.0, 21.0))
+        assert motion_faults(flow.A, flow.a) == [None] * 20
 
 
 def test_causal_of_svd_on_a_mixed_stack_equals_each_row_alone():
