@@ -215,24 +215,18 @@ def _plane(s, b):
     return lambda p: (p[..., 0] - s * p[..., 1] + b, STRUCT_TOL)
 
 
-def _sup_norm(p):
-    """max|p|, zero only at the origin."""
-    return abs(p).max(axis=-1), STRUCT_TOL
+def _off(lo, hi):
+    """max |x_i| over the coordinates lo <= i < hi, zero exactly where they all vanish."""
+    return lambda p: (abs(p[..., lo:hi]).max(axis=-1), STRUCT_TOL)
+
+
+# zero at the origin, on the timelike axis, and on the spacelike axis
+_sup_norm, _pb_axis, _ni_axis = _off(0, 3), _off(1, 3), _off(0, 2)
 
 
 def _cone(p):
     """<p, p>, cut relative to max(1, |p|^2)."""
     return inner(p, p), STRUCT_TOL * np.maximum(1.0, (p[..., None, :] @ p[..., None])[..., 0, 0])
-
-
-def _pb_axis(p):
-    """max(|x2|, |x3|), zero on the timelike axis."""
-    return np.maximum(abs(p[..., 1]), abs(p[..., 2])), STRUCT_TOL
-
-
-def _ni_axis(p):
-    """max(|x1|, |x2|), zero on the spacelike axis."""
-    return np.maximum(abs(p[..., 0]), abs(p[..., 1])), STRUCT_TOL
 
 
 def _ni_diagonals(p):

@@ -371,19 +371,15 @@ def _catalog_basis(id_, items) -> SubalgebraSpec:
 
 
 def _targets(hits):
-    """Rows T[m, n, 12] and row spaces of the catalog bases of the matches
-    hits[m] = (id, params), each a cached `_catalog_basis`; at beta != 0 the
-    unit-beta one with row 0's translation times beta, as `catalog.build`
-    writes beta E3, those rows factored as one stack."""
+    """Rows T[m, n, 12] of the catalog bases of the matches hits[m] = (id,
+    params), each from a cached `_catalog_basis`; at beta != 0 the unit-beta
+    one with row 0's translation times beta, as `catalog.build` writes beta E3."""
     beta = [params.get("beta", 0.0) for _, params in hits]
-    bases = [_catalog_basis(id_, tuple({**params, "beta": 1.0}.items() if b else params.items()))
-             for (id_, params), b in zip(hits, beta)]
-    T, space = np.array([b.coords_matrix for b in bases]), np.array([b.row_space for b in bases])
-    at = [j for j, b in enumerate(beta) if b]
-    if at:
-        T[at, 0, 9:] *= np.array(beta)[at, None]
-        space[at] = _row_space(T[at])[1]
-    return T, space
+    T = np.array([_catalog_basis(id_, tuple({**params, "beta": 1.0}.items() if b else
+                                            params.items())).coords_matrix
+                  for (id_, params), b in zip(hits, beta)])
+    T[:, 0, 9:] *= np.array([[b or 1.0] for b in beta])
+    return T
 
 
 # (dim_l, linear type, dim_ker, kernel causal type) -> catalog id; a pair
@@ -418,7 +414,9 @@ def _match_table(sig: InvariantSignature, beta: float):
 
 def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     """The results for the bases R[m, n, 12] of one signature group, each
-    step once for the group; a basis failing a step is rejected."""
+    step once for the group; a basis failing a step is rejected.  The targets
+    and the conjugated bases are factored as one stack, and both directions
+    of the certifying span residual are read from it."""
     m, n = R.shape[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         C, detail = _frames(sig, lvh, kvh, X0)
@@ -455,10 +453,11 @@ def _normal_forms(sig, R, e, lvh, lifts, kvh, X0):
     if found:
         moved = np.concatenate([Y.reshape(m, n, 9), Av - _mv(Y, c[:, None])], axis=2)
         moved = moved[_rows([k for k, *_ in found], m)]
-        T, space = _targets([hit for _, hit, _ in found])
-        # both ways at once: moved in span(T), and T in span(moved)
-        spaces, rows = np.concatenate([space, _row_space(moved)[1]]), np.concatenate([moved, T])
-        residual = np.maximum(*_span_residuals(spaces, rows).max(axis=1).reshape(2, -1))
+        # both ways from one factorization: moved in span(T), and T in span(moved)
+        T = _targets([hit for _, hit, _ in found])
+        space = _row_space(np.concatenate([T, moved]))[1]
+        dist = _span_residuals(space, np.concatenate([moved, T]))
+        residual = np.maximum(*dist.max(axis=1).reshape(2, -1))
         for (k, (id_, _), params), res in zip(found, residual.tolist()):
             if res > SPAN_MATCH_TOL:
                 detail[k] = f"normalized basis does not span the {id_} basis (residual {res:.3e})"

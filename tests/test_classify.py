@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mink1.algebra import AlgebraElement, SubalgebraSpec, adjoint_spec, closure_residual
+from mink1.algebra import (AlgebraElement, SubalgebraSpec, _row_space, adjoint_spec,
+                           closure_residual)
 from mink1.catalog import CATALOG_IDS, build
 from mink1.classify import (
     Classification,
@@ -573,16 +574,22 @@ def test_beta_that_overflows_at_the_input_scale_is_rejected():
 
 def test_beta_targets_equal_the_built_catalog_bases():
     """A beta != 0 target is the cached unit-beta basis with row 0's
-    translation times beta: bit for bit `build`'s rows and row space."""
+    translation times beta: bit for bit `build`'s rows.  One `_row_space`
+    call over the targets stacked with other rows, as the certificate
+    stacks them with the conjugated bases, gives each target `build`'s row
+    space bit for bit."""
     sweep = (-1e6, -3.0, -0.75, -2.0 ** -30, 1e-300, 0.5, 1.0, 1.5, 7.25, 1e8)
     groups = (  # a signature group's targets share one dimension
         [("P-d", {"sign": s, "beta": b}) for s in (1.0, -1.0) for b in sweep]
         + [("N-vii", {"beta": 0.0}), ("P-a", {"plane": "timelike"}), ("N-v", {})],
         [("N-x", {"alpha": 1.0, "beta": b}) for b in sweep + (0.0,)] + [("N-ii", {})])
+    rng = rng_from_seed(0)
     for hits in groups:
-        T, space = _targets(hits)
-        for (id_, params), rows, rs in zip(hits, T, space):
-            basis = build(id_, **params).basis
+        T = _targets(hits)
+        bases = [build(id_, **params).basis for id_, params in hits]
+        moved = np.array([adjoint_spec(random_motion(rng), b).coords_matrix for b in bases])
+        space = _row_space(np.concatenate([T, moved]))[1]
+        for (id_, params), rows, rs, basis in zip(hits, T, space, bases):
             assert rows.tobytes() == basis.coords_matrix.tobytes(), (id_, params)
             assert rs.tobytes() == basis.row_space.tobytes(), (id_, params)
 

@@ -375,6 +375,8 @@ def test_to_json_float_formatting():
     assert to_json({"a": [1, True, None]}) == '{\n  "a": [\n    1,\n    true,\n    null\n  ]\n}'
     with pytest.raises(ValueError):
         to_json(float("nan"))
+    with pytest.raises(TypeError, match="cannot serialize"):
+        to_json(object())
 
 
 _FINITE = ("0", "1", "1e-320", "1e308", "-1e308")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -229,6 +230,9 @@ def test_motion_validation():
         Motion(np.diag([-1.0, -1.0, 1.0]), np.zeros(3))  # time reversing
     with pytest.raises(ValueError):
         Motion(np.diag([1.0, -1.0, 1.0]), np.zeros(3))  # orientation reversing
+    shape = re.escape("Motion needs parts A[..., 3, 3] and a[..., 3]")
+    with pytest.raises(ValueError, match=shape):
+        Motion(np.eye(3), np.zeros(2))
 
 
 def test_apply_examples():

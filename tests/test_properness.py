@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mink1.algebra import AlgebraElement
 from mink1.catalog import NONPROPER_IDS, PROPER_IDS, build
-from mink1.minkowski import BOOST, ROTATION, apply, compose, exp_element
+from mink1.minkowski import BOOST, E1, ROTATION, apply, compose, exp_element
 from mink1.properness import (
     WitnessError,
     linear_growth_norm,
@@ -76,11 +78,20 @@ def test_nvii_witness_point_off_origin():
 
 
 def test_witness_rejects_elliptic_generator():
+    """An elliptic generator is refused, and so is one whose flow does not
+    grow: a translation, growth below the roundoff in the norms, or growth
+    too slow to reach the norm floor by n = 20."""
     entry = build("N-i")
     fake = type(entry)(**{**entry.__dict__,
                           "witness_generator": AlgebraElement(ROTATION, Z3)})
     with pytest.raises(WitnessError):
         make_witness(fake)
+    for g, message in (
+            (AlgebraElement(0 * BOOST, E1), "witness generator has no linear growth"),
+            (AlgebraElement(3e-9 * BOOST, Z3), "witness norms are not strictly increasing"),
+            (AlgebraElement(0.01 * BOOST, Z3), "witness norm at n=20 is only 1.020")):
+        with pytest.raises(WitnessError, match=f"^N-i: {message}$"):
+            make_witness(dataclasses.replace(entry, witness_generator=g))
 
 
 def test_witness_refuses_proper_entry():
@@ -139,6 +150,8 @@ def test_recovery_property_runs():
             rep = recovery_test(build("P-d", sign=sign, beta=beta), seed=9)
             assert rep["passed"], rep
             assert rep["max_error"] < 1e-6
+    with pytest.raises(ValueError, match="recovery_test is defined for the P-d family"):
+        recovery_test(build("N-i"))
 
 
 def test_recovery_identity_element():
