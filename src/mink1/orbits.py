@@ -16,13 +16,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import AlgebraElement, SubalgebraSpec
-from .catalog import (COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expected_orbit,
-                      expected_orbits)
+from .catalog import COMPACT, NONCOMPACT, TRIVIAL, CatalogEntry, Stratum, expected_orbits
 from .minkowski import (
     ETA,
     HYPERBOLIC,
     NILPOTENT_TOL,
     PARABOLIC,
+    STRUCT_TOL,
     ZERO_TOL,
     apply,
     causal_of_svd,
@@ -51,13 +51,15 @@ def tangent_basis(spec: SubalgebraSpec, p) -> np.ndarray:
 
 class PointAnalysis(NamedTuple):
     """What `analyze_points` decides, one list entry per point; the columns of
-    ``coefficients[k]`` (left singular vectors) past ``orbit_dim[k]`` give the stabilizer."""
+    ``coefficients[k]`` (left singular vectors) past ``orbit_dim[k]`` give the stabilizer,
+    and ``singular_values[k]`` are the tangent map's, s[N, min(dim, 3)]."""
 
     orbit_dim: list
     causal: list
     stabilizer_dim: list
     stabilizer_class: list
     coefficients: np.ndarray
+    singular_values: np.ndarray
 
 
 def _combine(coeffs, parts):
@@ -71,9 +73,9 @@ def _combine(coeffs, parts):
 
 
 def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
-    """Orbit dimension, causal character and stabilizer at every point of
-    a stack P[N, 3], from one batched full SVD of the N tangent maps; each
-    point gets the bits its own SVD gives.  A connected one-parameter
+    """Orbit dimension, causal character, stabilizer and singular values at
+    every point of a stack P[N, 3], from one batched full SVD of the N tangent
+    maps; each point gets the bits its own SVD gives.  A connected one-parameter
     isometry group with a fixed point is precompact iff its linear part is
     elliptic, so a stabilizer is noncompact when a generator is hyperbolic
     or parabolic, compact when it has generators and none is, else trivial.
@@ -90,7 +92,7 @@ def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
             gens = row[rank - lo:]
             if gens:
                 sclass[k] = NONCOMPACT if HYPERBOLIC in gens or PARABOLIC in gens else COMPACT
-    return PointAnalysis(odim, causal_of_svd(odim, vh), [dim - r for r in odim], sclass, u)
+    return PointAnalysis(odim, causal_of_svd(odim, vh), [dim - r for r in odim], sclass, u, s)
 
 
 def orbit_dimension(spec: SubalgebraSpec, p) -> int:
@@ -214,19 +216,24 @@ STENCIL_RADIUS = 1e-3
 _STENCIL_STEPS = STENCIL_RADIUS * _STENCIL
 
 
-def _evidence(spec: SubalgebraSpec, p: np.ndarray) -> dict:
+def _evidence(spec: SubalgebraSpec, p: np.ndarray, s: np.ndarray, reach: float) -> dict:
     """Orbit dimensions at p and its 26 stencil neighbours (at distance
-    STENCIL_RADIUS), compared.
+    STENCIL_RADIUS), compared; ``s`` holds the singular values at p.
 
-    All 27 tangent maps are built as one stack and factored by one
-    batched SVD; row 0 is p itself.  Each row's rank is `orbit_dimension`
-    of that point.
+    A neighbour's tangent map is T(p) + E, E's rows X_i d with |d| = STENCIL_RADIUS,
+    so ||E||_2 <= reach = STENCIL_RADIUS sqrt(sum ||X_i||_F^2).  By Weyl's inequality
+    (Golub & Van Loan, Matrix Computations, 8.6) its singular values lie within reach
+    of s, so if s[-1] - reach > 2 STRUCT_TOL (s[0] + reach), all 27 points have rank
+    len(s) = min(dim, 3); the factor 2 covers roundoff, about 1e-16 s[0].  Otherwise
+    (NaN and inf too) one batched SVD factors the 27 tangent maps, row 0 being p, and
+    each row's rank is `orbit_dimension` of its point.
     """
-    pts = np.concatenate([p[None], p + _STENCIL_STEPS])
-    dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
-    od = int(dims[0])
     total = len(_STENCIL)
-    same = int(np.count_nonzero(dims[1:] == od))
+    od, same = len(s), total
+    if not s[-1] - reach > 2.0 * STRUCT_TOL * (s[0] + reach):
+        pts = np.concatenate([p[None], p + _STENCIL_STEPS])
+        dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
+        od, same = int(dims[0]), int(np.count_nonzero(dims[1:] == dims[0]))
     return {
         "center_dims": (od, spec.dim - od),
         "neighbors_same": same,
@@ -246,8 +253,8 @@ def orbit_class(entry: CatalogEntry, p):
     codimension-one orbit on a non-open stratum supports an exceptional
     one.
     """
-    p = np.asarray(p, dtype=float)
-    return expected_orbit(entry, p).orbit_class, _evidence(entry.basis, p)
+    rep = orbit_report(entry, p)
+    return rep.orbit_class, rep.evidence
 
 
 @dataclass(frozen=True)
@@ -271,9 +278,10 @@ def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
     strata = expected_orbits(entry, P)
     a = analyze_points(entry.basis, P)
     values = [None] * len(P) if entry.invariant is None else entry.invariant(P).tolist()
+    reach = STENCIL_RADIUS * np.linalg.norm(entry.basis.parts[0])
     reports = []
-    for p, expected, value, *got in zip(P, strata, values, a.orbit_dim, a.causal,
-                                        a.stabilizer_dim, a.stabilizer_class):
+    for p, s, expected, value, *got in zip(P, a.singular_values, strata, values, a.orbit_dim,
+                                           a.causal, a.stabilizer_dim, a.stabilizer_class):
         reports.append(OrbitReport(
             p, *got,
             orbit_class=expected.orbit_class,
@@ -281,7 +289,7 @@ def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
                                         expected.stabilizer_dim, expected.stabilizer_class],
             expected=expected,
             invariant_value=value,
-            evidence=_evidence(entry.basis, p) if with_evidence else None,
+            evidence=_evidence(entry.basis, p, s, reach) if with_evidence else None,
         ))
     return reports
 

@@ -317,6 +317,40 @@ def test_orbit_report_matches_one_point_functions():
                 assert rep.evidence == orbit_class(entry, p)[1]
 
 
+def _pointwise_evidence(spec, p):
+    """The evidence dict from one `orbit_dimension` call per stencil point."""
+    od = orbit_dimension(spec, p)
+    same = sum(orbit_dimension(spec, q) == od for q in p + STENCIL_RADIUS * _STENCIL)
+    return {
+        "center_dims": (od, spec.dim - od),
+        "neighbors_same": same,
+        "neighbors_total": 26,
+        "principal_evidence": same == 26,
+        "exceptional_evidence": od == 2 and same < 26,
+    }
+
+
+@pytest.mark.parametrize("id_, q", [("N-iii", (1.0, 1.0, 0.5)), ("N-ix", (1.0, 1.0, 0.3)),
+                                    ("N-x", (1.0, 1.0, 0.3)), ("P-b", (0.7, 0.0, 0.0))])
+def test_evidence_next_to_a_stratum_matches_pointwise_loop(id_, q):
+    """p = q - step puts one stencil neighbour on q's lower-rank stratum, where
+    the singular-value bound must leave the decision to the stencil SVD."""
+    entry = build(id_)
+    for step in STENCIL_RADIUS * _STENCIL:
+        p = np.asarray(q) - step
+        assert orbit_report(entry, p).evidence == _pointwise_evidence(entry.basis, p), (id_, p)
+
+
+def test_certified_evidence_skips_the_stencil_svd(svd_inputs):
+    ni, niii = build("N-i"), build("N-iii")
+    svd_inputs.clear()
+    assert orbit_report(ni, (0.3, -1.2, 2.0)).evidence["principal_evidence"]
+    assert len(svd_inputs) == 1  # the point's own map; its bound certifies the stencil
+    svd_inputs.clear()
+    assert orbit_report(niii, (1.0, 1.0, 0.5)).evidence["exceptional_evidence"]
+    assert len(svd_inputs) == 2  # on the plane: the stencil is factored too
+
+
 def test_tangent_basis_of_a_point_stack():
     rng = rng_from_seed(31)
     for _ in range(50):
