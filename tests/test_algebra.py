@@ -61,6 +61,11 @@ def test_element_validation():
         AlgebraElement(BOOST, np.zeros(2))
 
 
+def test_element_repr_lists_its_parts():
+    assert repr(AlgebraElement(BOOST, E1)) == (
+        "AlgebraElement(X=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], v=[1.0, 0.0, 0.0])")
+
+
 def test_bracket_rotation_translation():
     # direct computation: ROTATION sends e2 to -e3
     a = el(ROTATION, 0.37 * E1)

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import operator
+import re
 from itertools import chain, count
 from types import SimpleNamespace
 
@@ -327,6 +329,15 @@ def test_expected_orbits_reject_a_nonfinite_row_and_map_empty_to_empty():
                 expected_orbits(build(id_), Q)
     for id_ in CATALOG_IDS:
         assert expected_orbits(build(id_), np.empty((0, 3))) == []
+
+
+def test_expected_orbits_name_a_point_no_stratum_covers():
+    """Strata that leave a gap fail loudly at the first uncovered point."""
+    entry = build("N-iii")
+    gapped = dataclasses.replace(entry, strata=entry.strata[:1])  # only the plane
+    with pytest.raises(AssertionError, match=re.escape(
+            "strata of N-iii do not cover array([1., 0., 0.])")):
+        expected_orbits(gapped, [[1.0, 0.0, 0.0]])
 
 
 def test_invariants_on_a_stack_equal_each_point_alone():

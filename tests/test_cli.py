@@ -373,6 +373,7 @@ def test_orbit_unwritable_csv_exits_2(tmp_path, capsys):
 def test_to_json_float_formatting():
     assert to_json(0.1) == "0.10000000000000001"
     assert to_json({"a": [1, True, None]}) == '{\n  "a": [\n    1,\n    true,\n    null\n  ]\n}'
+    assert to_json(np.array([1.0, 2.5])) == "[\n  1,\n  2.5\n]"
     with pytest.raises(ValueError):
         to_json(float("nan"))
     with pytest.raises(TypeError, match="cannot serialize"):

@@ -235,6 +235,11 @@ def test_motion_validation():
         Motion(np.eye(3), np.zeros(2))
 
 
+def test_motion_repr_lists_its_parts():
+    assert repr(Motion.identity()) == (
+        "Motion(A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], a=[0.0, 0.0, 0.0])")
+
+
 def test_apply_examples():
     assert np.allclose(apply(Motion.identity(), [1, 2, 3]), [1, 2, 3])
     # boost at rapidity ln 2: cosh = 1.25, sinh = 0.75

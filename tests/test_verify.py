@@ -154,3 +154,30 @@ def test_each_check_fails_on_an_injected_fault(monkeypatch, case):
     assert res.check_id == check_id and res.passed is False
     pattern = ".+?".join(map(re.escape, first.split("...")))
     assert re.fullmatch(pattern, res.detail.split("; ")[0]), res.detail
+
+
+def _variant_names(variants):
+    return [f"{id_}{params}" for id_ in catalog.CATALOG_IDS for params in variants.get(id_, ({},))]
+
+
+# (the names the fault raises one problem for, in the order the check visits
+# them, the message after each name, how many problems, how many the detail lists)
+_LISTED = {
+    "C1-closure": (_variant_names(verify._ENTRY_VARIANTS), "bracket residual 1.00e+00", 23, 23),
+    "C3-recovery": ([f"sign={s}, beta={b}" for s in (1.0, -1.0) for b in (0.5, 1.0, 2.0)],
+                    "error 1.00e+00", 6, 6),
+    "C7-rejected": (_variant_names(verify._ROUND_TRIP_VARIANTS), "rejected (unmatched: injected)",
+                    22, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_LISTED))
+def test_a_failed_check_lists_every_problem_or_its_first_four(monkeypatch, case):
+    """C1 and C3 list every problem they find; every other check lists its
+    first four."""
+    names, message, found, listed = _LISTED[case]
+    assert len(names) == found
+    check_id, module, name, fault, _ = _FAULTS[case]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    res = verify.ALL_CHECKS[int(check_id[1:]) - 1](42)
+    assert res.detail == "; ".join(f"{n}: {message}" for n in names[:listed])
