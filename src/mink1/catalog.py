@@ -289,15 +289,38 @@ def _cone_sampler(side, avoid_plane=False):
 
 
 # ---------------------------------------------------------------------------
-# shared strata
+# facts shared by several families
+
+
+# conserved invariants, as (name, function of p[3], or of P[N, 3] row by row)
+_X1 = ("x1", lambda q: q[..., 0])
+_X3 = ("x3", lambda q: q[..., 2])
+_X1_MINUS_X2 = ("x1-x2", lambda q: q[..., 0] - q[..., 1])
+_SQUARE = ("<q,q>", lambda q: inner(q, q))
+
+# stratum rows: (name, dim, causal, orbit class, stabilizer dim, stabilizer class)
+_NULL_LINE = ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT)
+_DEGENERATE_PLANE = ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL)
+# rows shared by the boost families whose translations fill a null plane
+_EXCEPTIONAL_PLANE = ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT)
+_OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
+
+
+def _null(s):
+    """The null translation along e1 + s e2 of a sign s, and its label."""
+    return (_T_NULL_PLUS, "e1+e2") if s > 0 else (_T_NULL_MINUS, "e1-e2")
+
+
+def _stratum(row, pattern, samplers=()):
+    """The stratum of a row with its pattern and samplers."""
+    return Stratum(row[0], pattern, *row[1:], samplers)
 
 
 def _plane_strata(s, b, plane_row, off_row, off_samplers=()):
     """The plane x1 - s*x2 + b = 0 and its complement, as two strata.
 
-    A row is (name, dim, causal, orbit class, stabilizer dim, stabilizer
-    class).  The plane stratum samples exactly on the plane; unless
-    `off_samplers` are given, the complement has the default sampler.
+    The plane stratum samples exactly on the plane; unless `off_samplers`
+    are given, the complement has the default sampler.
     """
     plane = _plane(s, b)
 
@@ -305,15 +328,23 @@ def _plane_strata(s, b, plane_row, off_row, off_samplers=()):
         a, c = rng.uniform(-3.0, 3.0, 2)
         return np.array([a, s * a + b, c])
 
-    return (
-        Stratum(plane_row[0], ((plane, _ON),), *plane_row[1:], (sample_plane,)),
-        Stratum(off_row[0], ((plane, _OFF),), *off_row[1:], off_samplers),
-    )
+    return (_stratum(plane_row, ((plane, _ON),), (sample_plane,)),
+            _stratum(off_row, ((plane, _OFF),), off_samplers))
 
 
-# rows shared by the boost families whose translations fill a null plane
-_EXCEPTIONAL_PLANE = ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 1, NONCOMPACT)
-_OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
+def _family(id_, elements, proper, orbit_space, strata, family, params=None,
+            conserved=(None, None), witness=(_BOOST_EL, None), **fields) -> CatalogEntry:
+    """The entry of a family spanned by `elements`; `conserved` is its
+    invariant's (name, function).  A nonproper family's witness is
+    (generator, point or None for the origin), by default the boost, which
+    fixes the origin exactly; a proper family gets none."""
+    generator, point = (None, None) if proper else witness
+    return CatalogEntry(
+        id=id_, params=params or {}, basis=SubalgebraSpec(elements), proper=proper,
+        orbit_space=orbit_space, strata=strata, family=family,
+        invariant_name=conserved[0], invariant=conserved[1],
+        witness_point=None if proper else np.array(point or (0.0, 0.0, 0.0)),
+        witness_generator=generator, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +353,18 @@ _OPEN_HALF_SPACE = ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 0, TRIVIAL)
 
 def _build_P_a(plane: str = "spacelike") -> CatalogEntry:
     planes = {
-        "spacelike": ((_T_E2, _T_E3), RIEMANNIAN,
-                      "x1", lambda q: q[..., 0]),
-        "timelike": ((_T_E1, _T_E2), LORENTZIAN,
-                     "x3", lambda q: q[..., 2]),
-        "degenerate": ((_T_NULL_PLUS, _T_E3), DEGENERATE,
-                       "x1-x2", lambda q: q[..., 0] - q[..., 1]),
+        "spacelike": ((_T_E2, _T_E3), RIEMANNIAN, _X1),
+        "timelike": ((_T_E1, _T_E2), LORENTZIAN, _X3),
+        "degenerate": ((_T_NULL_PLUS, _T_E3), DEGENERATE, _X1_MINUS_X2),
     }
     if plane not in planes:
         raise CatalogError(f"P-a plane must be one of {sorted(planes)}, got {plane!r}")
-    els, causal, inv_name, inv = planes[plane]
-    strata = (Stratum("translated-plane", (), 2, causal, PRINCIPAL, 0, TRIVIAL),)
-    return CatalogEntry(
-        id="P-a", params={"plane": plane}, basis=SubalgebraSpec(els), proper=True,
-        orbit_space=REAL_LINE, strata=strata,
-        family="pure translations along a fixed 2-plane",
-        param_domain="plane in {spacelike, timelike, degenerate}",
-        invariant_name=inv_name, invariant=inv,
-    )
+    els, causal, conserved = planes[plane]
+    return _family(
+        "P-a", els, True, REAL_LINE,
+        (Stratum("translated-plane", (), 2, causal, PRINCIPAL, 0, TRIVIAL),),
+        "pure translations along a fixed 2-plane", params={"plane": plane}, conserved=conserved,
+        param_domain="plane in {spacelike, timelike, degenerate}")
 
 
 def _build_P_b() -> CatalogEntry:
@@ -352,22 +377,17 @@ def _build_P_b() -> CatalogEntry:
         Stratum("cylinder", ((_pb_axis, _OFF),), 2, LORENTZIAN, PRINCIPAL, 0,
                 TRIVIAL, (_rejecting(lambda P: _pb_axis(P)[0] >= 0.1),)),
     )
-    return CatalogEntry(
-        id="P-b", params={}, basis=SubalgebraSpec((_ROTATION_EL, _T_E1)),
-        proper=True, orbit_space=HALF_LINE, strata=strata,
-        family="rotations about a timelike axis times translations along it",
-        invariant_name="x2^2+x3^2", invariant=lambda q: q[..., 1] ** 2 + q[..., 2] ** 2,
-    )
+    return _family(
+        "P-b", (_ROTATION_EL, _T_E1), True, HALF_LINE, strata,
+        "rotations about a timelike axis times translations along it",
+        conserved=("x2^2+x3^2", lambda q: q[..., 1] ** 2 + q[..., 2] ** 2))
 
 
 def _build_P_c() -> CatalogEntry:
-    strata = (Stratum("spacelike-plane", (), 2, RIEMANNIAN, PRINCIPAL, 1, COMPACT),)
-    return CatalogEntry(
-        id="P-c", params={}, basis=SubalgebraSpec((_ROTATION_EL, _T_E2, _T_E3)),
-        proper=True, orbit_space=REAL_LINE, strata=strata,
-        family="Euclidean motions of the spacelike planes x1 = const",
-        invariant_name="x1", invariant=lambda q: q[..., 0],
-    )
+    return _family(
+        "P-c", (_ROTATION_EL, _T_E2, _T_E3), True, REAL_LINE,
+        (Stratum("spacelike-plane", (), 2, RIEMANNIAN, PRINCIPAL, 1, COMPACT),),
+        "Euclidean motions of the spacelike planes x1 = const", conserved=_X1)
 
 
 def _finite_param(id_: str, name: str, value) -> float:
@@ -385,7 +405,6 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     beta = _finite_param("P-d", "beta", beta)
     if beta == 0.0:
         raise CatalogError("P-d requires beta != 0 (beta = 0 is the N-v / N-vi family)")
-    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
     sample_cyl = _rejecting(lambda P: (abs(P[:, 0] - s * P[:, 1]) > 0.05) & (abs(P[:, 2]) < 2.0))
 
     def invariant(q, _s=s, _b=beta):
@@ -394,16 +413,13 @@ def _build_P_d(sign: float = 1.0, beta: float = 1.0) -> CatalogEntry:
             return (q[..., 0] - _s * q[..., 1]) * np.exp(_s * q[..., 2] / _b)
 
     strata = _plane_strata(
-        s, 0.0, ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL),
+        s, 0.0, _DEGENERATE_PLANE,
         ("generalized-cylinder", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL), (sample_cyl,))
-    return CatalogEntry(
-        id="P-d", params={"sign": s, "beta": beta},
-        basis=SubalgebraSpec((AlgebraElement(BOOST, beta * E3), nu)),
-        proper=True, orbit_space=REAL_LINE, strata=strata,
-        family="boosts coupled to spacelike-axis translations, with a null translation",
-        param_domain="sign in {+1, -1}; beta != 0",
-        invariant_name="(x1-s*x2)*exp(s*x3/beta)", invariant=invariant,
-    )
+    return _family(
+        "P-d", (AlgebraElement(BOOST, beta * E3), _null(s)[0]), True, REAL_LINE, strata,
+        "boosts coupled to spacelike-axis translations, with a null translation",
+        params={"sign": s, "beta": beta}, conserved=("(x1-s*x2)*exp(s*x3/beta)", invariant),
+        param_domain="sign in {+1, -1}; beta != 0")
 
 
 def _build_N_i() -> CatalogEntry:
@@ -430,91 +446,58 @@ def _build_N_i() -> CatalogEntry:
         Stratum("cylinder-branch-lorentzian", (*generic, (_ni_branch, _NEG)), 2,
                 LORENTZIAN, PRINCIPAL, 0, TRIVIAL),
     )
-    return CatalogEntry(
-        id="N-i", params={}, basis=SubalgebraSpec((_BOOST_EL, _T_E3)),
-        proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
-        family="boosts times translations along the boost axis",
-        invariant_name="x1^2-x2^2", invariant=lambda q: q[..., 0] ** 2 - q[..., 1] ** 2,
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(
+        "N-i", (_BOOST_EL, _T_E3), False, OTHER_NON_HAUSDORFF, strata,
+        "boosts times translations along the boost axis",
+        conserved=("x1^2-x2^2", lambda q: q[..., 0] ** 2 - q[..., 1] ** 2))
 
 
 def _build_N_ii() -> CatalogEntry:
-    strata = (Stratum("lorentzian-plane", (), 2, LORENTZIAN, PRINCIPAL, 1, NONCOMPACT),)
-    return CatalogEntry(
-        id="N-ii", params={},
-        basis=SubalgebraSpec((_BOOST_EL, _T_E1, _T_E2)),
-        proper=False, orbit_space=REAL_LINE, strata=strata,
-        family="full motion group of the timelike planes x3 = const",
-        invariant_name="x3", invariant=lambda q: q[..., 2],
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(
+        "N-ii", (_BOOST_EL, _T_E1, _T_E2), False, REAL_LINE,
+        (Stratum("lorentzian-plane", (), 2, LORENTZIAN, PRINCIPAL, 1, NONCOMPACT),),
+        "full motion group of the timelike planes x3 = const", conserved=_X3)
 
 
 def _null_plane_entry(id_, s):
     """Shared construction for the boost-with-null-plane families."""
-    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
-    strata = _plane_strata(s, 0.0, _EXCEPTIONAL_PLANE, _OPEN_HALF_SPACE)
-    return CatalogEntry(
-        id=id_, params={},
-        basis=SubalgebraSpec((_BOOST_EL, nu, _T_E3)),
-        proper=False, orbit_space=THREE_POINTS, strata=strata,
-        family="boosts with translations filling a degenerate plane "
-               f"(null direction e1{'+' if s > 0 else '-'}e2)",
-        # the origin lies on the degenerate stratum and the boost fixes it exactly
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    nu, label = _null(s)
+    return _family(
+        id_, (_BOOST_EL, nu, _T_E3), False, THREE_POINTS,
+        _plane_strata(s, 0.0, _EXCEPTIONAL_PLANE, _OPEN_HALF_SPACE),
+        f"boosts with translations filling a degenerate plane (null direction {label})")
 
 
 def _null_line_entry(id_, s):
     """Shared construction for the boost-with-null-line families."""
-    nu = _T_NULL_PLUS if s > 0 else _T_NULL_MINUS
-    strata = _plane_strata(s, 0.0, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
+    nu, label = _null(s)
+    strata = _plane_strata(s, 0.0, _NULL_LINE,
                            ("lorentzian-half-plane", 2, LORENTZIAN, PRINCIPAL, 0, TRIVIAL))
-    return CatalogEntry(
-        id=id_, params={},
-        basis=SubalgebraSpec((_BOOST_EL, nu)),
-        proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
-        family="boosts with a single null translation direction "
-               f"(e1{'+' if s > 0 else '-'}e2)",
-        invariant_name="x3", invariant=lambda q: q[..., 2],
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(id_, (_BOOST_EL, nu), False, OTHER_NON_HAUSDORFF, strata,
+                   f"boosts with a single null translation direction ({label})",
+                   conserved=_X3)
 
 
 def _build_N_vii(beta: float = 1.0) -> CatalogEntry:
     beta = _finite_param("N-vii", "beta", beta)
-    # the singular line x2 = x1 + beta
-    strata = _plane_strata(1.0, beta, ("null-line", 1, NULL, SINGULAR, 1, NONCOMPACT),
-                           ("degenerate-plane", 2, DEGENERATE, PRINCIPAL, 0, TRIVIAL))
-    if beta != 0.0:
-        wp = np.array([0.0, beta, 0.0])
-        wg = AlgebraElement(NULL_ROTATION, beta * E3)
-    else:
-        wp = np.zeros(3)
-        wg = _NULL_ROTATION_EL
-    return CatalogEntry(
-        id="N-vii", params={"beta": beta},
-        basis=SubalgebraSpec((AlgebraElement(NULL_ROTATION, beta * E3), _T_NULL_PLUS)),
-        proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
-        family="null rotations with a null translation; degenerate-plane orbits "
-               "with a shifted line of fixed directions",
-        param_domain="beta real (all values conjugate to beta = 0)",
-        invariant_name="x1-x2", invariant=lambda q: q[..., 0] - q[..., 1],
-        witness_point=wp, witness_generator=wg,
-    )
+    xi = AlgebraElement(NULL_ROTATION, beta * E3)
+    # the singular line x2 = x1 + beta, which holds the witness point
+    strata = _plane_strata(1.0, beta, _NULL_LINE, _DEGENERATE_PLANE)
+    return _family(
+        "N-vii", (xi, _T_NULL_PLUS), False, OTHER_NON_HAUSDORFF, strata,
+        "null rotations with a null translation; degenerate-plane orbits "
+        "with a shifted line of fixed directions",
+        params={"beta": beta}, conserved=_X1_MINUS_X2,
+        witness=(xi, (0.0, beta, 0.0)) if beta != 0.0 else (_NULL_ROTATION_EL, None),
+        param_domain="beta real (all values conjugate to beta = 0)")
 
 
 def _build_N_viii() -> CatalogEntry:
-    strata = (Stratum("degenerate-plane", (), 2, DEGENERATE, PRINCIPAL, 1, NONCOMPACT),)
-    return CatalogEntry(
-        id="N-viii", params={},
-        basis=SubalgebraSpec((_NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3)),
-        proper=False, orbit_space=REAL_LINE, strata=strata,
-        family="null rotations with translations foliating by degenerate planes",
-        invariant_name="x1-x2", invariant=lambda q: q[..., 0] - q[..., 1],
-        witness_point=np.zeros(3), witness_generator=_NULL_ROTATION_EL,
-    )
+    return _family(
+        "N-viii", (_NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3), False, REAL_LINE,
+        (Stratum("degenerate-plane", (), 2, DEGENERATE, PRINCIPAL, 1, NONCOMPACT),),
+        "null rotations with translations foliating by degenerate planes",
+        conserved=_X1_MINUS_X2, witness=(_NULL_ROTATION_EL, None))
 
 
 def _build_N_ix() -> CatalogEntry:
@@ -532,8 +515,7 @@ def _build_N_ix() -> CatalogEntry:
     strata = (
         Stratum("origin", ((_sup_norm, _ON),), 0, ZERO_VECTOR, SINGULAR, 2,
                 NONCOMPACT, (_origin,)),
-        Stratum("null-line", ((_sup_norm, _OFF), (line, _ON)), 1, NULL, SINGULAR,
-                1, NONCOMPACT, (sample_line_z0, sample_line_z)),
+        _stratum(_NULL_LINE, ((_sup_norm, _OFF), (line, _ON)), (sample_line_z0, sample_line_z)),
         Stratum("timelike-region", (*off_line, (_cone, _NEG)), 2, RIEMANNIAN,
                 PRINCIPAL, 0, TRIVIAL),
         Stratum("light-cone-sector", (*off_line, (_cone, _ON)), 2, DEGENERATE,
@@ -541,14 +523,9 @@ def _build_N_ix() -> CatalogEntry:
         Stratum("spacelike-region", (*off_line, (_cone, _POS)), 2, LORENTZIAN,
                 PRINCIPAL, 0, TRIVIAL),
     )
-    return CatalogEntry(
-        id="N-ix", params={},
-        basis=SubalgebraSpec((_BOOST_EL, _NULL_ROTATION_EL)),
-        proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
-        family="the solvable boost/null-rotation group acting linearly",
-        invariant_name="<q,q>", invariant=lambda q: inner(q, q),
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(
+        "N-ix", (_BOOST_EL, _NULL_ROTATION_EL), False, OTHER_NON_HAUSDORFF, strata,
+        "the solvable boost/null-rotation group acting linearly", conserved=_SQUARE)
 
 
 def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
@@ -557,38 +534,28 @@ def _build_N_x(alpha: float = 1.0, beta: float = 1.0) -> CatalogEntry:
     if alpha == 0.0:
         raise CatalogError(
             "N-x requires alpha != 0 (a trivial kernel direction is the N-ix family)")
-
     if beta != 0.0:
-        plane_row, orbit_space = _EXCEPTIONAL_PLANE, THREE_POINTS
-        wg = _NULL_ROTATION_EL
+        plane_row, orbit_space, generator = _EXCEPTIONAL_PLANE, THREE_POINTS, _NULL_ROTATION_EL
     else:
         plane_row = ("null-line", 1, NULL, SINGULAR, 2, NONCOMPACT)
-        orbit_space = OTHER_NON_HAUSDORFF
-        wg = _BOOST_EL
-    strata = _plane_strata(1.0, 0.0, plane_row, _OPEN_HALF_SPACE)
-    return CatalogEntry(
-        id="N-x", params={"alpha": alpha, "beta": beta},
-        basis=SubalgebraSpec((AlgebraElement(BOOST, beta * E3), _NULL_ROTATION_EL,
-                             AlgebraElement(0 * BOOST, alpha * NULL_PLUS))),
-        proper=False, orbit_space=orbit_space, strata=strata,
-        family="solvable linear group extended by one null translation direction; "
-               "the boost generator carries a spacelike translation of size beta",
-        param_domain="alpha != 0 (kernel scale, normalized away); beta real",
-        witness_point=np.zeros(3), witness_generator=wg,
-    )
+        orbit_space, generator = OTHER_NON_HAUSDORFF, _BOOST_EL
+    return _family(
+        "N-x", (AlgebraElement(BOOST, beta * E3), _NULL_ROTATION_EL,
+                AlgebraElement(0 * BOOST, alpha * NULL_PLUS)),
+        False, orbit_space, _plane_strata(1.0, 0.0, plane_row, _OPEN_HALF_SPACE),
+        "solvable linear group extended by one null translation direction; "
+        "the boost generator carries a spacelike translation of size beta",
+        params={"alpha": alpha, "beta": beta}, witness=(generator, None),
+        param_domain="alpha != 0 (kernel scale, normalized away); beta real")
 
 
 def _build_N_xi() -> CatalogEntry:
     strata = _plane_strata(1.0, 0.0,
                            ("degenerate-plane", 2, DEGENERATE, EXCEPTIONAL, 2, NONCOMPACT),
                            ("open-half-space", 3, LORENTZIAN, OPEN_ORBIT, 1, NONCOMPACT))
-    return CatalogEntry(
-        id="N-xi", params={},
-        basis=SubalgebraSpec((_BOOST_EL, _NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3)),
-        proper=False, orbit_space=THREE_POINTS, strata=strata,
-        family="solvable linear group with a full degenerate plane of translations",
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(
+        "N-xi", (_BOOST_EL, _NULL_ROTATION_EL, _T_NULL_PLUS, _T_E3), False, THREE_POINTS,
+        strata, "solvable linear group with a full degenerate plane of translations")
 
 
 def _build_N_xii() -> CatalogEntry:
@@ -603,14 +570,9 @@ def _build_N_xii() -> CatalogEntry:
         Stratum("pseudo-sphere", (off_origin, (_cone, _POS)), 2, LORENTZIAN,
                 PRINCIPAL, 1, NONCOMPACT),
     )
-    return CatalogEntry(
-        id="N-xii", params={},
-        basis=SubalgebraSpec((_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL)),
-        proper=False, orbit_space=OTHER_NON_HAUSDORFF, strata=strata,
-        family="the full linear isometry group (identity component)",
-        invariant_name="<q,q>", invariant=lambda q: inner(q, q),
-        witness_point=np.zeros(3), witness_generator=_BOOST_EL,
-    )
+    return _family(
+        "N-xii", (_BOOST_EL, _ROTATION_EL, _NULL_ROTATION_EL), False, OTHER_NON_HAUSDORFF,
+        strata, "the full linear isometry group (identity component)", conserved=_SQUARE)
 
 
 _BUILDERS = {

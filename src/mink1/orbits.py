@@ -24,6 +24,7 @@ from .minkowski import (
     PARABOLIC,
     STRUCT_TOL,
     ZERO_TOL,
+    _checked_motion,
     apply,
     causal_of_svd,
     compose,
@@ -140,8 +141,9 @@ def sample_orbit(entry: CatalogEntry, P, grid) -> np.ndarray:
     ``grid`` is an (N, dim) array, or a sequence of N tuples, with one
     coordinate per basis element; a base point p[3] gives the samples[N, 3],
     a stack P[M, 3] the samples[M, N, 3].  The empty grid yields the base
-    points themselves.  Each flow runs over the whole grid as one stack,
-    and the stacks compose row by row once for all base points, so every
+    points themselves.  Each flow exponentiates each distinct time of its
+    column once (by bits, so -0.0 and 0.0 are two) and gathers the rows;
+    the stacks compose row by row once for all base points, so every
     sample has the bits of its own chain of motions and point.
     """
     P = np.asarray(P, dtype=float)
@@ -150,7 +152,14 @@ def sample_orbit(entry: CatalogEntry, P, grid) -> np.ndarray:
         return P[..., None, :]
     if ts.ndim != 2 or ts.shape[1] != entry.basis.dim:
         raise ValueError("grid tuples must match the basis dimension")
-    return apply(reduce(compose, map(exp_element, entry.basis.basis, ts.T)), P[..., None, :])
+    return apply(reduce(compose, map(_flow, entry.basis.basis, ts.T)), P[..., None, :])
+
+
+def _flow(el, t):
+    """`exp_element` of el over the times t[N], each distinct one taken once."""
+    distinct, at = np.unique(t.view(np.uint64), return_inverse=True)
+    m = exp_element(el, distinct.view(float))
+    return _checked_motion(m.A[at], m.a[at])
 
 
 def eq1_norm(alpha: float, p) -> float:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mink1 import catalog
+from mink1 import catalog, verify
 from mink1.algebra import is_subalgebra, kernel_of_l, linear_part
 from mink1.catalog import (
     CATALOG_IDS,
@@ -468,3 +468,34 @@ def test_a_shared_entry_refuses_changes_to_its_span():
     fresh = build("N-i").basis
     assert fresh.dim == 2 and len(fresh.basis) == 2 and len(fresh.parts[0]) == 2
     assert np.array_equal(fresh.coords_matrix, rows) and np.array_equal(fresh.row_space, space)
+
+
+def test_every_witness_is_pinned():
+    """N-vii at beta != 0 flows (NULL_ROTATION, beta e3) from (0, beta, 0);
+    N-vii at beta = 0, N-viii and N-x at beta != 0 flow the null rotation,
+    and every other nonproper variant the boost, from the origin.  A proper
+    family has no witness.  Checked on verify's variants and C2's sweeps."""
+    sweep = verify.PARAM_SWEEP
+    variants = {id_: list(verify._ENTRY_VARIANTS.get(id_, ({},))) for id_ in CATALOG_IDS}
+    variants["N-vii"] += [{"beta": b} for b in sweep]
+    variants["N-x"] += ([{"alpha": a, "beta": 1.0} for a in sweep]
+                        + [{"alpha": 1.0, "beta": b} for b in sweep])
+    variants["P-d"] += [{"sign": s, "beta": b} for s in (1.0, -1.0) for b in sweep]
+    origin = np.zeros(3)
+    for id_, param_list in variants.items():
+        for params in param_list:
+            entry = build(id_, **params)
+            if entry.proper:
+                assert entry.witness_point is None and entry.witness_generator is None, id_
+                continue
+            beta = entry.params.get("beta", 0.0)
+            if id_ == "N-vii" and beta != 0.0:
+                want = NULL_ROTATION, beta * E3, np.array([0.0, beta, 0.0])
+            elif id_ in ("N-vii", "N-viii") or (id_ == "N-x" and beta != 0.0):
+                want = NULL_ROTATION, origin, origin
+            else:
+                want = BOOST, origin, origin
+            g = entry.witness_generator
+            got = g.X, g.v, entry.witness_point
+            assert [x.tobytes() for x in got] == [np.asarray(x, float).tobytes() for x in want], (
+                id_, params)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from mink1 import orbits
 from mink1.algebra import AlgebraElement, SubalgebraSpec
 from mink1.catalog import CATALOG_IDS, build
 from mink1.minkowski import (
@@ -495,3 +498,30 @@ def test_shape_operator_and_normal_on_a_stack_equal_each_point_alone():
             shape_operator(entry, Q)
     with pytest.raises(ValueError, match="2-dimensional"):
         orbit_normal(build("N-xii").basis, np.array([[1.0, 2.0, 0.5], Z3]))
+
+
+def test_sample_orbit_exponentiates_each_distinct_time_once(monkeypatch):
+    """Each flow of an n^3 grid gets the n distinct times of its column, told
+    apart by bits (-0.0 and 0.0 are two), and the samples equal the per-tuple
+    loop's, sign bits included."""
+    entry = build("N-ii")
+    times = np.array([-0.0, 0.0, 0.5, -1.25])
+    grid = np.array(list(itertools.product(times, repeat=3)))
+    p = np.array([1.0, -0.0, 3.0])
+    calls = []
+
+    def recording(el, t):
+        calls.append(np.array(t))
+        return exp_element(el, t)
+
+    monkeypatch.setattr(orbits, "exp_element", recording)
+    got = sample_orbit(entry, p, grid)
+    assert [sorted(t.view(np.uint64).tolist()) for t in calls] == (
+        [sorted(times.view(np.uint64).tolist())] * 3)
+    want = []
+    for tup in grid:
+        m = exp_element(entry.basis.basis[0], tup[0])
+        for el, t in zip(entry.basis.basis[1:], tup[1:]):
+            m = compose(m, exp_element(el, t))
+        want.append(apply(m, p))
+    assert got.tobytes() == np.stack(want).tobytes()
