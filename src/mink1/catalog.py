@@ -38,7 +38,7 @@ that raises, or one given a value not a str, int or float, is not kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
@@ -150,9 +150,13 @@ class CatalogEntry:
     invariant: Optional[Callable[[np.ndarray], float | np.ndarray]] = None
     witness_point: Optional[np.ndarray] = None
     witness_generator: Optional[AlgebraElement] = None
+    # (||X||_F over the basis, the largest stratum dim), always derived: `orbits._evidence`'s bound
+    _rank_bound: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", _Params(self.params))
+        object.__setattr__(self, "_rank_bound", (float(np.linalg.norm(self.basis.parts[0])),
+                                                 max((s.dim for s in self.strata), default=0)))
         if self.witness_point is not None:
             self.witness_point.setflags(write=False)
 

@@ -225,21 +225,24 @@ STENCIL_RADIUS = 1e-3
 _STENCIL_STEPS = STENCIL_RADIUS * _STENCIL
 
 
-def _evidence(spec: SubalgebraSpec, p: np.ndarray, s: np.ndarray, reach: float) -> dict:
+def _evidence(spec: SubalgebraSpec, p: np.ndarray, s: np.ndarray, od: int, reach: float,
+              cap: int) -> dict:
     """Orbit dimensions at p and its 26 stencil neighbours (at distance
-    STENCIL_RADIUS), compared; ``s`` holds the singular values at p.
+    STENCIL_RADIUS), compared; ``s`` holds the singular values at p, ``od`` its rank.
 
     A neighbour's tangent map is T(p) + E, E's rows X_i d with |d| = STENCIL_RADIUS,
     so ||E||_2 <= reach = STENCIL_RADIUS sqrt(sum ||X_i||_F^2).  By Weyl's inequality
     (Golub & Van Loan, Matrix Computations, 8.6) its singular values lie within reach
-    of s, so if s[-1] - reach > 2 STRUCT_TOL (s[0] + reach), all 27 points have rank
-    len(s) = min(dim, 3); the factor 2 covers roundoff, about 1e-16 s[0].  Otherwise
-    (NaN and inf too) one batched SVD factors the 27 tangent maps, row 0 being p, and
-    each row's rank is `orbit_dimension` of its point.
+    of s, so if s[od-1] - reach > 2 STRUCT_TOL (s[0] + reach), every neighbour has rank
+    at least od; the factor 2 covers roundoff, about 1e-16 s[0].  No point has rank
+    above ``cap``, the largest stratum dimension, as every (cap+1)-minor of T vanishes
+    identically; so when also od == cap, all 27 points have rank od.  Otherwise (NaN
+    and inf too, or a catalog that misstates cap) one batched SVD factors the 27 tangent
+    maps, row 0 being p, and each row's rank is `orbit_dimension` of its point.
     """
     total = len(_STENCIL)
-    od, same = len(s), total
-    if not s[-1] - reach > 2.0 * STRUCT_TOL * (s[0] + reach):
+    same = total
+    if not (od == cap and s[od - 1] - reach > 2.0 * STRUCT_TOL * (s[0] + reach)):
         pts = np.concatenate([p[None], p + _STENCIL_STEPS])
         dims = numeric_rank(np.linalg.svd(tangent_basis(spec, pts), compute_uv=False))
         od, same = int(dims[0]), int(np.count_nonzero(dims[1:] == dims[0]))
@@ -287,7 +290,8 @@ def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
     strata = expected_orbits(entry, P)
     a = analyze_points(entry.basis, P)
     values = [None] * len(P) if entry.invariant is None else entry.invariant(P).tolist()
-    reach = STENCIL_RADIUS * np.linalg.norm(entry.basis.parts[0])
+    norm, cap = entry._rank_bound
+    reach = STENCIL_RADIUS * norm
     reports = []
     for p, s, expected, value, *got in zip(P, a.singular_values, strata, values, a.orbit_dim,
                                            a.causal, a.stabilizer_dim, a.stabilizer_class):
@@ -298,7 +302,7 @@ def orbit_reports(entry: CatalogEntry, P, with_evidence: bool = True) -> list:
                                         expected.stabilizer_dim, expected.stabilizer_class],
             expected=expected,
             invariant_value=value,
-            evidence=_evidence(entry.basis, p, s, reach) if with_evidence else None,
+            evidence=_evidence(entry.basis, p, s, got[0], reach, cap) if with_evidence else None,
         ))
     return reports
 

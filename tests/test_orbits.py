@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,6 +354,58 @@ def test_certified_evidence_skips_the_stencil_svd(svd_inputs):
     svd_inputs.clear()
     assert orbit_report(niii, (1.0, 1.0, 0.5)).evidence["exceptional_evidence"]
     assert len(svd_inputs) == 2  # on the plane: the stencil is factored too
+    # orbits of dimension 2 inside 3-dimensional groups: rank 2 = cap, the largest stratum dim
+    for id_, p in (("P-c", (0.3, -1.2, 2.0)), ("N-ii", (1.0, 2.0, 3.0)),
+                   ("N-viii", (0.3, -1.2, 2.0)), ("N-xii", (0.5, 2.0, 1.0))):
+        entry = build(id_)
+        svd_inputs.clear()
+        assert orbit_report(entry, p).evidence["principal_evidence"], id_
+        assert len(svd_inputs) == 1, id_
+    nxii = build("N-xii")
+    for p, factored in (((0.0, 0.0, 0.0), 2), ((1.0, 0.0, 1.0), 1)):  # the origin, the light cone
+        svd_inputs.clear()
+        evidence = orbit_report(nxii, p).evidence
+        assert len(svd_inputs) == factored, p
+        assert evidence == _pointwise_evidence(nxii.basis, p), p
+    assert evidence["principal_evidence"]  # the light cone, the last point above
+    # strata that misstate the generic rank (2) leave the decision to the stencil SVD
+    for shift in (-1, 1):
+        misstated = dataclasses.replace(nxii, strata=tuple(
+            dataclasses.replace(s, dim=s.dim + shift) if s.dim == 2 else s for s in nxii.strata))
+        svd_inputs.clear()
+        evidence = orbit_report(misstated, (0.5, 2.0, 1.0)).evidence
+        assert len(svd_inputs) == 2, shift
+        assert evidence == _pointwise_evidence(nxii.basis, (0.5, 2.0, 1.0)), shift
+
+
+def _det(rows):
+    """Exact determinant of a square list of rows, by Laplace expansion along the first."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+def test_generic_rank_is_the_largest_stratum_dim_exactly():
+    """`_evidence` certifies a stencil on the claim that no point's orbit exceeds
+    cap, the largest stratum dim.  T(q), rows X_i q + v_i, in exact rationals of the
+    float basis: every (cap+1)-minor vanishes at q in {0, 1, 2, 3}^3, hence
+    identically, as each has degree <= 3 in each coordinate; some cap-minor does not."""
+    grid = list(itertools.product(range(4), repeat=3))
+    for id_ in CATALOG_IDS:
+        for entry in entry_variants(id_):
+            cap = entry._rank_bound[1]
+            X, v = ([[Fraction(float(x)) for x in row] for row in part.reshape(len(part), -1)]
+                    for part in entry.basis.parts)
+            nonzero = {cap: 0, cap + 1: 0}
+            for q in grid:
+                T = [[sum(Xi[3 * r + c] * q[c] for c in range(3)) + vi[r] for r in range(3)]
+                     for Xi, vi in zip(X, v)]
+                for k in nonzero:
+                    nonzero[k] += sum(_det([[T[i][j] for j in cols] for i in rows]) != 0
+                                      for rows in itertools.combinations(range(len(T)), k)
+                                      for cols in itertools.combinations(range(3), k))
+            assert nonzero[cap + 1] == 0 and nonzero[cap] > 0, (entry.id, entry.params, nonzero)
 
 
 def test_tangent_basis_of_a_point_stack():
