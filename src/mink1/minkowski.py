@@ -106,6 +106,7 @@ def inner(u, v):
 
 
 _VECTOR_BY_SIGN = {-1: TIMELIKE, 0: NULL, 1: SPACELIKE}
+_PLANE_BY_SIGN = {-1: LORENTZIAN, 0: DEGENERATE, 1: RIEMANNIAN}
 # generator classes at index sign(tr X^2) + 1, and ZERO last
 _GENERATOR_CLASSES = np.array([ELLIPTIC, PARABOLIC, HYPERBOLIC, ZERO], dtype=object)
 _ETA_DIAG = np.diag(ETA)[:, None]  # eta U = _ETA_DIAG * U, exactly
@@ -357,13 +358,9 @@ def exp_element(el, t: float = 1.0):
 
 
 def causal_of_span(vectors) -> str:
-    """Causal character of the subspace spanned by the given vectors.
-
-    One-dimensional spans are classified as vectors; higher-dimensional
-    spans by the signature of the induced Gram matrix on a Euclidean-
-    orthonormalized basis (one negative eigenvalue -> lorentzian, a
-    kernel -> degenerate, otherwise riemannian).
-    """
+    """Causal character of the subspace spanned by the given vectors: a
+    line is classified as its vector, a plane and R^3 by the inertia of the
+    induced Gram matrix on Euclidean-orthonormal rows (`causal_of_svd`)."""
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vh = np.linalg.svd(V)
     return causal_of_svd([numeric_rank(s)], vh[None])[0]
@@ -375,18 +372,14 @@ def _rows(at, n):  # increasing row numbers of a stack of n: a slice, a view, if
 
 def causal_of_svd(rank, vh) -> list:
     """`causal_of_span` of the rows of each matrix of a stack, from their
-    numerical ranks and the right singular vectors vh[N, 3, 3] of a
-    batched SVD: per rank, one batched eigvalsh and one `sign_of`."""
-    out = [ZERO_VECTOR] * len(rank)
-    for r in set(rank) - {0}:
-        at = [k for k, rk in enumerate(rank) if rk == r]
-        Q = vh[_rows(at, len(rank)), :r]
-        if r == 1:
-            chars = [causal_character(q) for q in Q[:, 0]]
-        else:
-            signs = sign_of(np.linalg.eigvalsh(Q @ ETA @ Q.transpose(0, 2, 1)), STRUCT_TOL)
-            chars = [DEGENERATE if 0 in sg else LORENTZIAN if -1 in sg else RIEMANNIAN
-                     for sg in signs.tolist()]
-        for k, c in zip(at, chars):
-            out[k] = c
-    return out
+    numerical ranks and vh[N, 3, 3], the right singular vectors of a full
+    SVD: its rows must be orthonormal.  r such rows Q have the Gram matrix
+    Q eta Q^T = I - 2 a a^T, a = Q[:, 0], with eigenvalues 1 and 1 - 2|a|^2.
+    So R^3 has eta's inertia (Sylvester's law), lorentzian; the planes are
+    read off one stacked `sign_of` 1 - 2|a|^2, a NaN reading degenerate; a
+    line is its vector's `causal_character`."""
+    if 2 in rank:
+        x, y = vh[:, 0, 0], vh[:, 1, 0]
+        plane = sign_of(1.0 - 2.0 * (x * x + y * y), STRUCT_TOL).tolist()
+    return [_PLANE_BY_SIGN[plane[k]] if r == 2 else causal_character(vh[k, 0]) if r == 1
+            else LORENTZIAN if r == 3 else ZERO_VECTOR for k, r in enumerate(rank)]

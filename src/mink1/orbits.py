@@ -76,10 +76,12 @@ def _combine(coeffs, parts):
 def analyze_points(spec: SubalgebraSpec, P) -> PointAnalysis:
     """Orbit dimension, causal character, stabilizer and singular values at
     every point of a stack P[N, 3], from one batched full SVD of the N tangent
-    maps; each point gets the bits its own SVD gives.  A connected one-parameter
-    isometry group with a fixed point is precompact iff its linear part is
-    elliptic, so a stabilizer is noncompact when a generator is hyperbolic
-    or parabolic, compact when it has generators and none is, else trivial.
+    maps; each point gets the bits its own SVD gives, and `causal_of_svd`
+    reads the causal character off its right singular vectors, with no
+    second factorization.  A connected one-parameter isometry group with a
+    fixed point is precompact iff its linear part is elliptic, so a stabilizer
+    is noncompact when a generator is hyperbolic or parabolic, compact when
+    it has generators and none is, else trivial.
     """
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     u, s, vh = np.linalg.svd(tangent_basis(spec, P), full_matrices=True)

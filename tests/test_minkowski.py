@@ -570,32 +570,58 @@ def test_overflowing_entries_are_not_an_isometry():
         assert motion_faults(flow.A, flow.a) == [None] * 20
 
 
+def _eigvalsh_label(r, v):
+    """The label of the leading r rows of v by the per-eigenvalue rule on
+    their Gram matrix (zero -> degenerate, else negative -> lorentzian),
+    a single row by its `causal_character`: the oracle of `causal_of_svd`."""
+    if r < 2:
+        return causal_character(v[0]) if r else ZERO_VECTOR
+    signs = {sign_of(e, STRUCT_TOL) for e in np.linalg.eigvalsh(v[:r] @ ETA @ v[:r].T)}
+    return DEGENERATE if 0 in signs else LORENTZIAN if -1 in signs else RIEMANNIAN
+
+
 def test_causal_of_svd_on_a_mixed_stack_equals_each_row_alone():
-    """Ranks 0-3 in one stack, Gram eigenvalues of every sign in one row, an
-    exactly zero one (a null and a spacelike row) and a NaN one: each label
-    equals the row's label alone and the per-eigenvalue rule (zero ->
-    degenerate, else negative -> lorentzian)."""
+    """Ranks 0-3 in one stack of orthonormal rows, as a full SVD gives them:
+    Gram eigenvalues of either sign, two planes with a zero one up to
+    roundoff (a null and an eta-orthogonal spacelike row: the SVD of such a
+    rotated plane, and one written out) and a NaN one.  Each label equals the
+    row's label alone and the per-eigenvalue rule."""
     rng = rng_from_seed(41)
     vh = [np.linalg.qr(rng.normal(size=(3, 3)))[0].T for _ in range(12)]
-    vh += [np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]),  # signs {-1, 0, 1}
-           np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 0.0]]),  # Gram diag(0, 1)
+    c, s = np.cos(0.7), np.sin(0.7)
+    h = np.sqrt(0.5)
+    vh += [np.linalg.svd([[1.0, c, s], [0.0, -s, c]])[2],
+           np.array([[h, h, 0.0], [0.0, 0.0, 1.0], [h, -h, 0.0]]),  # Gram diag(0, 1)
            np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
     vh = np.array(vh)
-    rank = [0, 1, 2, 3] * 3 + [3, 2, 2]
+    rank = [0, 1, 2, 3] * 3 + [2, 2, 2]
     with np.errstate(invalid="ignore"):
         got = causal_of_svd(rank, vh)
         alone = [causal_of_svd([r], v[None])[0] for r, v in zip(rank, vh)]
-        gram = [np.linalg.eigvalsh(v[:r] @ ETA @ v[:r].T) for r, v in zip(rank, vh)]
-    assert got == alone
-    for r, v, eig, label in zip(rank, vh, gram, got):
-        signs = {sign_of(e, STRUCT_TOL) for e in eig}
-        if r == 0:
-            assert label == ZERO_VECTOR
-        elif r == 1:
-            assert label == causal_character(v[0])
-        else:
-            assert label == (DEGENERATE if 0 in signs else LORENTZIAN if -1 in signs
-                             else RIEMANNIAN)
+        want = [_eigvalsh_label(r, v) for r, v in zip(rank, vh)]
+        gram = [np.linalg.eigvalsh(v[:2] @ ETA @ v[:2].T) for v in vh[-3:]]
+    assert got == alone == want
     assert got[-3:] == [DEGENERATE, DEGENERATE, DEGENERATE]
-    assert np.isnan(gram[-1]).any() and 0.0 in gram[-2]
+    # orthonormal rows hold no exact null vector: each plane's zero is roundoff
+    assert np.isnan(gram[-1]).any() and max(abs(g).min() for g in gram[:2]) < 1e-15
     assert {LORENTZIAN, RIEMANNIAN} <= set(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.integers(-40, 40))
+def test_causal_of_svd_equals_the_gram_eigenvalue_rule(seed, k, degenerate, e):
+    """On the SVD of k random vectors, or of k combinations of a null vector
+    and an eta-orthogonal spacelike one (an exactly degenerate plane) moved
+    by a random isometry, all scaled by 2^e, `causal_of_svd` gives the
+    label of the per-eigenvalue rule, and such a plane reads degenerate."""
+    rng = rng_from_seed(seed)
+    V = rng.normal(size=(k, 3))
+    if degenerate:
+        A = random_motion(rng).A
+        V = V[:, :2] @ np.array([A @ (E1 + E2), A @ E3])
+    _, s, vh = np.linalg.svd(np.ldexp(V, e))
+    r = numeric_rank(s)
+    label = causal_of_svd([r], vh[None])[0]
+    assert label == _eigvalsh_label(r, vh)
+    if degenerate and r == 2:
+        assert label == DEGENERATE
